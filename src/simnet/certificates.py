@@ -38,13 +38,13 @@ from .linalg import (
     DEFAULT_TOL,
     SymMatrix,
     ToleranceProfile,
-    operator_norm,
-    principal_sqrt,
-    psd_margin,
+    operator_norm_batch,
+    principal_sqrt_batch,
+    psd_margin_batch,
     psd_order,
     solve_linear_least_squares,
 )
-from .network import SwitchedLinearSubsystem
+from .network import NetworkSpec, SwitchedLinearSubsystem
 
 SCHEMA_CERTS = "simnet-certs-v1"
 
@@ -165,9 +165,289 @@ class VerificationReport:
         return self.ok
 
 
-def _closed_loop(concrete: SwitchedLinearSubsystem, cert: LocalCertificate, s: int):
-    mode = concrete.modes[s]
-    return mode.A + mode.B @ cert.K[s]
+@dataclass(frozen=True)
+class VerifiedCertificate:
+    """One node's verification outcome: the three obligation reports and,
+    when all three pass, the dissipation gains (None otherwise)."""
+
+    output_dominance: VerificationReport
+    decay: VerificationReport
+    structure: VerificationReport
+    gains: LocalGains | None
+
+    @property
+    def reports(self) -> tuple[VerificationReport, ...]:
+        return (self.output_dominance, self.decay, self.structure)
+
+    @property
+    def failures(self) -> tuple[str, ...]:
+        return sum((r.failures for r in self.reports), ())
+
+    def __bool__(self) -> bool:
+        return self.gains is not None
+
+
+def verify_network(
+    spec: NetworkSpec,
+    certs: dict[int, LocalCertificate],
+    tol: ToleranceProfile = DEFAULT_TOL,
+) -> dict[int, VerifiedCertificate]:
+    """Verify every node's certificate against its abstraction in one pass.
+
+    Returns the outcome per node id, in the spec's node order.  The
+    obligations of all nodes are checked together: operands of equal shape
+    are stacked and decided with one numpy call per shape and operand, so
+    the number of eigen-decompositions depends on the number of distinct
+    node shapes, not on the node count.  Reports, margins and gains equal
+    the per-node checks' bit for bit.
+    """
+    if spec.abstract_subsystems is None:
+        raise SchemaError("network declares no abstract subsystems; nothing to verify against")
+    items = [
+        (certs[sub.id], sub, abstract)
+        for sub, abstract in zip(spec.subsystems, spec.abstract_subsystems)
+    ]
+    return dict(zip((sub.id for sub in spec.subsystems), _verify(items, tol)))
+
+
+def _verify(items, tol: ToleranceProfile) -> list[VerifiedCertificate]:
+    """All three obligations and the gains for (cert, concrete, abstract)
+    items; gains only for items that pass every obligation."""
+    batch = _Batch(items)
+    reports = list(
+        zip(_output_dominance(batch, tol), _decay(batch, tol), _structure(batch, tol))
+    )
+    passed = [all(r) for r in reports]
+    gains = iter(_gains(_Batch([it for it, ok in zip(items, passed) if ok]), tol))
+    return [
+        VerifiedCertificate(*r, next(gains) if ok else None)
+        for r, ok in zip(reports, passed)
+    ]
+
+
+class _Batch:
+    """The (node, mode) and (node, mode pair) items of a list of
+    (certificate, concrete, abstract) triples, with their grouping keys.
+
+    ``*_shape`` keys are a node's full shape signature, under which every
+    operand of an item stacks; ``*_dim`` keys are the state dimension, under
+    which the n x n operands of the eigen-decompositions stack.
+    """
+
+    def __init__(self, items):
+        self.items = items
+        for cert, concrete, _ in items:
+            if cert.n != concrete.n:
+                raise DimensionMismatchError(
+                    f"subsystem {concrete.id}: certificate matrices are {cert.n}x{cert.n} "
+                    f"but the state has dimension {concrete.n}",
+                    node=concrete.id, n=concrete.n, n_certificate=cert.n,
+                )
+        codes: dict[tuple, int] = {}  # small ints hash faster than signatures
+        signature = [codes.setdefault(_shape_signature(item), len(codes)) for item in items]
+        dim = [cert.n for cert, _, _ in items]
+        self.modes = [(k, s) for k, (cert, _, _) in enumerate(items) for s in range(cert.n_modes)]
+        self.pairs = [
+            (k, s, s2) for k, (cert, _, _) in enumerate(items) for s, s2 in cert.admissible_pairs()
+        ]
+        self.row = {mode: i for i, mode in enumerate(self.modes)}
+        self.mode_shape = [signature[k] for k, _ in self.modes]
+        self.pair_shape = [signature[k] for k, _, _ in self.pairs]
+        self.mode_dim = [dim[k] for k, _ in self.modes]
+        self.pair_dim = [dim[k] for k, _, _ in self.pairs]
+
+    def cert(self, field: str, pairs: bool = False, next_mode: bool = False) -> list:
+        """Certificate matrix ``field`` per (node, mode) item, or per
+        (node, pair) item at the pair's current or next mode."""
+        keys = self.pairs if pairs else self.modes
+        pos = 2 if next_mode else 1
+        items = self.items
+        if field == "M":
+            return [items[key[0]][0].M[key[pos]].entries for key in keys]
+        if field == "P":
+            return [items[key[0]][0].P for key in keys]
+        return [getattr(items[key[0]][0], field)[key[pos]] for key in keys]
+
+    def system(self, layer: str, field: str, pairs: bool = False) -> list:
+        """Mode matrix ``field`` of the concrete or abstract subsystem per
+        item, at the item's current mode."""
+        keys = self.pairs if pairs else self.modes
+        pos = 1 if layer == "concrete" else 2
+        items = self.items
+        return [getattr(items[key[0]][pos].modes[key[1]], field) for key in keys]
+
+
+def _shape_signature(item) -> tuple:
+    cert, concrete, abstract = item
+    mode = concrete.modes[0]
+    shapes = [mode.A.shape, mode.B.shape, mode.C.shape, mode.D.shape, cert.P.shape]
+    if abstract is not None:
+        a_mode = abstract.modes[0]
+        shapes += [a_mode.A.shape, a_mode.B.shape, a_mode.C.shape, a_mode.D.shape]
+    for family in (cert.K, cert.Q, cert.R, cert.T):
+        shapes += [x.shape for x in family]
+    return tuple(shapes)
+
+
+def _batched(fn, keys, *operands) -> list:
+    """Apply ``fn`` to stacks of items that share a key.
+
+    ``operands`` are per-item sequences of arrays whose shapes depend only
+    on the item's key.  The operands of each key are stacked along a new
+    leading axis and passed to ``fn`` in one call; ``fn`` returns one
+    array, or a tuple of arrays, with that leading axis.  Returns the
+    per-item results in item order, 1-d results as Python floats.
+    """
+    groups: dict = {}
+    for i, key in enumerate(keys):
+        groups.setdefault(key, []).append(i)
+    out = [None] * len(keys)
+    for idx in groups.values():
+        if len(groups) == 1:
+            stacks = [np.array(seq) for seq in operands]
+        else:
+            stacks = [np.array([seq[i] for i in idx]) for seq in operands]
+        result = fn(*stacks)
+        single = not isinstance(result, tuple)
+        columns = [r.tolist() if r.ndim == 1 else r for r in ((result,) if single else result)]
+        for i, r in zip(idx, columns[0] if single else zip(*columns)):
+            out[i] = r
+    return out
+
+
+def _sym(a: np.ndarray) -> np.ndarray:
+    """Symmetrize a stack as SymMatrix does."""
+    return 0.5 * (a + np.swapaxes(a, -1, -2))
+
+
+def _max_abs(a: np.ndarray) -> np.ndarray:
+    return np.abs(a).max(axis=(-2, -1))
+
+
+def _report(check: str, failures: list, margins: dict) -> VerificationReport:
+    return VerificationReport(not failures, check, tuple(failures), margins)
+
+
+def _output_dominance(batch: _Batch, tol: ToleranceProfile) -> list[VerificationReport]:
+    c = batch.system("concrete", "C")
+    grams = _batched(lambda c: _sym(np.swapaxes(c, -1, -2) @ c), batch.mode_shape, c)
+    psd = _batched(psd_margin_batch, batch.mode_dim, grams, batch.cert("M"))
+
+    def output_match(c, p, c_hat):
+        return _max_abs(c @ p - c_hat) if c_hat[0].size else np.zeros(len(c))
+
+    match = _batched(
+        output_match, batch.mode_shape, c, batch.cert("P"), batch.system("abstract", "C")
+    )
+    out = [([], {}) for _ in batch.items]
+    for (k, s), (margin, scale), mt in zip(batch.modes, psd, match):
+        failures, margins = out[k]
+        margins[s] = {"psd_margin": margin, "output_match": mt}
+        if margin < -tol.psd_tol * scale:
+            failures.append(f"mode {s}: output Gram matrix is not dominated by M")
+        if mt > tol.eig_tol:
+            failures.append(f"mode {s}: C P differs from the abstract C by {mt:.3e}")
+    return [_report("output_dominance", *o) for o in out]
+
+
+def _decay(batch: _Batch, tol: ToleranceProfile) -> list[VerificationReport]:
+    loops = _batched(
+        lambda a, b, k: a + b @ k,
+        batch.mode_shape,
+        batch.system("concrete", "A"),
+        batch.system("concrete", "B"),
+        batch.cert("K"),
+    )
+    lhs = _batched(
+        lambda f, m_next: _sym(3.0 * np.swapaxes(f, -1, -2) @ m_next @ f),
+        batch.pair_dim,
+        [loops[batch.row[k, s]] for k, s, _ in batch.pairs],
+        batch.cert("M", pairs=True, next_mode=True),
+    )
+    rhs = _batched(
+        lambda rate, m: _sym(rate[:, None, None] * m),
+        batch.pair_dim,
+        [1.0 - batch.items[k][0].kappa for k, _, _ in batch.pairs],
+        batch.cert("M", pairs=True),
+    )
+    psd = _batched(psd_margin_batch, batch.pair_dim, lhs, rhs)
+    out = [([], {}) for _ in batch.items]
+    for (k, s, s2), (margin, scale) in zip(batch.pairs, psd):
+        failures, margins = out[k]
+        margins[(s, s2)] = margin
+        if not margin >= -tol.psd_tol * scale:
+            failures.append(
+                f"mode pair ({s} -> {s2}): decay inequality fails "
+                f"(lambda_min margin {margin:.3e})"
+            )
+    return [_report("decay", *o) for o in out]
+
+
+def _structure(batch: _Batch, tol: ToleranceProfile) -> list[VerificationReport]:
+    a = batch.system("concrete", "A")
+    b = batch.system("concrete", "B")
+    p = batch.cert("P")
+    state = _batched(
+        lambda a, p, a_hat, b, q: _max_abs(a @ p - p @ a_hat + b @ q),
+        batch.mode_shape, a, p, batch.system("abstract", "A"), b, batch.cert("Q"),
+    )
+
+    def coupling(d, p, d_hat, b, t):
+        if d[0].size or d_hat[0].size or t[0].size:
+            return _max_abs(d - p @ d_hat + b @ t)
+        return np.zeros(len(d))
+
+    coupled = _batched(
+        coupling, batch.mode_shape,
+        batch.system("concrete", "D"), p, batch.system("abstract", "D"), b, batch.cert("T"),
+    )
+    a_max = _batched(_max_abs, batch.mode_shape, a)
+    out = [([], {}) for _ in batch.items]
+    for (k, s), res_state, res_coupling, amax in zip(batch.modes, state, coupled, a_max):
+        failures, margins = out[k]
+        margins[s] = {"state": res_state, "coupling": res_coupling}
+        limit = tol.eig_tol * (1.0 + amax)
+        if res_state > limit:
+            failures.append(f"mode {s}: state matching residual {res_state:.3e}")
+        if res_coupling > limit:
+            failures.append(f"mode {s}: coupling matching residual {res_coupling:.3e}")
+    return [_report("structure", *o) for o in out]
+
+
+def _gains(batch: _Batch, tol: ToleranceProfile) -> list[LocalGains]:
+    """Gains of certificates that passed all three obligations; see
+    derive_gains for the formulas."""
+    items = batch.items
+    # square roots of the M_s2 that some admissible pair enters
+    entered = list(dict.fromkeys((k, s2) for k, _, s2 in batch.pairs))
+    roots = dict(zip(entered, _batched(
+        lambda m: principal_sqrt_batch(m, tol),
+        [items[k][0].n for k, _ in entered],
+        [items[k][0].M[s2].entries for k, s2 in entered],
+    )))
+    mismatch = _batched(
+        lambda b, r, p, b_hat: b @ r - p @ b_hat,
+        batch.mode_shape, batch.system("concrete", "B"), batch.cert("R"), batch.cert("P"),
+        batch.system("abstract", "B"),
+    )
+    root = [roots[k, s2] for k, _, s2 in batch.pairs]
+
+    def norms(sq, x):
+        return operator_norm_batch(sq @ x)
+
+    internal = _batched(norms, batch.pair_shape, root, batch.system("concrete", "D", pairs=True))
+    external = _batched(
+        norms, batch.pair_shape, root, [mismatch[batch.row[k, s]] for k, s, _ in batch.pairs]
+    )
+    rho = [[0.0, 0.0] for _ in items]
+    for (k, _, _), n_int, n_ext in zip(batch.pairs, internal, external):
+        acc = rho[k]
+        acc[0] = max(acc[0], 3.0 * n_int**2)
+        acc[1] = max(acc[1], 3.0 * n_ext**2)
+    return [
+        LocalGains(alpha=1.0, lam=cert.kappa, rho_int=r_int, rho_ext=r_ext)
+        for (cert, _, _), (r_int, r_ext) in zip(items, rho)
+    ]
 
 
 def verify_output_dominance(
@@ -181,23 +461,7 @@ def verify_output_dominance(
 
     Together these give the output-error lower bound with unit coefficient.
     """
-    failures = []
-    margins = {}
-    for s in range(cert.n_modes):
-        c = concrete.modes[s].C
-        c_hat = abstract_sub.modes[s].C
-        gram_margin = psd_margin(SymMatrix(c.T @ c), cert.M[s])
-        match = float(np.abs(c @ cert.P - c_hat).max()) if c_hat.size else 0.0
-        margins[s] = {"psd_margin": gram_margin, "output_match": match}
-        scale = 1.0 + max(
-            float(np.abs(np.linalg.eigvalsh(c.T @ c)).max()),
-            float(np.abs(np.linalg.eigvalsh(cert.M[s].entries)).max()),
-        )
-        if gram_margin < -tol.psd_tol * scale:
-            failures.append(f"mode {s}: output Gram matrix is not dominated by M")
-        if match > tol.eig_tol:
-            failures.append(f"mode {s}: C P differs from the abstract C by {match:.3e}")
-    return VerificationReport(not failures, "output_dominance", tuple(failures), margins)
+    return _output_dominance(_Batch([(cert, concrete, abstract_sub)]), tol)[0]
 
 
 def verify_decay(
@@ -206,19 +470,7 @@ def verify_decay(
     tol: ToleranceProfile = DEFAULT_TOL,
 ) -> VerificationReport:
     """3 F_s' M_s2 F_s <= (1 - kappa) M_s over all admissible mode pairs."""
-    failures = []
-    margins = {}
-    for s, s2 in cert.admissible_pairs():
-        f = _closed_loop(concrete, cert, s)
-        lhs = SymMatrix(3.0 * f.T @ cert.M[s2].entries @ f)
-        rhs = SymMatrix((1.0 - cert.kappa) * cert.M[s].entries)
-        margins[(s, s2)] = psd_margin(lhs, rhs)
-        if not psd_order(lhs, rhs, tol):
-            failures.append(
-                f"mode pair ({s} -> {s2}): decay inequality fails "
-                f"(lambda_min margin {margins[(s, s2)]:.3e})"
-            )
-    return VerificationReport(not failures, "decay", tuple(failures), margins)
+    return _decay(_Batch([(cert, concrete, None)]), tol)[0]
 
 
 def verify_structure(
@@ -230,26 +482,7 @@ def verify_structure(
     """Structural matching: A P = P Ahat - B Q and D = P Dhat - B T per mode,
     with residuals measured entrywise against eig_tol * (1 + max|A|).
     """
-    failures = []
-    margins = {}
-    for s in range(cert.n_modes):
-        cm = concrete.modes[s]
-        am = abstract_sub.modes[s]
-        res_state = float(
-            np.abs(cm.A @ cert.P - cert.P @ am.A + cm.B @ cert.Q[s]).max()
-        )
-        res_coupling = (
-            float(np.abs(cm.D - cert.P @ am.D + cm.B @ cert.T[s]).max())
-            if cm.D.size or am.D.size or cert.T[s].size
-            else 0.0
-        )
-        margins[s] = {"state": res_state, "coupling": res_coupling}
-        limit = tol.eig_tol * (1.0 + float(np.abs(cm.A).max()))
-        if res_state > limit:
-            failures.append(f"mode {s}: state matching residual {res_state:.3e}")
-        if res_coupling > limit:
-            failures.append(f"mode {s}: coupling matching residual {res_coupling:.3e}")
-    return VerificationReport(not failures, "structure", tuple(failures), margins)
+    return _structure(_Batch([(cert, concrete, abstract_sub)]), tol)[0]
 
 
 def derive_gains(
@@ -269,28 +502,15 @@ def derive_gains(
     with |.| the induced 2-norm.  Raises CertificateError if any of the three
     verification obligations fails.
     """
-    reports = [
-        verify_output_dominance(cert, concrete, abstract_sub, tol),
-        verify_decay(cert, concrete, tol),
-        verify_structure(cert, concrete, abstract_sub, tol),
-    ]
-    bad = [r for r in reports if not r]
-    if bad:
+    verified = _verify([(cert, concrete, abstract_sub)], tol)[0]
+    if not verified:
+        bad = [r for r in verified.reports if not r]
         raise CertificateError(
             "certificate verification failed: "
             + "; ".join(f"{r.check}: {', '.join(r.failures)}" for r in bad),
             checks={r.check: r.failures for r in bad},
         )
-    rho_int = 0.0
-    rho_ext = 0.0
-    for s, s2 in cert.admissible_pairs():
-        sq = principal_sqrt(cert.M[s2], tol).entries
-        cm = concrete.modes[s]
-        am = abstract_sub.modes[s]
-        rho_int = max(rho_int, 3.0 * operator_norm(sq @ cm.D) ** 2)
-        mismatch = cm.B @ cert.R[s] - cert.P @ am.B
-        rho_ext = max(rho_ext, 3.0 * operator_norm(sq @ mismatch) ** 2)
-    return LocalGains(alpha=1.0, lam=cert.kappa, rho_int=rho_int, rho_ext=rho_ext)
+    return verified.gains
 
 
 def interface_input(cert: LocalCertificate, x, x_hat, u_hat, w_hat, mode: int) -> np.ndarray:

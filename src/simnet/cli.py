@@ -176,42 +176,29 @@ def _cmd_validate(args) -> int:
 
 
 def _verify_nodes(spec, certs, tol):
-    from .certificates import (
-        derive_gains,
-        verify_decay,
-        verify_output_dominance,
-        verify_structure,
-    )
-    from .errors import CertificateError
+    """Verify every certificate once; JSON rows and the gains of the nodes
+    that passed."""
+    from .certificates import verify_network
 
     rows = []
     gains = {}
-    for pos, sub in enumerate(spec.subsystems):
-        cert = certs[sub.id]
-        abstract = spec.abstract_subsystems[pos]
-        dom = verify_output_dominance(cert, sub, abstract, tol)
-        dec = verify_decay(cert, sub, tol)
-        struct = verify_structure(cert, sub, abstract, tol)
+    for node_id, verified in verify_network(spec, certs, tol).items():
         row = {
-            "id": sub.id,
-            "output_dominance": dom.ok,
-            "decay": dec.ok,
-            "structure": struct.ok,
-            "failures": list(dom.failures + dec.failures + struct.failures),
+            "id": node_id,
+            "output_dominance": verified.output_dominance.ok,
+            "decay": verified.decay.ok,
+            "structure": verified.structure.ok,
+            "failures": list(verified.failures),
         }
-        if dom and dec and struct:
-            try:
-                g = derive_gains(cert, sub, abstract, tol)
-            except CertificateError as exc:  # pragma: no cover - guarded above
-                row["failures"].append(str(exc))
-            else:
-                gains[sub.id] = g
-                row["gains"] = {
-                    "alpha": g.alpha,
-                    "lambda": g.lam,
-                    "rho_int": g.rho_int,
-                    "rho_ext": g.rho_ext,
-                }
+        g = verified.gains
+        if g is not None:
+            gains[node_id] = g
+            row["gains"] = {
+                "alpha": g.alpha,
+                "lambda": g.lam,
+                "rho_int": g.rho_int,
+                "rho_ext": g.rho_ext,
+            }
         rows.append(row)
     return rows, gains
 
@@ -228,7 +215,14 @@ def _cmd_verify(args) -> int:
     return 0 if ok else 1
 
 
-def _cmd_compose(args) -> int:
+def _compose(spec, certs, gains, tol):
+    """The compose pipeline on verified gains: the mode-robust gain operator,
+    the small-gain check, the weights mu and the composed certificate.
+
+    Returns (report, composed, degenerate).  ``composed`` is None when the
+    small-gain condition fails or construct_mu rejects the operator; in the
+    latter case ``degenerate`` is construct_mu's CompositionError.
+    """
     from .composition import (
         build_gain_operator_from_network,
         check_small_gain,
@@ -237,13 +231,6 @@ def _cmd_compose(args) -> int:
     )
     from .errors import CompositionError
 
-    tol = _tolerances(args)
-    spec, certs = _load_pair(args, tol)
-    rows, gains = _verify_nodes(spec, certs, tol)
-    if len(gains) != spec.n_nodes:
-        _emit({"command": "compose", "ok": False, "nodes": rows})
-        print("verification failed; not composing", file=sys.stderr)
-        return 1
     op = build_gain_operator_from_network(spec, gains)
     sg = check_small_gain(op, tol)
     report = {
@@ -252,65 +239,69 @@ def _cmd_compose(args) -> int:
         "satisfied": sg.satisfied,
         "assumption4_stat": op.gamma_colsum_sup,
     }
-    if sg.satisfied:
-        try:
-            core = construct_mu(op, tol)
-        except CompositionError as exc:
-            report["satisfied"] = False
-            report["degenerate"] = str(exc)
-            _emit(report)
-            return 1
-        composed = compose_certificate(
-            core,
-            [gains[i] for i in spec.graph.nodes],
-            [certs[i] for i in spec.graph.nodes],
-        )
-        report.update(
-            {
-                "lambda_inf": composed.lambda_inf,
-                "mu_min": composed.mu_min,
-                "mu_max": composed.mu_max,
-                "alpha_total": composed.alpha_total,
-                "rho_ext_coeff": composed.rho_ext_coeff,
-            }
-        )
+    if not sg.satisfied:
+        return report, None, None
+    try:
+        core = construct_mu(op, tol)
+    except CompositionError as exc:
+        report["satisfied"] = False
+        report["degenerate"] = str(exc)
+        return report, None, exc
+    composed = compose_certificate(
+        core, [gains[i] for i in spec.graph.nodes], [certs[i] for i in spec.graph.nodes]
+    )
+    report.update(
+        {
+            "lambda_inf": composed.lambda_inf,
+            "mu_min": composed.mu_min,
+            "mu_max": composed.mu_max,
+            "alpha_total": composed.alpha_total,
+            "rho_ext_coeff": composed.rho_ext_coeff,
+        }
+    )
+    return report, composed, None
+
+
+def _cmd_compose(args) -> int:
+    tol = _tolerances(args)
+    spec, certs = _load_pair(args, tol)
+    rows, gains = _verify_nodes(spec, certs, tol)
+    if len(gains) != spec.n_nodes:
+        _emit({"command": "compose", "ok": False, "nodes": rows})
+        print("verification failed; not composing", file=sys.stderr)
+        return 1
+    report, _, degenerate = _compose(spec, certs, gains, tol)
+    if degenerate is not None:
+        _emit(report)
+        return 1
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             json.dump(report, fh, sort_keys=True, indent=1)
             fh.write("\n")
     print(
-        f"small gain: {'satisfied' if sg.satisfied else 'NOT satisfied'} "
-        f"(radius/bound {sg.radius_or_bound:.6f})",
+        f"small gain: {'satisfied' if report['satisfied'] else 'NOT satisfied'} "
+        f"(radius/bound {report['radius_or_bound']:.6f})",
         file=sys.stderr,
     )
     _emit(report)
-    return 0 if sg.satisfied else 1
+    return 0 if report["satisfied"] else 1
 
 
 def _composed_from_files(args, tol):
-    from .composition import (
-        build_gain_operator_from_network,
-        check_small_gain,
-        compose_certificate,
-        construct_mu,
-    )
     from .errors import CompositionError
 
     spec, certs = _load_pair(args, tol)
     _, gains = _verify_nodes(spec, certs, tol)
     if len(gains) != spec.n_nodes:
         raise CompositionError("certificate verification failed; cannot compose")
-    op = build_gain_operator_from_network(spec, gains)
-    sg = check_small_gain(op, tol)
-    if not sg.satisfied:
+    report, composed, degenerate = _compose(spec, certs, gains, tol)
+    if degenerate is not None:
+        raise degenerate
+    if composed is None:
+        radius = report["radius_or_bound"]
         raise CompositionError(
-            f"small-gain condition not satisfied (radius {sg.radius_or_bound:.6f})",
-            radius=sg.radius_or_bound,
+            f"small-gain condition not satisfied (radius {radius:.6f})", radius=radius
         )
-    core = construct_mu(op, tol)
-    composed = compose_certificate(
-        core, [gains[i] for i in spec.graph.nodes], [certs[i] for i in spec.graph.nodes]
-    )
     return spec, certs, composed
 
 
@@ -333,10 +324,11 @@ def _cmd_simulate(args) -> int:
     switching = SwitchingSignal.synchronized(spec.n_nodes, list(range(r)), args.period)
     rng = np.random.default_rng(args.seed)
     x0 = [rng.uniform(-1, 1, sub.n) for sub in spec.subsystems]
-    xhat0 = [rng.uniform(-1, 1, sub.n) for sub in spec.abstract_view().subsystems]
+    abstract = spec.abstract_view().subsystems
+    xhat0 = [rng.uniform(-1, 1, sub.n) for sub in abstract]
 
     def controller(hat_states, k):
-        return [np.zeros(sub.m) for sub in spec.abstract_view().subsystems]
+        return [np.zeros(sub.m) for sub in abstract]
 
     ordered = [certs[i] for i in spec.graph.nodes]
     run = simulate_lockstep(spec, ordered, composed, x0, xhat0, controller, switching, args.horizon)
@@ -408,8 +400,8 @@ def _cmd_swing_run(args) -> int:
 
     params = _swing_params(args)
     tol = _tolerances(args)
-    report = benchmark_report(params, tol)
     exp = run_ring_experiment(params, args.horizon, seed=args.seed, tol=tol)
+    report = benchmark_report(params, tol, gains=exp.gains)
     bound = check_trajectory_bound(exp.run, exp.composed)
     decrease = check_V_decrease(exp.run, exp.composed)
     if args.out:

@@ -6,6 +6,10 @@ functions are pure, so they are safe to call concurrently.  Tolerances are
 relative: a quantity of size eps is compared against tol * (1 + scale of the
 operands), which keeps the tests meaningful both for O(1e-10) residuals and
 for O(10) certificate matrices.
+
+The ``*_batch`` kernels take (k, n, n) stacks and make one stacked numpy
+call per operand, whatever k.  numpy runs the same LAPACK routine on every
+matrix of a stack, so each result equals the per-matrix kernel's bit for bit.
 """
 
 from __future__ import annotations
@@ -122,23 +126,47 @@ def psd_margin(a, b) -> float:
     return float(np.linalg.eigvalsh(b - a).min())
 
 
+def psd_margin_batch(a, b) -> tuple[np.ndarray, np.ndarray]:
+    """psd_margin and psd_order's scale over stacks of symmetric matrices.
+
+    For (k, n, n) stacks returns lambda_min(b_i - a_i) and
+    1 + max(||a_i||, ||b_i||), so psd_order(a_i, b_i, tol) is
+    ``lam_min[i] >= -tol.psd_tol * scale[i]``.  Three stacked eigvalsh calls.
+    """
+    scale = 1.0 + np.maximum(_eig_scale_batch(a), _eig_scale_batch(b))
+    return np.linalg.eigvalsh(b - a).min(axis=-1), scale
+
+
+def _eig_scale_batch(a: np.ndarray) -> np.ndarray:
+    return np.abs(np.linalg.eigvalsh(a)).max(axis=-1)
+
+
 def principal_sqrt(a, tol: ToleranceProfile = DEFAULT_TOL) -> SymMatrix:
     """Principal square root of a positive semidefinite symmetric matrix.
 
     Eigenvalues within -psd_tol * (1 + ||a||) of zero are clamped to zero;
     anything more negative raises IndefiniteMatrixError carrying lambda_min.
     """
-    a = _as_sym(a)
+    return SymMatrix(principal_sqrt_batch(_as_sym(a)[None], tol)[0])
+
+
+def principal_sqrt_batch(a, tol: ToleranceProfile = DEFAULT_TOL) -> np.ndarray:
+    """principal_sqrt over a (k, n, n) stack of symmetric matrices, with one
+    stacked eigh; raises for the first matrix of the stack that is
+    indefinite beyond tolerance.  Returns the (k, n, n) symmetric roots.
+    """
     w, v = np.linalg.eigh(a)
-    scale = 1.0 + float(np.abs(w).max()) if w.size else 1.0
-    lam_min = float(w.min())
-    if lam_min < -tol.psd_tol * scale:
+    scale = 1.0 + np.abs(w).max(axis=-1)
+    lam_min = w.min(axis=-1)
+    bad = np.flatnonzero(lam_min < -tol.psd_tol * scale)
+    if bad.size:
+        worst = float(lam_min[bad[0]])
         raise IndefiniteMatrixError(
-            f"matrix is indefinite beyond tolerance (lambda_min = {lam_min:.3e})",
-            lambda_min=lam_min,
+            f"matrix is indefinite beyond tolerance (lambda_min = {worst:.3e})",
+            lambda_min=worst,
         )
-    s = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.T
-    return SymMatrix(s)
+    s = (v * np.sqrt(np.clip(w, 0.0, None))[..., None, :]) @ np.swapaxes(v, -1, -2)
+    return 0.5 * (s + np.swapaxes(s, -1, -2))
 
 
 def operator_norm(a) -> float:
@@ -147,6 +175,14 @@ def operator_norm(a) -> float:
     if a.size == 0:
         return 0.0
     return float(np.linalg.norm(a, 2))
+
+
+def operator_norm_batch(a) -> np.ndarray:
+    """operator_norm of each matrix of a (k, r, c) stack: one stacked svd."""
+    a = np.asarray(a, dtype=float)
+    if a.shape[-1] == 0 or a.shape[-2] == 0:
+        return np.zeros(a.shape[:-2])
+    return np.linalg.svd(a, compute_uv=False).max(axis=-1)
 
 
 def spectral_radius(a, tol: ToleranceProfile = DEFAULT_TOL) -> float:

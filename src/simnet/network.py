@@ -295,6 +295,7 @@ class NetworkSpec:
         self.graph = self._build_graph()
         if self.abstract_subsystems is not None:
             self._validate_abstraction()
+        self._abstract_view = None
 
     @property
     def n_nodes(self) -> int:
@@ -304,10 +305,16 @@ class NetworkSpec:
         return self.subsystems[self.index[node_id]]
 
     def abstract_view(self) -> "NetworkSpec":
-        """The abstract network as a spec in its own right (same wiring)."""
+        """The abstract network as a spec in its own right (same wiring).
+
+        Built and validated on the first call; specs are immutable, so later
+        calls return the same view.
+        """
         if self.abstract_subsystems is None:
             raise SchemaError("network declares no abstract subsystems")
-        return NetworkSpec(self.abstract_subsystems)
+        if self._abstract_view is None:
+            self._abstract_view = NetworkSpec(self.abstract_subsystems)
+        return self._abstract_view
 
     def _validate_peers(self):
         known = set(self.index)

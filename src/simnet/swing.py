@@ -137,26 +137,25 @@ def generate_ring_network(params: SwingParams) -> NetworkSpec:
 
 
 def template_pair(params: SwingParams):
-    """(concrete, abstract) subsystem pair shared by every bus of the ring."""
-    spec = generate_ring_network(
-        SwingParams(**{**params.__dict__, "n_nodes": 3})
-        if params.n_nodes != 3
-        else params
-    )
-    return spec.subsystems[0], spec.abstract_subsystems[0]
+    """(concrete, abstract) subsystem pair shared by every bus of the ring:
+    bus 0, wired as in the smallest (3-node) ring."""
+    concrete = SwitchedLinearSubsystem(0, [_concrete_mode(params, 0, s, 3) for s in (0, 1)])
+    abstract = SwitchedLinearSubsystem(0, [_abstract_mode(params, 0, s, 3) for s in (0, 1)])
+    return concrete, abstract
 
 
-def closed_form_certificate(
+def verified_template(
     params: SwingParams, tol: ToleranceProfile = DEFAULT_TOL
-) -> LocalCertificate:
-    """The closed-form certificate of the swing family.
+) -> tuple[LocalCertificate, LocalGains]:
+    """The closed-form certificate of the swing family and its gains.
 
     K_s = [l_s - (9/16) m, d - 1.5 m] places the closed loop at a double
     pole 1/4 independently of the coupling; M is the fixed certificate
     matrix; the abstraction maps are P = [1; c - 1], Q_s = l_s, T_s = -l_s,
-    R from the weight-optimal interface formula.  The certificate is fully
-    verified before being returned; failure means the parameters left the
-    closed form's validity regime.
+    R from the weight-optimal interface formula.  The certificate is
+    verified once, against the template pair, and the gains come from that
+    verification; failure means the parameters left the closed form's
+    validity regime.
     """
     m, d = params.m, params.d
     p = np.array([[1.0], [params.c - 1.0]])
@@ -180,19 +179,24 @@ def closed_form_certificate(
     )
     concrete, abstract = template_pair(params)
     try:
-        derive_gains(cert, concrete, abstract, tol)  # runs all three verifications
+        gains = derive_gains(cert, concrete, abstract, tol)
     except CertificateError as exc:
         raise CertificateError(
             f"closed-form certificate invalid for these parameters: {exc}",
             **exc.details,
         ) from exc
-    return cert
+    return cert, gains
+
+
+def closed_form_certificate(
+    params: SwingParams, tol: ToleranceProfile = DEFAULT_TOL
+) -> LocalCertificate:
+    """The verified closed-form certificate (see ``verified_template``)."""
+    return verified_template(params, tol)[0]
 
 
 def ring_gains(params: SwingParams, tol: ToleranceProfile = DEFAULT_TOL) -> LocalGains:
-    cert = closed_form_certificate(params, tol)
-    concrete, abstract = template_pair(params)
-    return derive_gains(cert, concrete, abstract, tol)
+    return verified_template(params, tol)[1]
 
 
 def topology_graph(params: SwingParams, mode: int) -> InterconnectionGraph:
@@ -232,9 +236,7 @@ def compose_ring(
     Covers synchronized topology switching (each topology has column sums
     equal to the template's), with uniform weights at any ring size.
     """
-    cert = closed_form_certificate(params, tol)
-    concrete, abstract = template_pair(params)
-    gains = derive_gains(cert, concrete, abstract, tol)
+    cert, gains = verified_template(params, tol)
     core = construct_mu(templated_ring_operator(gains), tol)
     certs = [cert] * params.n_nodes
     composed = compose_certificate(core, [gains] * params.n_nodes, certs)
@@ -258,9 +260,14 @@ class SwingReport:
 
 
 def benchmark_report(
-    params: SwingParams, tol: ToleranceProfile = DEFAULT_TOL
+    params: SwingParams,
+    tol: ToleranceProfile = DEFAULT_TOL,
+    gains: LocalGains | None = None,
 ) -> SwingReport:
-    gains = ring_gains(params, tol)
+    """The report for ``params``; pass the template's ``gains`` when they are
+    already verified, so the template is not verified again."""
+    if gains is None:
+        gains = ring_gains(params, tol)
     bound = gains.rho_int * 1 / (gains.alpha * gains.lam)  # one neighbor per topology
     return SwingReport(
         alpha=gains.alpha,

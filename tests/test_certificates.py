@@ -8,27 +8,41 @@ than from the code paths under test.
 import numpy as np
 import pytest
 
+import simnet.certificates
 from simnet import (
+    DEFAULT_TOL,
     CertificateError,
     ConvergenceError,
+    DimensionMismatchError,
     LocalCertificate,
     LocalGains,
     Mode,
     StructuralInfeasibleError,
+    SwingParams,
     SwitchedLinearSubsystem,
+    SymMatrix,
+    VerificationReport,
     check_dissipation_sampled,
+    closed_form_certificate,
     derive_gains,
     evaluate_V,
+    generate_ring_network,
     interface_input,
     load_certificates,
+    operator_norm,
+    principal_sqrt,
+    psd_margin,
+    psd_order,
     save_certificates,
     solve_structural,
     synthesize_certificate_matrix,
     verify_decay,
+    verify_network,
     verify_output_dominance,
     verify_structure,
 )
-from vehicles import certified_network, tight_subsystem_pair
+from simnet.cli import main
+from vehicles import certified_network, heterogeneous_network, tight_subsystem_pair
 
 M_BENCH = np.array([[11.20, 12.50], [12.50, 17.83]])
 
@@ -197,6 +211,154 @@ class TestDeriveGains:
         )
         with pytest.raises(CertificateError):
             derive_gains(bad, concrete, abstract)
+
+
+def per_node_reference(cert, concrete, abstract, tol=DEFAULT_TOL):
+    """The three obligations and the gains of one node, checked mode by mode
+    and pair by pair with the single-matrix kernels.  Returns the three
+    reports and the gains (None unless every obligation passes)."""
+    failures, margins = [], {}
+    for s in range(cert.n_modes):
+        c = concrete.modes[s].C
+        gram = SymMatrix(c.T @ c)
+        match = float(np.abs(c @ cert.P - abstract.modes[s].C).max())
+        margins[s] = {"psd_margin": psd_margin(gram, cert.M[s]), "output_match": match}
+        if not psd_order(gram, cert.M[s], tol):
+            failures.append(f"mode {s}: output Gram matrix is not dominated by M")
+        if match > tol.eig_tol:
+            failures.append(f"mode {s}: C P differs from the abstract C by {match:.3e}")
+    dominance = VerificationReport(not failures, "output_dominance", tuple(failures), margins)
+
+    failures, margins = [], {}
+    for s, s2 in cert.admissible_pairs():
+        f = concrete.modes[s].A + concrete.modes[s].B @ cert.K[s]
+        lhs = SymMatrix(3.0 * f.T @ cert.M[s2].entries @ f)
+        rhs = SymMatrix((1.0 - cert.kappa) * cert.M[s].entries)
+        margins[(s, s2)] = psd_margin(lhs, rhs)
+        if not psd_order(lhs, rhs, tol):
+            failures.append(
+                f"mode pair ({s} -> {s2}): decay inequality fails "
+                f"(lambda_min margin {margins[(s, s2)]:.3e})"
+            )
+    decay = VerificationReport(not failures, "decay", tuple(failures), margins)
+
+    failures, margins = [], {}
+    for s in range(cert.n_modes):
+        cm, am = concrete.modes[s], abstract.modes[s]
+        res_state = float(np.abs(cm.A @ cert.P - cert.P @ am.A + cm.B @ cert.Q[s]).max())
+        res_coupling = (
+            float(np.abs(cm.D - cert.P @ am.D + cm.B @ cert.T[s]).max()) if cm.D.size else 0.0
+        )
+        margins[s] = {"state": res_state, "coupling": res_coupling}
+        limit = tol.eig_tol * (1.0 + float(np.abs(cm.A).max()))
+        if res_state > limit:
+            failures.append(f"mode {s}: state matching residual {res_state:.3e}")
+        if res_coupling > limit:
+            failures.append(f"mode {s}: coupling matching residual {res_coupling:.3e}")
+    structure = VerificationReport(not failures, "structure", tuple(failures), margins)
+
+    gains = None
+    if dominance and decay and structure:
+        rho_int = rho_ext = 0.0
+        for s, s2 in cert.admissible_pairs():
+            sq = principal_sqrt(cert.M[s2], tol).entries
+            cm, am = concrete.modes[s], abstract.modes[s]
+            rho_int = max(rho_int, 3.0 * operator_norm(sq @ cm.D) ** 2)
+            mismatch = cm.B @ cert.R[s] - cert.P @ am.B
+            rho_ext = max(rho_ext, 3.0 * operator_norm(sq @ mismatch) ** 2)
+        gains = LocalGains(alpha=1.0, lam=cert.kappa, rho_int=rho_int, rho_ext=rho_ext)
+    return dominance, decay, structure, gains
+
+
+def assert_matches_reference(spec, certs):
+    """verify_network equals the per-node reference exactly: reports,
+    margins, failure strings and gains; so do the batch-of-one calls."""
+    verified = verify_network(spec, certs)
+    assert list(verified) == [sub.id for sub in spec.subsystems]
+    for sub, abstract in zip(spec.subsystems, spec.abstract_subsystems):
+        cert, got = certs[sub.id], verified[sub.id]
+        *reports, gains = per_node_reference(cert, sub, abstract)
+        assert got.reports == tuple(reports)
+        assert got.gains == gains
+        assert verify_output_dominance(cert, sub, abstract) == got.output_dominance
+        assert verify_decay(cert, sub) == got.decay
+        assert verify_structure(cert, sub, abstract) == got.structure
+        if gains is not None:
+            assert derive_gains(cert, sub, abstract) == gains
+    return verified
+
+
+class TestVerifyNetwork:
+    def test_swing_ring_matches_reference(self):
+        params = SwingParams(n_nodes=8)
+        cert = closed_form_certificate(params)
+        verified = assert_matches_reference(
+            generate_ring_network(params), {i: cert for i in range(8)}
+        )
+        assert all(verified.values())
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_heterogeneous_network_matches_reference(self, seed):
+        spec, certs = heterogeneous_network(seed)
+        # the batches must span several state dimensions, zero-width
+        # couplings and restricted transitions
+        assert {cert.n for cert in certs.values()} == {1, 2, 3, 4}
+        assert any(sub.internal_width == 0 for sub in spec.subsystems)
+        assert any(cert.transitions is not None for cert in certs.values())
+        assert all(assert_matches_reference(spec, certs).values())
+
+    def test_corrupted_certificate_failure_strings(self):
+        spec, certs = heterogeneous_network(0)
+        good = certs[3]
+        certs[3] = LocalCertificate(
+            M=good.M, K=[3.0 * k for k in good.K], P=1.001 * good.P, Q=good.Q,
+            R=good.R, T=good.T, kappa=good.kappa, node_id=3,
+        )
+        verified = assert_matches_reference(spec, certs)
+        bad = verified[3]
+        assert bad.gains is None and not bad
+        assert not bad.decay and not bad.structure
+        assert bad.failures == sum((r.failures for r in bad.reports), ())
+        assert all(verified[i] for i in verified if i != 3)
+
+    def test_certificate_dimension_mismatch_rejected(self, swing_pair):
+        concrete, _ = swing_pair
+        one_dim = LocalCertificate(
+            M=[[[1.0]]] * 2, K=[[[0.0]]] * 2, P=[[1.0]], Q=[[[0.0]]] * 2,
+            R=[[[1.0]]] * 2, T=[[[0.0]]] * 2, kappa=0.2,
+        )
+        with pytest.raises(DimensionMismatchError):
+            verify_decay(one_dim, concrete)
+
+    def test_decompositions_independent_of_node_count(self, tmp_path, monkeypatch, capsys):
+        counts = {}
+
+        def counting(name, fn):
+            def counted(*args, **kwargs):
+                counts[name] = counts.get(name, 0) + 1
+                return fn(*args, **kwargs)
+            return counted
+
+        for name in ("eigvalsh", "eigh", "svd"):
+            monkeypatch.setattr(np.linalg, name, counting(name, getattr(np.linalg, name)))
+        load = simnet.certificates.load_certificates
+
+        def load_then_reset(path):
+            # loading checks each M once; count only what follows it
+            certs = load(path)
+            counts.clear()
+            return certs
+
+        monkeypatch.setattr(simnet.certificates, "load_certificates", load_then_reset)
+        per_size = {}
+        for nodes in (10, 40):
+            net, certs = tmp_path / f"net{nodes}.json", tmp_path / f"certs{nodes}.json"
+            main(["swing-gen", "--nodes", str(nodes), "-o", str(net), "--certs-out", str(certs)])
+            assert main(["compose", str(net), str(certs)]) == 0
+            per_size[nodes] = dict(counts)
+        capsys.readouterr()
+        assert per_size[10] == per_size[40], per_size
+        assert per_size[10]["eigvalsh"] > 0 and per_size[10]["eigh"] > 0
 
 
 class TestInterface:

@@ -1,10 +1,49 @@
 """CLI tests: exit codes, JSON reports, determinism, end-to-end pipelines."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import simnet
 from simnet.cli import main
+
+SRC = str(Path(simnet.__file__).resolve().parent.parent)
+BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+# Runs ``python -m simnet validate NET`` and prints, as its last stdout line,
+# OPENBLAS_NUM_THREADS as it stood when numpy was first imported.
+NUMPY_IMPORT_PROBE = """
+import importlib.abc, json, os, runpy, sys
+seen = []
+class Probe(importlib.abc.MetaPathFinder):
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy" and not seen:
+            seen.append(os.environ.get("OPENBLAS_NUM_THREADS"))
+sys.meta_path.insert(0, Probe())
+sys.argv = ["simnet", "validate", sys.argv[1]]
+try:
+    runpy.run_module("simnet", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    code = exc.code
+print(json.dumps({"exit": code, "blas_threads_at_numpy_import": seen}))
+"""
+
+
+def run_python(code, *args, **env_vars):
+    """Run ``python -c code args`` on this checkout's sources with no BLAS
+    thread variables set except ``env_vars``; return its stdout lines."""
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_VARS + ("SIMNET_THREADS",)}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    env.update(env_vars)
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *map(str, args)],
+        env=env, capture_output=True, text=True, timeout=120, check=True,
+    )
+    return proc.stdout.strip().splitlines()
 
 
 def run_cli(capsys, argv):
@@ -170,6 +209,16 @@ class TestDeterminism:
         second = capsys.readouterr()
         assert "ignoring" in second.err
         assert second.out == first  # results unaffected by the cap
+
+    def test_package_import_does_not_load_numpy(self):
+        code = "import sys, simnet; print('numpy' in sys.modules); simnet.Mode; " \
+            "print('numpy' in sys.modules)"
+        assert run_python(code) == ["False", "True"]
+
+    def test_thread_cap_set_before_numpy_loads(self, ring_files):
+        net, _ = ring_files
+        probe = json.loads(run_python(NUMPY_IMPORT_PROBE, net, SIMNET_THREADS="1")[-1])
+        assert probe == {"exit": 0, "blas_threads_at_numpy_import": ["1"]}
 
     def test_generated_files_byte_identical(self, tmp_path):
         paths = []

@@ -7,6 +7,9 @@
   variant builds exact structural data (B invertible, contraction targets)
   so every generated certificate passes all verifications and the coupling
   is weak enough for the small-gain condition.
+- heterogeneous_network: the same construction with three modes, state
+  dimensions 1 to 4, restricted transitions and an isolated node, for the
+  batched verification kernel.
 - tight vehicles: certificates where the decay inequality and the
   input-split inequality hold with equality in aligned directions, so
   corruptions (halved gains, inflated rates, perturbed feedback) have
@@ -192,6 +195,64 @@ def certified_network(seed: int, max_nodes: int = 4, max_modes: int = 3):
     assert sg.satisfied, f"vehicle seed {seed} failed small gain: {sg.radius_or_bound}"
     composed = compose_certificate(construct_mu(op), gains, certs)
     return spec, certs, gains, composed
+
+
+def heterogeneous_network(seed: int, n_nodes: int = 12):
+    """Seeded 3-mode network with state dimensions 1 to 4, for batching tests.
+
+    Node 0 has no in-neighbours (a zero-width D); every third node restricts
+    its admissible mode transitions.  Construction as in certified_network,
+    with kappa varying by node and M scaled differently per mode; the closed
+    loops contract far enough that the certificates still pass.  No small-gain guarantee.  Returns
+    (spec, certs) with certs keyed by node id.
+    """
+    rng = np.random.default_rng(seed)
+    r = 3
+    in_sets = [()] + [
+        tuple(j for j in range(n_nodes) if j != i and rng.random() < 0.3)
+        for i in range(1, n_nodes)
+    ]
+    subs, abstract_subs, certs = [], [], {}
+    for i in range(n_nodes):
+        n = int(rng.integers(1, 5))
+        nh = int(rng.integers(1, n + 1))
+        outs = [j for j in range(n_nodes) if i in in_sets[j]]
+        out_blocks = {i: (0, 1), **{j: (1 + idx, 2 + idx) for idx, j in enumerate(outs)}}
+        in_blocks = {j: (idx, idx + 1) for idx, j in enumerate(in_sets[i])}
+        q, nw = 1 + len(outs), len(in_sets[i])
+        b = _random_orthogonal(rng, n) @ np.diag(rng.uniform(0.8, 1.2, n))
+        b_inv = np.linalg.inv(b)
+        p = np.linalg.qr(rng.standard_normal((n, nh)))[0]
+        b_hat = 0.5 * rng.uniform(-1, 1, (nh, 1))
+        a = [rng.uniform(-1, 1, (n, n)) for _ in range(r)]
+        c = [rng.uniform(-1, 1, (q, n)) for _ in range(r)]
+        d = [5e-3 * rng.uniform(-1, 1, (n, nw)) for _ in range(r)]
+        a_hat = [0.6 * _random_orthogonal(rng, nh) for _ in range(r)]
+        k = [b_inv @ (0.22 * _random_orthogonal(rng, n) - a[s]) for s in range(r)]
+        sub = SwitchedLinearSubsystem(i, [
+            Mode(A=a[s], B=b, C=c[s], D=d[s], out_blocks=out_blocks, in_blocks=in_blocks)
+            for s in range(r)
+        ])
+        abstract = SwitchedLinearSubsystem(i, [
+            Mode(A=a_hat[s], B=b_hat, C=c[s] @ p, D=np.zeros((nh, nw)),
+                 out_blocks=out_blocks, in_blocks=in_blocks)
+            for s in range(r)
+        ])
+        kappa = (0.15, 0.2, 0.25)[i % 3]
+        big_m = synthesize_certificate_matrix(sub, k, kappa)
+        gram = b.T @ big_m.entries @ b
+        certs[i] = LocalCertificate(
+            M=[scale * big_m.entries for scale in (1.0, 1.25, 1.5)], K=k, P=p,
+            Q=[b_inv @ (p @ a_hat[s] - a[s] @ p) for s in range(r)],
+            R=[np.linalg.solve(gram, b.T @ big_m.entries @ p @ b_hat)] * r,
+            T=[-b_inv @ d[s] for s in range(r)],
+            kappa=kappa,
+            transitions=[(0, 1), (1, 2), (2, 0), (2, 2)] if i % 3 == 1 else None,
+            node_id=i,
+        )
+        subs.append(sub)
+        abstract_subs.append(abstract)
+    return NetworkSpec(subs, abstract_subs), certs
 
 
 # ---------------------------------------------------------------------------
