@@ -1,9 +1,9 @@
 """Compose per-node certificates into a network certificate.
 
 Builds the coupling-gain operator of the swing ring both ways (templated,
-size-free, and dense for finite truncations), certifies the small-gain
-condition, constructs the aggregation weights with the network decay rate,
-and runs the composed one-step oracle on a 3-node instance.
+size-free, and as an edge list for finite truncations), certifies the
+small-gain condition, constructs the aggregation weights with the network
+decay rate, and runs the composed one-step oracle on a 3-node instance.
 
 Run from the repository root:  python3 demos/02_small_gain_composition.py
 """
@@ -29,11 +29,11 @@ bound = check_small_gain(templated)
 print(f"\ntemplated ring column-sum bound: {bound.radius_or_bound:.6f} "
       f"(< 1: {bound.satisfied})")
 
-# dense truncations: the circulant radius equals the templated bound
+# finite truncations: the circulant radius equals the templated bound
 for n in (3, 10, 50):
     graph = topology_graph(SwingParams(n_nodes=n), mode=0)
-    dense = check_small_gain(build_gain_operator([gains] * n, graph))
-    print(f"  finite ring n = {n:3d}: radius = {dense.radius_or_bound:.12f}")
+    finite = check_small_gain(build_gain_operator([gains] * n, graph))
+    print(f"  finite ring n = {n:3d}: radius = {finite.radius_or_bound:.12f}")
 
 core = construct_mu(templated)
 print(f"\nweights: uniform, network decay rate lambda_inf = {core.lambda_inf:.6f} "

@@ -42,6 +42,7 @@ _EXPORTS = {
         "MuCertificate",
         "SmallGainResult",
         "TemplateGains",
+        "TemplatedGainOperator",
         "build_gain_operator",
         "build_gain_operator_from_network",
         "check_composed_dissipation",
@@ -64,8 +65,11 @@ _EXPORTS = {
     ),
     "linalg": (
         "DEFAULT_TOL",
+        "EdgePattern",
+        "RadiusBracket",
         "SymMatrix",
         "ToleranceProfile",
+        "edge_pattern",
         "operator_norm",
         "operator_norm_batch",
         "principal_sqrt",
@@ -73,10 +77,10 @@ _EXPORTS = {
         "psd_margin",
         "psd_margin_batch",
         "psd_order",
+        "radius_bracket",
         "solve_linear_least_squares",
         "spectral_radius",
         "spectral_radius_dense",
-        "spectral_radius_power",
     ),
     "network": (
         "InterconnectionGraph",

@@ -217,7 +217,8 @@ def _cmd_verify(args) -> int:
 
 def _compose(spec, certs, gains, tol):
     """The compose pipeline on verified gains: the mode-robust gain operator,
-    the small-gain check, the weights mu and the composed certificate.
+    the small-gain check (decided once; construct_mu reuses it and warm
+    starts from its vector), the weights mu and the composed certificate.
 
     Returns (report, composed, degenerate).  ``composed`` is None when the
     small-gain condition fails or construct_mu rejects the operator; in the
@@ -242,7 +243,7 @@ def _compose(spec, certs, gains, tol):
     if not sg.satisfied:
         return report, None, None
     try:
-        core = construct_mu(op, tol)
+        core = construct_mu(op, tol, small_gain=sg)
     except CompositionError as exc:
         report["satisfied"] = False
         report["degenerate"] = str(exc)

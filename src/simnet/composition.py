@@ -1,8 +1,9 @@
 """Network-level gain composition.
 
 From verified per-node gains this module assembles the coupling-gain
-operator, certifies the small-gain condition (spectral radius of the
-normalized operator below one, or a column-sum bound for templated
+operator as an edge list, certifies the small-gain condition (a certified
+upper bound on the spectral radius of the normalized operator below one,
+from a Collatz-Wielandt bracket, or a column-sum bound for templated
 families), constructs the aggregation weights mu with the network decay
 rate, and emits the composed certificate whose value is
 
@@ -19,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -28,8 +30,8 @@ from .certificates import (
     evaluate_V,
     interface_input,
 )
-from .errors import CompositionError, DimensionMismatchError
-from .linalg import DEFAULT_TOL, ToleranceProfile, spectral_radius
+from .errors import CompositionError, ConvergenceError, DimensionMismatchError
+from .linalg import DEFAULT_TOL, EdgePattern, ToleranceProfile, edge_pattern, radius_bracket
 from .network import InterconnectionGraph, NetworkSpec, assemble_internal_input, step_with_modes
 
 # strictness margins pinned by the contract
@@ -57,39 +59,45 @@ class TemplateGains:
 
 @dataclass(frozen=True)
 class GainOperator:
-    """Coupling gains over the node set: dense for finite networks,
-    templated for uniform infinite families."""
+    """Coupling gains of a finite network as an edge list.
 
-    kind: str  # "finite" | "templated"
-    node_ids: tuple[int, ...] | None = None
-    lam: np.ndarray | None = None
-    gamma: np.ndarray | None = None
-    alphas: np.ndarray | None = None
-    rho_exts: np.ndarray | None = None
-    templates: tuple[TemplateGains, ...] | None = None
+    Entry k is gamma[k] = Gamma[rows[k], cols[k]] > 0, the gain with which
+    node cols[k] loads node rows[k] (positions in ``node_ids``); entries are
+    sorted by (row, col), one per pair, and zero gains are left out.
+    """
 
-    @property
-    def lam_min(self) -> float:
-        if self.kind == "finite":
-            return float(self.lam.min())
-        return min(t.lam for t in self.templates)
+    node_ids: tuple[int, ...]
+    rows: np.ndarray
+    cols: np.ndarray
+    gamma: np.ndarray
+    lam: np.ndarray
+    alphas: np.ndarray
+    rho_exts: np.ndarray
 
     @property
-    def alpha_min(self) -> float:
-        if self.kind == "finite":
-            return float(self.alphas.min())
-        return min(t.alpha for t in self.templates)
+    def n(self) -> int:
+        return len(self.node_ids)
+
+    @cached_property
+    def pattern(self) -> EdgePattern:
+        """Strongly connected components of the coupling graph, shared by
+        every radius bracket on this operator."""
+        return edge_pattern(self.rows, self.cols, self.n)
 
     @property
-    def rho_ext_max(self) -> float:
-        if self.kind == "finite":
-            return float(self.rho_exts.max())
-        return max(t.rho_ext for t in self.templates)
+    def gamma_colsum_sup(self) -> float:
+        """sup over columns of the gamma column sums (finite-loading statistic)."""
+        return float(np.bincount(self.cols, self.gamma, minlength=self.n).max(initial=0.0))
+
+
+@dataclass(frozen=True)
+class TemplatedGainOperator:
+    """Uniform gains of finitely many node templates, for infinite families."""
+
+    templates: tuple[TemplateGains, ...]
 
     def gamma_column_sum(self, j: int) -> float:
-        """Total gain loading on the output of node/template j."""
-        if self.kind == "finite":
-            return float(self.gamma[:, j].sum())
+        """Total gain loading on the output of template j."""
         tpl = self.templates[j]
         return sum(
             count * self.templates[t].rho_int * self.templates[t].n_bar / tpl.alpha
@@ -97,8 +105,6 @@ class GainOperator:
         )
 
     def psi_column_sum(self, j: int) -> float:
-        if self.kind == "finite":
-            return float((self.gamma[:, j] / self.lam).sum())
         tpl = self.templates[j]
         return sum(
             count
@@ -108,77 +114,70 @@ class GainOperator:
             for t, count in tpl.readers
         )
 
-    @property
-    def gamma_colsum_sup(self) -> float:
-        """sup over columns of the gamma column sums (finite-loading statistic)."""
-        if self.kind == "finite":
-            return max(
-                (self.gamma_column_sum(j) for j in range(len(self.node_ids))),
-                default=0.0,
-            )
-        return max(self.gamma_column_sum(j) for j in range(len(self.templates)))
-
 
 def build_gain_operator(gains, graph: InterconnectionGraph) -> GainOperator:
-    """Dense gain operator on the given graph.
+    """Gain operator on the given graph: the one-mode case of
+    build_gain_operator_from_network.
 
-    gamma[i, j] = rho_int_i * N_i * (1 / alpha_j) for j feeding i (zero
-    elsewhere), with N_i the in-degree of i in this graph.  ``gains`` is a
-    dict keyed by node id or a sequence aligned with graph.nodes.
+    gamma[i, j] = rho_int_i * N_i * (1 / alpha_j) for j feeding i, with N_i
+    the in-degree of i in this graph.  ``gains`` is a dict keyed by node id
+    or a sequence aligned with graph.nodes.
     """
-    gains_by_id = _gains_by_id(gains, graph.nodes)
-    n = len(graph.nodes)
-    pos = {node: p for p, node in enumerate(graph.nodes)}
-    lam = np.array([gains_by_id[i].lam for i in graph.nodes])
-    alphas = np.array([gains_by_id[i].alpha for i in graph.nodes])
-    rho_exts = np.array([gains_by_id[i].rho_ext for i in graph.nodes])
-    gamma = np.zeros((n, n))
-    for i in graph.nodes:
-        fan_in = graph.in_neighbors.get(i, ())
-        for j in fan_in:
-            gamma[pos[i], pos[j]] = (
-                gains_by_id[i].rho_int * len(fan_in) / gains_by_id[j].alpha
-            )
-    return GainOperator(
-        kind="finite",
-        node_ids=tuple(graph.nodes),
-        lam=lam,
-        gamma=gamma,
-        alphas=alphas,
-        rho_exts=rho_exts,
+    return _edge_operator(
+        graph.nodes, gains, [(i, graph.in_neighbors.get(i, ())) for i in graph.nodes]
     )
 
 
 def build_gain_operator_from_network(spec: NetworkSpec, gains) -> GainOperator:
-    """Mode-robust dense operator straight from a network spec.
+    """Mode-robust gain operator straight from a network spec.
 
     Uses per-mode in-neighbor sets and takes the entrywise worst case over
     modes, so the result is valid for arbitrary (asynchronous) switching.
     """
-    gains_by_id = _gains_by_id(gains, spec.graph.nodes)
-    ids = spec.graph.nodes
-    pos = {node: p for p, node in enumerate(ids)}
-    n = len(ids)
-    gamma = np.zeros((n, n))
-    for sub in spec.subsystems:
-        gi = gains_by_id[sub.id]
-        for s in range(sub.n_modes):
-            fan_in = sub.in_neighbors(s)
-            for j in fan_in:
-                cand = gi.rho_int * len(fan_in) / gains_by_id[j].alpha
-                gamma[pos[sub.id], pos[j]] = max(gamma[pos[sub.id], pos[j]], cand)
-    return GainOperator(
-        kind="finite",
-        node_ids=ids,
-        lam=np.array([gains_by_id[i].lam for i in ids]),
-        gamma=gamma,
-        alphas=np.array([gains_by_id[i].alpha for i in ids]),
-        rho_exts=np.array([gains_by_id[i].rho_ext for i in ids]),
+    return _edge_operator(
+        spec.graph.nodes,
+        gains,
+        [(sub.id, sub.in_neighbors(s)) for sub in spec.subsystems for s in range(sub.n_modes)],
     )
 
 
-def templated_gain_operator(templates) -> GainOperator:
-    return GainOperator(kind="templated", templates=tuple(templates))
+def _edge_operator(node_ids, gains, fan_ins) -> GainOperator:
+    """Edge-list operator with gamma[i, j] the largest rho_int_i * len(F) /
+    alpha_j over the (i, F) in ``fan_ins`` with j in F."""
+    table = _gains_by_id(gains, node_ids)
+    pos = {node: p for p, node in enumerate(node_ids)}
+    n = len(node_ids)
+
+    def column(field):
+        return np.array([getattr(table[i], field) for i in node_ids], dtype=float)
+
+    rho_int, alphas = column("rho_int"), column("alpha")
+    readers, feeders, degrees = [], [], []
+    for i, fan_in in fan_ins:
+        readers += [pos[i]] * len(fan_in)
+        feeders += [pos[j] for j in fan_in]
+        degrees += [len(fan_in)] * len(fan_in)
+    rows = np.array(readers, dtype=np.intp)
+    cols = np.array(feeders, dtype=np.intp)
+    cand = rho_int[rows] * np.array(degrees, dtype=float) / alphas[cols]
+    keys, slot = np.unique(rows * n + cols, return_inverse=True)
+    gamma = np.zeros(keys.size)
+    np.maximum.at(gamma, slot, cand)
+    keep = gamma > 0.0
+    rows, cols = np.divmod(keys[keep], n)
+    return GainOperator(
+        node_ids=tuple(node_ids),
+        rows=rows,
+        cols=cols,
+        gamma=gamma[keep],
+        lam=column("lam"),
+        alphas=alphas,
+        rho_exts=column("rho_ext"),
+    )
+
+
+def templated_gain_operator(templates) -> TemplatedGainOperator:
+    return TemplatedGainOperator(templates=tuple(templates))
 
 
 def _gains_by_id(gains, node_ids) -> dict[int, LocalGains]:
@@ -199,26 +198,41 @@ def _gains_by_id(gains, node_ids) -> dict[int, LocalGains]:
 
 @dataclass(frozen=True)
 class SmallGainResult:
+    """The decision and its evidence.  For a finite operator radius_or_bound
+    is the certified upper bound hi on rho(Psi), ``lower`` the lower bound
+    lo and ``v`` the positive vector certifying both; a templated operator
+    has only its column-sum bound."""
+
     radius_or_bound: float
     satisfied: bool
     kind: str
+    lower: float | None = None
+    v: np.ndarray | None = None
 
     def __bool__(self) -> bool:
         return self.satisfied
 
 
-def check_small_gain(op: GainOperator, tol: ToleranceProfile = DEFAULT_TOL) -> SmallGainResult:
+def check_small_gain(
+    op: GainOperator | TemplatedGainOperator, tol: ToleranceProfile = DEFAULT_TOL
+) -> SmallGainResult:
     """Certify the small-gain condition.
 
-    Finite: spectral radius of Psi = Lambda^-1 Gamma strictly below one.
-    Templated: sup column sum of Psi below one (which dominates the radius
-    for nonnegative operators, and is finite exactly when every template has
-    bounded fan-out).
+    Finite: a Collatz-Wielandt bracket lo <= rho(Psi) <= hi on
+    Psi = Lambda^-1 Gamma, tightened to width eig_tol * hi; satisfied
+    iff hi < 1 - RADIUS_MARGIN, not satisfied iff lo >= 1 - RADIUS_MARGIN,
+    and a bracket still straddling that line after iter_max raises
+    ConvergenceError.  Templated: sup column sum of Psi below one (which
+    dominates the radius for nonnegative operators, and is finite exactly
+    when every template has bounded fan-out).
     """
-    if op.kind == "finite":
-        psi = op.gamma / op.lam[:, None]
-        radius = spectral_radius(psi, tol)
-        return SmallGainResult(radius, radius < 1.0 - RADIUS_MARGIN, "finite")
+    if isinstance(op, GainOperator):
+        bracket = radius_bracket(
+            op.pattern, op.gamma / op.lam[op.rows], tol, threshold=1.0 - RADIUS_MARGIN
+        )
+        return SmallGainResult(
+            bracket.hi, bracket.hi < 1.0 - RADIUS_MARGIN, "finite", bracket.lo, bracket.v
+        )
     sums = [op.psi_column_sum(j) for j in range(len(op.templates))]
     if any(not math.isfinite(s) for s in sums):
         raise CompositionError(
@@ -239,26 +253,35 @@ class MuCertificate:
 
     lambda_inf: float
     mu: np.ndarray | None
-    operator: GainOperator
+    operator: GainOperator | TemplatedGainOperator
 
 
-def construct_mu(op: GainOperator, tol: ToleranceProfile = DEFAULT_TOL) -> MuCertificate:
+def construct_mu(
+    op: GainOperator | TemplatedGainOperator,
+    tol: ToleranceProfile = DEFAULT_TOL,
+    small_gain: SmallGainResult | None = None,
+) -> MuCertificate:
     """Construct weights mu > 0 and the largest certifiable decay rate.
 
-    Finite case: bisection for the largest lam_inf in (0, min lam_i) keeping
-    r(Gamma (Lambda - lam_inf I)^-1) <= 1 - 1e-6; at that rate mu solves
-    (I - T') mu = 1, which by Neumann nonnegativity gives mu >= 1 and the
-    componentwise weighted-decay inequality with margin.  Templated case:
-    uniform weights and lam_inf = min over templates of (lam - gamma column
-    sum), required positive.
+    ``small_gain`` is check_small_gain's result for ``op`` when the caller
+    already has it; otherwise the check runs here.
+
+    Finite case: bisection for the largest lam_inf in (0, min lam_i) with a
+    radius bracket on T = Gamma (Lambda - lam_inf I)^-1 certifying
+    r(T) <= 1 - 1e-6 (each probe stops once its bracket decides, warm
+    started from the previous probe's vector); at that rate mu solves
+    (I - T') mu = 1 by one dense solve, which by Neumann nonnegativity gives
+    mu >= 1 and the componentwise weighted-decay inequality with margin.
+    Templated case: uniform weights and lam_inf = min over templates of
+    (lam - gamma column sum), required positive.
     """
-    sg = check_small_gain(op, tol)
+    sg = small_gain if small_gain is not None else check_small_gain(op, tol)
     if not sg.satisfied:
         raise CompositionError(
             f"small-gain condition not satisfied (radius/bound {sg.radius_or_bound:.6f})",
             radius_or_bound=sg.radius_or_bound,
         )
-    if op.kind == "templated":
+    if isinstance(op, TemplatedGainOperator):
         lam_inf = min(
             t.lam - op.gamma_column_sum(j) for j, t in enumerate(op.templates)
         )
@@ -269,15 +292,25 @@ def construct_mu(op: GainOperator, tol: ToleranceProfile = DEFAULT_TOL) -> MuCer
             )
         return MuCertificate(lambda_inf=lam_inf, mu=None, operator=op)
 
-    lam = op.lam
-    gamma = op.gamma
+    lam, rows, cols, gamma = op.lam, op.rows, op.cols, op.gamma
     lam_floor = float(lam.min())
+    # Lambda maps the Perron vector of Psi = Lambda^-1 Gamma to that of
+    # T = Gamma Lambda^-1, the first probe's operator
+    v = None if sg.v is None else lam * sg.v
 
     def feasible(x: float) -> bool:
+        nonlocal v
         if x >= lam_floor:
             return False
-        t_mat = gamma / (lam - x)[None, :]
-        return spectral_radius(t_mat, tol) <= 1.0 - MU_FEASIBILITY_MARGIN
+        try:
+            bracket = radius_bracket(
+                op.pattern, gamma / (lam[cols] - x), tol,
+                threshold=1.0 - MU_FEASIBILITY_MARGIN, early_exit=True, v0=v,
+            )
+        except ConvergenceError:  # still straddling: not certified feasible
+            return False
+        v = bracket.v
+        return bracket.hi <= 1.0 - MU_FEASIBILITY_MARGIN
 
     if not feasible(0.0):
         raise CompositionError(
@@ -297,9 +330,13 @@ def construct_mu(op: GainOperator, tol: ToleranceProfile = DEFAULT_TOL) -> MuCer
             f"no feasible decay rate above tolerance (lambda_inf = {lam_inf:.3e})",
             lambda_inf=lam_inf,
         )
-    t_mat = gamma / (lam - lam_inf)[None, :]
-    n = len(lam)
-    mu = np.linalg.solve(np.eye(n) - t_mat.T, np.ones(n))
+    n = op.n
+    # I - T' in one array: T'[j, i] = T[i, j] = gamma_ij / (lam_j - lam_inf)
+    system = np.zeros((n, n))
+    system[cols, rows] = -(gamma / (lam[cols] - lam_inf))
+    diag = np.arange(n)
+    system[diag, diag] += 1.0
+    mu = np.linalg.solve(system, np.ones(n))
     core = MuCertificate(lambda_inf=lam_inf, mu=mu, operator=op)
     _verify_weighted_decay(core)
     return core
@@ -311,7 +348,8 @@ def _verify_weighted_decay(core: MuCertificate) -> None:
     mu = core.mu
     if np.any(mu <= 0.0):
         raise CompositionError("constructed weights are not positive", mu=mu.tolist())
-    lhs = (-op.lam * mu + op.gamma.T @ mu) / mu
+    gamma_t_mu = np.bincount(op.cols, op.gamma * mu[op.rows], minlength=op.n)
+    lhs = (-op.lam * mu + gamma_t_mu) / mu
     worst = float(lhs.max())
     if worst > -core.lambda_inf + EQ_SLACK:
         raise CompositionError(

@@ -1,11 +1,15 @@
-"""Dense matrix decision kernels: semidefinite ordering, principal square
-root, spectral radius and minimum-norm least squares.
+"""Matrix decision kernels: semidefinite ordering, principal square root,
+a certified spectral-radius bracket for sparse nonnegative matrices, and
+minimum-norm least squares.
 
 All decisions are deterministic for fixed inputs and tolerances, and all
 functions are pure, so they are safe to call concurrently.  Tolerances are
 relative: a quantity of size eps is compared against tol * (1 + scale of the
 operands), which keeps the tests meaningful both for O(1e-10) residuals and
 for O(10) certificate matrices.
+
+``radius_bracket`` works on an edge list and never forms the dense matrix;
+``spectral_radius`` (dense eigenvalues) is kept as its reference.
 
 The ``*_batch`` kernels take (k, n, n) stacks and make one stacked numpy
 call per operand, whatever k.  numpy runs the same LAPACK routine on every
@@ -20,18 +24,17 @@ import numpy as np
 
 from .errors import ConvergenceError, DimensionMismatchError, IndefiniteMatrixError
 
-# Above this dimension the spectral radius switches from dense eigenvalues
-# to power iteration.
-DENSE_EIG_LIMIT = 64
-
-
 @dataclass(frozen=True)
 class ToleranceProfile:
     """Numerical tolerances used by every decision kernel.
 
     psd_tol   relative slack allowed on semidefiniteness decisions
-    eig_tol   relative accuracy target for iterative/residual checks
-    iter_max  iteration budget for power iteration and fixed points
+    eig_tol   relative width of the spectral-radius bracket: it is tightened
+              until hi - lo <= eig_tol * hi; also the residual target of the
+              structural checks
+    iter_max  iteration budget of the radius bracket (a bracket that still
+              straddles its decision threshold then raises) and of the
+              certificate-matrix fixed point
     """
 
     psd_tol: float = 1e-8
@@ -185,17 +188,11 @@ def operator_norm_batch(a) -> np.ndarray:
     return np.linalg.svd(a, compute_uv=False).max(axis=-1)
 
 
-def spectral_radius(a, tol: ToleranceProfile = DEFAULT_TOL) -> float:
-    """Spectral radius of an entrywise-nonnegative square matrix.
-
-    Dense eigenvalues up to dimension DENSE_EIG_LIMIT, deterministic power
-    iteration (all-ones start) above; both paths are exposed separately for
-    cross-checking.
-    """
-    a = _check_nonnegative(a)
-    if a.shape[0] <= DENSE_EIG_LIMIT:
-        return spectral_radius_dense(a)
-    return spectral_radius_power(a, tol)
+def spectral_radius(a) -> float:
+    """Spectral radius of a dense entrywise-nonnegative square matrix by its
+    eigenvalues; the reference the sparse ``radius_bracket`` is tested
+    against."""
+    return spectral_radius_dense(a)
 
 
 def spectral_radius_dense(a) -> float:
@@ -205,44 +202,159 @@ def spectral_radius_dense(a) -> float:
     return float(np.abs(np.linalg.eigvals(a)).max())
 
 
-def spectral_radius_power(a, tol: ToleranceProfile = DEFAULT_TOL) -> float:
-    """Power iteration with all-ones start vector.
+@dataclass(frozen=True)
+class EdgePattern:
+    """Sparsity pattern of an n x n nonnegative matrix given by its entries
+    (rows[k], cols[k]), split into strongly connected components.
 
-    Converges when successive Rayleigh estimates differ by less than
-    eig_tol on two consecutive checks (a single small difference can be a
-    transient plateau when subdominant eigenvalues are complex).  The
-    all-ones start is deterministic, nonnegative and guaranteed to overlap
-    the dominant direction of a nonnegative matrix; a zero iterate means
-    the reachable part of the cone was annihilated, which pins the radius
-    seen from it at zero.
+    The radius of the matrix is the largest radius of its diagonal blocks,
+    one per component, so only the entries inside a component are kept:
+    ``inner`` indexes them in the given entry list, and ``rows``/``cols``
+    are their positions in ``order``, which lists the nodes component by
+    component; component c occupies positions starts[c] : starts[c] + sizes[c].
     """
-    a = _check_nonnegative(a)
-    n = a.shape[0]
-    if n == 0:
-        return 0.0
-    v = np.ones(n)
-    estimate = None
-    settled = 0
-    for _ in range(tol.iter_max):
-        w = a @ v
-        norm_w = float(np.linalg.norm(w))
-        if norm_w == 0.0:
-            return 0.0
-        new_estimate = float(v @ w / (v @ v))
-        v = w / norm_w
-        if estimate is not None and abs(new_estimate - estimate) < tol.eig_tol:
-            settled += 1
-            if settled >= 2:
-                return new_estimate
-        else:
-            settled = 0
-        estimate = new_estimate
-    raise ConvergenceError(
-        f"power iteration did not converge within {tol.iter_max} iterations "
-        f"(last estimate {estimate:.6e})",
-        last_estimate=estimate,
-        iter_max=tol.iter_max,
+
+    n: int
+    inner: np.ndarray
+    rows: np.ndarray
+    cols: np.ndarray
+    order: np.ndarray
+    starts: np.ndarray
+    sizes: np.ndarray
+
+
+def edge_pattern(rows, cols, n: int) -> EdgePattern:
+    """The EdgePattern of the n x n matrix with entries at (rows[k], cols[k])."""
+    rows = np.asarray(rows, dtype=np.intp)
+    cols = np.asarray(cols, dtype=np.intp)
+    label = _scc_labels(rows, cols, n)
+    order = np.argsort(label, kind="stable")
+    position = np.empty(n, dtype=np.intp)
+    position[order] = np.arange(n)
+    inner = np.flatnonzero(label[rows] == label[cols])
+    sizes = np.bincount(label, minlength=int(label.max(initial=-1)) + 1)
+    starts = np.cumsum(sizes) - sizes
+    return EdgePattern(
+        n, inner, position[rows[inner]], position[cols[inner]], order, starts, sizes
     )
+
+
+def _scc_labels(rows, cols, n: int) -> np.ndarray:
+    """Strongly connected component of each node of the graph with an edge
+    i -> j per entry (i, j): iterative Tarjan, O(n + entries)."""
+    by_row = np.argsort(rows, kind="stable")
+    succ = cols[by_row].tolist()
+    ptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=n)))).tolist()
+    index = [-1] * n
+    low = [0] * n
+    label = [-1] * n
+    stack = []
+    counter = components = 0
+    for root in range(n):
+        if index[root] >= 0:
+            continue
+        index[root] = low[root] = counter
+        counter += 1
+        stack.append(root)
+        work = [[root, ptr[root]]]
+        while work:
+            frame = work[-1]
+            v, k = frame
+            if k < ptr[v + 1]:
+                frame[1] = k + 1
+                w = succ[k]
+                if index[w] < 0:
+                    index[w] = low[w] = counter
+                    counter += 1
+                    stack.append(w)
+                    work.append([w, ptr[w]])
+                elif label[w] < 0:  # on the stack
+                    low[v] = min(low[v], index[w])
+                continue
+            work.pop()
+            if work:
+                u = work[-1][0]
+                low[u] = min(low[u], low[v])
+            if low[v] == index[v]:
+                while True:
+                    w = stack.pop()
+                    label[w] = components
+                    if w == v:
+                        break
+                components += 1
+    return np.array(label, dtype=np.intp)
+
+
+@dataclass(frozen=True)
+class RadiusBracket:
+    """lo <= rho(A) <= hi, certified by the positive vector v: on each
+    component C, min (A_C v)_i / v_i <= rho(A_C) <= max (A_C v)_i / v_i.
+    ``iterations`` counts the products with A it took."""
+
+    lo: float
+    hi: float
+    v: np.ndarray
+    iterations: int
+
+
+def radius_bracket(
+    pattern: EdgePattern,
+    vals,
+    tol: ToleranceProfile = DEFAULT_TOL,
+    *,
+    threshold: float | None = None,
+    early_exit: bool = False,
+    v0=None,
+) -> RadiusBracket:
+    """Collatz-Wielandt bracket on the spectral radius of the nonnegative
+    matrix with entries ``vals`` (positive, aligned with the entries the
+    pattern was built from).
+
+    Iterates v <- (A_C / hi_C + I) v, with hi_C the component's current
+    upper bound, on every strongly connected component C at once, from
+    ``v0`` (a positive vector, e.g. the ``v`` of an earlier call on the same
+    pattern) or all ones.  A_C / hi_C + I is primitive, so the bracket
+    closes on periodic and bipartite graphs too, and scaling by hi_C makes
+    the rate independent of the radius's size; rho(A) is the largest
+    rho(A_C), so lo and hi are the largest per-component bounds.
+
+    Iterates until hi - lo <= eig_tol * hi and, when a threshold is
+    given, the bracket decides it (hi < threshold or lo >= threshold); with
+    ``early_exit`` either one ends the iteration.  If iter_max runs out
+    first, a bracket that decides the threshold is returned; otherwise
+    ConvergenceError carries lo and hi.
+    """
+    n = pattern.n
+    if n == 0:
+        return RadiusBracket(0.0, 0.0, np.ones(0), 0)
+    vals = np.asarray(vals, dtype=float)[pattern.inner]
+    rows, cols, starts, sizes = pattern.rows, pattern.cols, pattern.starts, pattern.sizes
+    v = np.ones(n) if v0 is None else np.asarray(v0, dtype=float)[pattern.order]
+    for iteration in range(1, tol.iter_max + 1):
+        av = np.bincount(rows, vals * v[cols], minlength=n)
+        ratio = av / v
+        hi_c = np.maximum.reduceat(ratio, starts)
+        lo = float(np.minimum.reduceat(ratio, starts).max())
+        hi = float(hi_c.max())
+        narrow = hi - lo <= tol.eig_tol * hi
+        decided = threshold is not None and (hi < threshold or lo >= threshold)
+        if (narrow or decided) if early_exit else (narrow and (decided or threshold is None)):
+            break
+        if iteration == tol.iter_max:
+            if decided:
+                break
+            raise ConvergenceError(
+                f"radius bracket [{lo:.9e}, {hi:.9e}] neither closed nor decided "
+                f"{threshold} within {tol.iter_max} iterations",
+                lo=lo, hi=hi, threshold=threshold, iter_max=tol.iter_max,
+            )
+        # (A_C + hi_C I) v, a multiple of (A_C / hi_C + I) v; a component
+        # whose ratios are all zero has hi_C = 0 and keeps its vector
+        w = av + np.repeat(np.where(hi_c > 0.0, hi_c, 1.0), sizes) * v
+        v = w / np.repeat(np.maximum.reduceat(w, starts), sizes)
+    out = np.empty(n)
+    out[pattern.order] = v
+    return RadiusBracket(lo, hi, out, iteration)
 
 
 def _check_nonnegative(a) -> np.ndarray:

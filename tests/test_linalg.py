@@ -11,14 +11,25 @@ from simnet import (
     ToleranceProfile,
     psd_order,
     principal_sqrt,
+    edge_pattern,
+    radius_bracket,
     solve_linear_least_squares,
     spectral_radius,
     spectral_radius_dense,
-    spectral_radius_power,
 )
 
 # the swing-benchmark certificate matrix, used as a frozen operand
 M_BENCH = np.array([[11.20, 12.50], [12.50, 17.83]])
+# eig_tol bounds the bracket width relative to hi; random dense
+# matrices here have radii up to about 40, so an absolute 1e-8 agreement
+# with the eigenvalue reference needs a tighter width than the default
+TIGHT = ToleranceProfile(eig_tol=1e-11)
+
+
+def bracket(mat, tol=TIGHT, **kwargs):
+    """radius_bracket on the positive entries of a dense matrix."""
+    rows, cols = np.nonzero(mat)
+    return radius_bracket(edge_pattern(rows, cols, mat.shape[0]), mat[rows, cols], tol, **kwargs)
 
 
 class TestPsdOrder:
@@ -127,12 +138,14 @@ class TestSpectralRadius:
         with pytest.raises(ValueError):
             spectral_radius(np.array([[0.0, -1.0], [0.0, 0.0]]))
 
-    def test_power_iteration_nonconvergence_carries_estimate(self):
-        tight = ToleranceProfile(eig_tol=1e-10, iter_max=2)
+    def test_straddling_bracket_raises_with_bounds(self):
         rng = np.random.default_rng(3)
+        mat = rng.uniform(0.0, 1.0, (40, 40))
+        dense = spectral_radius_dense(mat)
+        short = ToleranceProfile(eig_tol=1e-10, iter_max=2)
         with pytest.raises(ConvergenceError) as err:
-            spectral_radius_power(rng.uniform(0.0, 1.0, (40, 40)), tight)
-        assert "last_estimate" in err.value.details
+            bracket(mat, short, threshold=dense)
+        assert err.value.details["lo"] <= dense <= err.value.details["hi"]
 
     @pytest.mark.parametrize("seed", range(10))
     def test_homogeneity(self, seed):
@@ -144,11 +157,11 @@ class TestSpectralRadius:
         r2 = alpha * spectral_radius(mat)
         assert abs(r1 - r2) <= 1e-10 * max(1.0, r2)
 
-    def test_homogeneity_power_path(self):
+    def test_homogeneity_bracket(self):
         rng = np.random.default_rng(11)
         mat = rng.uniform(0.0, 1.0, (80, 80))
-        r1 = spectral_radius_power(3.0 * mat)
-        r2 = 3.0 * spectral_radius_power(mat)
+        r1 = bracket(3.0 * mat).hi
+        r2 = 3.0 * bracket(mat).hi
         assert abs(r1 - r2) <= 1e-10 * max(1.0, r2)
 
     @pytest.mark.parametrize("seed", range(10))
@@ -160,10 +173,72 @@ class TestSpectralRadius:
 
     @pytest.mark.parametrize("seed", range(6))
     def test_dense_and_power_agree(self, seed):
+        """The iterative path (now the radius bracket, which replaced power
+        iteration) against dense eigenvalues."""
         rng = np.random.default_rng(300 + seed)
         n = int(rng.integers(2, 64))
         mat = rng.uniform(0.0, 1.0, (n, n))
-        assert abs(spectral_radius_dense(mat) - spectral_radius_power(mat)) <= 1e-8
+        dense = spectral_radius_dense(mat)
+        b = bracket(mat)
+        assert abs(dense - b.hi) <= 1e-8
+        assert b.lo <= dense
+
+
+class TestRadiusBracket:
+    def test_components_of_a_reducible_pattern(self):
+        # 0 -> 1 -> 2 -> 0 is a cycle, 3 hangs off it, 4 is isolated
+        rows, cols = np.array([1, 2, 0, 3]), np.array([0, 1, 2, 2])
+        pattern = edge_pattern(rows, cols, 5)
+        groups = np.split(pattern.order, pattern.starts[1:])
+        assert sorted(sorted(g.tolist()) for g in groups) == [[0, 1, 2], [3], [4]]
+        # only the cycle's entries lie inside a component
+        np.testing.assert_array_equal(np.sort(pattern.inner), [0, 1, 2])
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_components_match_mutual_reachability(self, seed):
+        rng = np.random.default_rng(400 + seed)
+        n = 40
+        adj = rng.random((n, n)) < 0.04
+        reach = adj | np.eye(n, dtype=bool)
+        for k in range(n):  # transitive closure, Warshall
+            reach |= reach[:, [k]] & reach[[k], :]
+        rows, cols = np.nonzero(adj)
+        pattern = edge_pattern(rows, cols, n)
+        label = np.empty(n, dtype=int)
+        for c, (start, size) in enumerate(zip(pattern.starts, pattern.sizes)):
+            label[pattern.order[start:start + size]] = c
+        np.testing.assert_array_equal(label[:, None] == label[None, :], reach & reach.T)
+        mat = adj * rng.uniform(0.5, 1.5, (n, n))
+        b = bracket(mat)
+        dense = spectral_radius_dense(mat)
+        # 1e-12: the eigenvalue reference's own rounding, where the bracket is exact
+        assert b.lo - 1e-12 <= dense <= b.hi + 1e-12
+
+    def test_periodic_ring_closes(self):
+        # a one-way 6-cycle: eigenvalues r * exp(2 pi i k / 6), all of modulus r
+        mat = np.zeros((6, 6))
+        gains = np.array([0.5, 2.0, 0.8, 1.5, 0.3, 1.1])
+        mat[np.arange(6), (np.arange(6) - 1) % 6] = gains
+        b = bracket(mat)
+        assert b.lo <= np.prod(gains) ** (1 / 6) <= b.hi
+        assert b.hi - b.lo <= 1e-11 * b.hi
+
+    def test_warm_start_from_own_vector(self):
+        rng = np.random.default_rng(4)
+        mat = rng.uniform(0.0, 1.0, (30, 30)) * (rng.random((30, 30)) < 0.2)
+        first = bracket(mat)
+        rows, cols = np.nonzero(mat)
+        again = radius_bracket(edge_pattern(rows, cols, 30), mat[rows, cols], TIGHT, v0=first.v)
+        assert again.iterations == 1
+        assert first.lo <= again.lo <= again.hi <= first.hi
+
+    def test_early_exit_stops_once_decided(self):
+        rng = np.random.default_rng(5)
+        mat = rng.uniform(0.0, 1.0, (30, 30))
+        dense = spectral_radius_dense(mat)
+        quick = bracket(mat, threshold=2.0 * dense, early_exit=True)
+        assert quick.hi < 2.0 * dense
+        assert quick.iterations < bracket(mat).iterations
 
 
 class TestLeastSquares:

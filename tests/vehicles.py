@@ -193,7 +193,7 @@ def certified_network(seed: int, max_nodes: int = 4, max_modes: int = 3):
     op = build_gain_operator_from_network(spec, gains)
     sg = check_small_gain(op)
     assert sg.satisfied, f"vehicle seed {seed} failed small gain: {sg.radius_or_bound}"
-    composed = compose_certificate(construct_mu(op), gains, certs)
+    composed = compose_certificate(construct_mu(op, small_gain=sg), gains, certs)
     return spec, certs, gains, composed
 
 
