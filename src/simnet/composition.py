@@ -152,14 +152,10 @@ def _edge_operator(node_ids, gains, fan_ins) -> GainOperator:
         return np.array([getattr(table[i], field) for i in node_ids], dtype=float)
 
     rho_int, alphas = column("rho_int"), column("alpha")
-    readers, feeders, degrees = [], [], []
-    for i, fan_in in fan_ins:
-        readers += [pos[i]] * len(fan_in)
-        feeders += [pos[j] for j in fan_in]
-        degrees += [len(fan_in)] * len(fan_in)
-    rows = np.array(readers, dtype=np.intp)
-    cols = np.array(feeders, dtype=np.intp)
-    cand = rho_int[rows] * np.array(degrees, dtype=float) / alphas[cols]
+    degree = np.array([len(fan_in) for _, fan_in in fan_ins], dtype=np.intp)
+    rows = np.repeat(np.array([pos[i] for i, _ in fan_ins], dtype=np.intp), degree)
+    cols = np.array([pos[j] for _, fan_in in fan_ins for j in fan_in], dtype=np.intp)
+    cand = rho_int[rows] * np.repeat(degree.astype(float), degree) / alphas[cols]
     keys, slot = np.unique(rows * n + cols, return_inverse=True)
     gamma = np.zeros(keys.size)
     np.maximum.at(gamma, slot, cand)

@@ -338,7 +338,8 @@ def radius_bracket(
         hi = float(hi_c.max())
         narrow = hi - lo <= tol.eig_tol * hi
         decided = threshold is not None and (hi < threshold or lo >= threshold)
-        if (narrow or decided) if early_exit else (narrow and (decided or threshold is None)):
+        settled = narrow and (decided or threshold is None)
+        if settled or (early_exit and (narrow or decided)):
             break
         if iteration == tol.iter_max:
             if decided:
