@@ -44,7 +44,7 @@ from .linalg import (
     psd_order,
     solve_linear_least_squares,
 )
-from .network import NetworkSpec, SwitchedLinearSubsystem
+from .network import Layout, NetworkSpec, SwitchedLinearSubsystem, TaggedEntries
 
 SCHEMA_CERTS = "simnet-certs-v1"
 
@@ -119,10 +119,11 @@ class LocalCertificate:
                 raise DimensionMismatchError(f"K[{s}] must be {m}x{n}", mode=s)
             if self.Q[s].shape != (m, nh):
                 raise DimensionMismatchError(f"Q[{s}] must be {m}x{nh}", mode=s)
-            if self.R[s].ndim != 2 or self.R[s].shape[0] != m:
-                raise DimensionMismatchError(f"R[{s}] must have {m} rows", mode=s)
-            if self.T[s].ndim != 2 or self.T[s].shape[0] != m:
-                raise DimensionMismatchError(f"T[{s}] must have {m} rows", mode=s)
+            for name, family in (("R", self.R), ("T", self.T)):
+                if family[s].ndim != 2 or family[s].shape != (m, family[0].shape[1]):
+                    raise DimensionMismatchError(
+                        f"{name}[{s}] must have {m} rows and as many columns as {name}[0]", mode=s
+                    )
         if self.transitions is not None:
             for s, s2 in self.transitions:
                 if not (0 <= s < r and 0 <= s2 < r):
@@ -536,6 +537,50 @@ def evaluate_V(cert: LocalCertificate, x, x_hat, mode: int) -> float:
     """Tracking energy (x - P xhat)' M_mode (x - P xhat); nonnegative."""
     e = cert.error_vector(x, x_hat)
     return max(float(e @ cert.M[mode].entries @ e), 0.0)
+
+
+class CompiledCertificates:
+    """The certificates of a node list, in node order, compiled for flat
+    vectors like network.NetworkEngine: the P, K, Q, R, T and M blocks of
+    every (node, mode) become tagged entries.  The layouts follow the
+    certificates (R and T set the abstract input widths); ``interface_input``
+    and ``evaluate_V`` above are the per-node references.
+    """
+
+    def __init__(self, certs):
+        certs = list(certs)
+        ids = [i if c.node_id is None else c.node_id for i, c in enumerate(certs)]
+        self.slots = Layout(ids, [c.n_modes for c in certs], "mode")
+        self.state = Layout(ids, [c.n for c in certs], "state")
+        self.abstract_state = Layout(ids, [c.n_abstract for c in certs], "abstract state")
+        self.input = Layout(ids, [c.m for c in certs], "input")
+        self.abstract_input = Layout(ids, [c.R[0].shape[1] for c in certs], "abstract input")
+        self.abstract_internal = Layout(
+            ids, [c.T[0].shape[1] for c in certs], "abstract internal input"
+        )
+
+        def family(per_node, rows, cols):
+            return TaggedEntries.family(per_node, rows, cols, self.slots)
+
+        self._P = family([[c.P] * c.n_modes for c in certs], self.state, self.abstract_state)
+        self._M = family([[m.entries for m in c.M] for c in certs], self.state, self.state)
+        self._K = family([c.K for c in certs], self.input, self.state)
+        self._Q = family([c.Q for c in certs], self.input, self.abstract_state)
+        self._R = family([c.R for c in certs], self.input, self.abstract_input)
+        self._T = family([c.T for c in certs], self.input, self.abstract_internal)
+        self._node = np.repeat(np.arange(len(certs)), self.state.sizes)
+
+    def interface_input(self, active, x, x_hat, u_hat, w_hat) -> np.ndarray:
+        """u = K (x - P xhat) + Q xhat + R uhat + T what."""
+        e = x - self._P.apply(active, x_hat)
+        return (self._K.apply(active, e) + self._Q.apply(active, x_hat)
+                + self._R.apply(active, u_hat) + self._T.apply(active, w_hat))
+
+    def energies(self, active, x, x_hat) -> np.ndarray:
+        """Per node (x - P xhat)' M (x - P xhat), clipped at zero."""
+        e = x - self._P.apply(active, x_hat)
+        v = e * self._M.apply(active, e)
+        return np.maximum(np.bincount(self._node, v, minlength=len(self.state.ids)), 0.0)
 
 
 @dataclass(frozen=True)

@@ -24,15 +24,10 @@ from functools import cached_property
 
 import numpy as np
 
-from .certificates import (
-    DissipationReport,
-    LocalGains,
-    evaluate_V,
-    interface_input,
-)
+from .certificates import CompiledCertificates, DissipationReport, LocalGains
 from .errors import CompositionError, ConvergenceError, DimensionMismatchError
 from .linalg import DEFAULT_TOL, EdgePattern, ToleranceProfile, edge_pattern, radius_bracket
-from .network import InterconnectionGraph, NetworkSpec, assemble_internal_input, step_with_modes
+from .network import InterconnectionGraph, NetworkSpec
 
 # strictness margins pinned by the contract
 RADIUS_MARGIN = 1e-9
@@ -388,13 +383,21 @@ class ComposedCertificate:
     def rho_ext(self, t: float) -> float:
         return self.rho_ext_coeff * t**self.q_exp
 
+    @cached_property
+    def engine(self) -> CompiledCertificates:
+        """The certificates compiled for flat evaluation, on first use."""
+        return CompiledCertificates(self.certificates)
+
+    def value(self, x: np.ndarray, x_hat: np.ndarray, modes) -> float:
+        """V at flat stacked states and abstract states (``engine`` layouts)."""
+        engine = self.engine
+        return float(np.sum(self.mu * engine.energies(engine.slots.select(modes), x, x_hat)))
+
     def evaluate_V(self, states, abstract_states, modes) -> float:
         """V = sum_i mu_i V_i at the given per-node modes."""
-        return float(
-            sum(
-                self.mu[i] * evaluate_V(cert, states[i], abstract_states[i], modes[i])
-                for i, cert in enumerate(self.certificates)
-            )
+        engine = self.engine
+        return self.value(
+            engine.state.stack(states), engine.abstract_state.stack(abstract_states), modes
         )
 
 
@@ -424,6 +427,46 @@ def compose_certificate(core: MuCertificate, gains, local_certs) -> ComposedCert
     return ComposedCertificate(mu, core.lambda_inf, alpha_total, rho_ext_coeff, certs)
 
 
+class Lockstep:
+    """A network, its abstraction and the interfaces, stepped together on
+    flat vectors (the layouts of ``spec.engine`` and of the abstract view's
+    engine).
+
+    A step assembles what from the abstract outputs, refines uhat into
+    u = K (x - P xhat) + Q xhat + R uhat + T what through the certificates
+    ``certs``, advances both layers under the same modes and evaluates the
+    composed V at the current states.
+    """
+
+    def __init__(self, spec: NetworkSpec, certs, composed: ComposedCertificate):
+        certs = tuple(certs)
+        self.concrete = spec.engine
+        self.abstract = spec.abstract_view().engine
+        self.composed = composed
+        # the composed certificate's own certificates are compiled once
+        self.interface = (
+            composed.engine if certs == composed.certificates else CompiledCertificates(certs)
+        )
+        ours = [self.concrete.input, self.abstract.input, self.abstract.internal_input]
+        ours += [self.concrete.state, self.abstract.state] * 2
+        theirs = [self.interface.input, self.interface.abstract_input,
+                  self.interface.abstract_internal]
+        for compiled in (self.interface, composed.engine):
+            theirs += [compiled.state, compiled.abstract_state]
+        if [a.sizes for a in ours] != [b.sizes for b in theirs]:
+            raise DimensionMismatchError("certificate dimensions do not match the network")
+
+    def step(self, x: np.ndarray, x_hat: np.ndarray, u_hat: np.ndarray, modes):
+        """(x_next, x_hat_next, y, y_hat, V): the next states, the external
+        outputs of both layers and V, all at ``modes``."""
+        active = self.concrete.slots.select(modes)
+        x_hat_next, _, w_hat, y_hat = self.abstract.step(x_hat, u_hat, active)
+        refine = self.interface.slots.select(modes)
+        u = self.interface.interface_input(refine, x, x_hat, u_hat, w_hat)
+        x_next, _, _, y = self.concrete.step(x, u, active)
+        return x_next, x_hat_next, y, y_hat, self.composed.value(x, x_hat, modes)
+
+
 def check_composed_dissipation(
     composed: ComposedCertificate,
     spec: NetworkSpec,
@@ -451,20 +494,21 @@ def check_composed_dissipation(
             f"composed certificate covers {len(composed.certificates)} nodes, "
             f"network has {spec.n_nodes}"
         )
-    abstract = spec.abstract_view()
     rng = np.random.default_rng(seed)
     n_modes = [sub.n_modes for sub in spec.subsystems]
     if synchronized and len(set(n_modes)) != 1:
         raise CompositionError(
             "synchronized mode draws need a uniform mode count across nodes"
         )
+    lockstep = Lockstep(spec, composed.certificates, composed)
+    # one flat draw per quantity is the same stream as one draw per node
+    sizes = (lockstep.concrete.state.size, lockstep.abstract.state.size,
+             lockstep.abstract.input.size)
     worst = -np.inf
     witness = None
     violations = 0
     for _ in range(samples):
-        states = [rng.uniform(-1, 1, sub.n) for sub in spec.subsystems]
-        hat_states = [rng.uniform(-1, 1, sub.n) for sub in abstract.subsystems]
-        u_hats = [rng.uniform(-1, 1, sub.m) for sub in abstract.subsystems]
+        x, x_hat, u_hat = (rng.uniform(-1, 1, size) for size in sizes)
         if synchronized:
             pairs = composed.certificates[0].admissible_pairs()
             s, s2 = pairs[rng.integers(len(pairs))]
@@ -477,18 +521,9 @@ def check_composed_dissipation(
                 s, s2 = pairs[rng.integers(len(pairs))]
                 modes_now.append(s)
                 modes_next.append(s2)
-        w_hats = assemble_internal_input(abstract, hat_states, modes_now)
-        inputs = [
-            interface_input(
-                cert, states[i], hat_states[i], u_hats[i], w_hats[i], modes_now[i]
-            )
-            for i, cert in enumerate(composed.certificates)
-        ]
-        nxt = step_with_modes(spec, states, inputs, modes_now)
-        nxt_hat = step_with_modes(abstract, hat_states, u_hats, modes_now)
-        v_now = composed.evaluate_V(states, hat_states, modes_now)
-        v_next = composed.evaluate_V(nxt.next_states, nxt_hat.next_states, modes_next)
-        u_hat_sq = float(sum(np.sum(u**2) for u in u_hats))
+        x_next, x_hat_next, _, _, v_now = lockstep.step(x, x_hat, u_hat, modes_now)
+        v_next = composed.value(x_next, x_hat_next, modes_next)
+        u_hat_sq = float(np.sum(u_hat**2))
         slack = v_next - v_now - (
             -composed.lambda_inf * v_now + composed.rho_ext_coeff * u_hat_sq
         )

@@ -15,14 +15,18 @@ with the mode); a subsystem-level block map is accepted as the default for
 all modes.  The interconnection graph exposed on the spec is the union over
 modes.
 
-Specs are immutable after loading; ``step`` is a pure function of
-(states, inputs, modes), so systems may be evaluated in any order.
+Specs are immutable after loading.  On first use a spec compiles into a
+``NetworkEngine`` that evaluates every node at once on flat stacked
+vectors; ``step``, ``step_with_modes`` and ``assemble_internal_input`` are
+per-node list wrappers around it, and the lockstep simulator and the
+composed oracle run on it directly.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -165,6 +169,13 @@ class SwitchedLinearSubsystem:
             if i in mode.in_blocks:
                 raise WiringError(
                     f"subsystem {i} mode {s}: a subsystem may not feed itself",
+                    node=i, mode=s,
+                )
+            lo0, hi0 = self.external_range(0)
+            if hi - lo != hi0 - lo0:
+                raise BlockPartitionError(
+                    f"subsystem {i} mode {s}: external output block is {hi - lo} wide, "
+                    f"{hi0 - lo0} in mode 0 (its width is fixed across modes)",
                     node=i, mode=s,
                 )
 
@@ -316,6 +327,12 @@ class NetworkSpec:
             self._abstract_view = NetworkSpec(self.abstract_subsystems)
         return self._abstract_view
 
+    @cached_property
+    def engine(self) -> "NetworkEngine":
+        """The spec compiled for evaluation, on first use: loading and
+        validating a spec never pay for it."""
+        return NetworkEngine(self)
+
     def _validate_peers(self):
         known = set(self.index)
         for sub in self.subsystems:
@@ -405,26 +422,10 @@ def assemble_internal_input(spec: NetworkSpec, states, modes) -> list[np.ndarray
     j's current mode; outputs depend on states only, so no algebraic loop.
     Linear in the states by construction.
     """
-    _check_states(spec, states)
-    ws = []
-    for pos, sub in enumerate(spec.subsystems):
-        mode = sub.modes[modes[pos]]
-        w = np.zeros(sub.internal_width)
-        for j, (lo, hi) in mode.in_blocks.items():
-            if hi <= lo:
-                continue
-            src = spec.subsystem(j)
-            src_mode = src.modes[modes[spec.index[j]]]
-            rng = src_mode.out_blocks.get(sub.id)
-            if rng is None or rng[1] <= rng[0]:
-                raise WiringError(
-                    f"subsystem {sub.id} expects input from {j}, but {j}'s current "
-                    f"mode outputs nothing to {sub.id}",
-                    src=j, dst=sub.id, src_mode=modes[spec.index[j]],
-                )
-            w[lo:hi] = src_mode.C[rng[0]:rng[1]] @ states[spec.index[j]]
-        ws.append(w)
-    return ws
+    engine = spec.engine
+    x = engine.state.stack(states)
+    w = engine.step(x, np.zeros(engine.input.size), engine.slots.select(modes))[2]
+    return engine.internal_input.split(w)
 
 
 def step(spec: NetworkSpec, states, inputs, switching: SwitchingSignal, k: int) -> StepResult:
@@ -433,44 +434,180 @@ def step(spec: NetworkSpec, states, inputs, switching: SwitchingSignal, k: int) 
     Returns next states, full outputs y_i(k) and external blocks y_ii(k);
     outputs use the same mode sigma_i(k) as the state update.
     """
-    modes = switching.modes_at(k)
-    return step_with_modes(spec, states, inputs, modes)
+    return step_with_modes(spec, states, inputs, switching.modes_at(k))
 
 
 def step_with_modes(spec: NetworkSpec, states, inputs, modes) -> StepResult:
-    _check_states(spec, states)
-    ws = assemble_internal_input(spec, states, modes)
-    nxt, outs, ext = [], [], []
-    for pos, sub in enumerate(spec.subsystems):
-        mode = sub.modes[modes[pos]]
-        x = np.asarray(states[pos], dtype=float)
-        u = np.asarray(inputs[pos], dtype=float)
-        if u.shape != (sub.m,):
+    engine = spec.engine
+    x = engine.state.stack(states)
+    u = engine.input.stack(inputs)
+    x_next, y, _, ext = engine.step(x, u, engine.slots.select(modes))
+    return StepResult(
+        engine.state.split(x_next), engine.output.split(y), engine.external.split(ext)
+    )
+
+
+class Layout:
+    """Per-node vectors of the given sizes, stacked in node order into one
+    flat vector."""
+
+    def __init__(self, ids, sizes, what: str):
+        self.ids, self.sizes, self.what = tuple(ids), [int(n) for n in sizes], what
+        self.off = np.concatenate(([0], np.cumsum(self.sizes, dtype=np.intp)))
+        self.size = int(self.off[-1])
+        bounds = self.off.tolist()
+        self._slices = [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+
+    def stack(self, parts) -> np.ndarray:
+        arrays = [np.asarray(p, dtype=float) for p in parts]
+        if len(arrays) != len(self.ids):
             raise DimensionMismatchError(
-                f"subsystem {sub.id}: input must have length {sub.m}, got {u.shape}",
-                node=sub.id,
+                f"expected {len(self.ids)} {self.what} vectors, got {len(arrays)}",
+                expected=len(self.ids), got=len(arrays),
             )
-        y = mode.C @ x
-        lo, hi = sub.external_range(modes[pos])
-        nxt.append(mode.A @ x + mode.D @ ws[pos] + mode.B @ u)
-        outs.append(y)
-        ext.append(y[lo:hi])
-    return StepResult(nxt, outs, ext)
+        for node, a, n in zip(self.ids, arrays, self.sizes):
+            if a.shape != (n,):
+                raise DimensionMismatchError(
+                    f"subsystem {node}: {self.what} must have length {n}, got {a.shape}",
+                    node=node,
+                )
+        return np.concatenate(arrays) if arrays else np.zeros(0)
+
+    def split(self, flat: np.ndarray) -> list[np.ndarray]:
+        """The per-node views of a flat vector."""
+        return [flat[s] for s in self._slices]
+
+    def select(self, index) -> np.ndarray:
+        """Mask of one element per node, at the given position in the node's
+        part: over the (node, mode) slots, the slots of the given modes."""
+        index = np.asarray(index, dtype=np.intp)
+        if index.shape != (len(self.ids),):
+            raise DimensionMismatchError(
+                f"expected one {self.what} per node ({len(self.ids)}), got {index.size}",
+                expected=len(self.ids), got=index.size,
+            )
+        bad = np.flatnonzero((index < 0) | (index >= self.sizes))
+        if bad.size:
+            node, value = self.ids[bad[0]], int(index[bad[0]])
+            raise DimensionMismatchError(
+                f"subsystem {node}: {self.what} {value} is out of range "
+                f"0..{self.sizes[bad[0]] - 1}",
+                node=node, index=value,
+            )
+        mask = np.zeros(self.size, dtype=bool)
+        mask[self.off[:-1] + index] = True
+        return mask
 
 
-def _check_states(spec: NetworkSpec, states):
-    if len(states) != spec.n_nodes:
-        raise DimensionMismatchError(
-            f"expected {spec.n_nodes} state vectors, got {len(states)}",
-            expected=spec.n_nodes, got=len(states),
+class TaggedEntries:
+    """Matrix blocks placed in a flat matrix with ``size`` rows, stored as
+    entries (row, col, value) tagged with two (node, mode) slots; an entry
+    applies when both of its slots are active.
+
+    ``blocks`` are (matrix, row, col, slot, slot) tuples.
+    """
+
+    def __init__(self, blocks, size: int):
+        mats = [np.asarray(b[0], dtype=float) for b in blocks]
+        shape = np.array([m.shape for m in mats], dtype=np.intp).reshape(-1, 2)
+        tags = np.array([b[1:] for b in blocks], dtype=np.intp).reshape(-1, 4)
+        lengths = shape[:, 0] * shape[:, 1]
+        seg = np.repeat(np.arange(len(blocks)), lengths)
+        t = np.arange(seg.size) - (np.cumsum(lengths) - lengths)[seg]
+        self.rows = tags[seg, 0] + t // shape[seg, 1]
+        self.cols = tags[seg, 1] + t % shape[seg, 1]
+        self.slots = tags[seg, 2], tags[seg, 3]
+        self.values = np.concatenate([m.ravel() for m in mats]) if mats else np.zeros(0)
+        self.size = size
+
+    @classmethod
+    def family(cls, per_node, rows: Layout, cols: Layout, slots: Layout) -> "TaggedEntries":
+        """Every node's per-mode matrices (``per_node[pos][mode]``) placed at
+        the node's parts of the ``rows`` and ``cols`` layouts."""
+        r, c, first = rows.off.tolist(), cols.off.tolist(), slots.off.tolist()
+        return cls([(m, r[pos], c[pos], first[pos] + s, first[pos] + s)
+                    for pos, mats in enumerate(per_node) for s, m in enumerate(mats)], rows.size)
+
+    def apply(self, active: np.ndarray, vec: np.ndarray) -> np.ndarray:
+        """The active entries times ``vec``."""
+        keep = active[self.slots[0]] & active[self.slots[1]]
+        return np.bincount(
+            self.rows[keep], self.values[keep] * vec[self.cols[keep]], minlength=self.size
         )
-    for pos, sub in enumerate(spec.subsystems):
-        x = np.asarray(states[pos], dtype=float)
-        if x.shape != (sub.n,):
-            raise DimensionMismatchError(
-                f"subsystem {sub.id}: state must have length {sub.n}, got {x.shape}",
-                node=sub.id,
+
+
+class NetworkEngine:
+    """A spec compiled for evaluation on flat vectors.
+
+    States, inputs, outputs, internal inputs and external outputs of all
+    nodes are stacked in node order (the ``Layout`` attributes), and every
+    (node, mode) pair has a slot.  The A, B, C and D blocks of every (node,
+    mode), and the selection of its external output, become entries tagged
+    with its slot; each wiring block w_ij = y_ji becomes unit entries tagged
+    with the slots of both ends.  A step applies each family with one
+    np.bincount, so every node shape takes the same path.  Nothing here
+    calls BLAS, so results do not depend on the thread count.
+    """
+
+    def __init__(self, spec: NetworkSpec):
+        subs = spec.subsystems
+        ids = [sub.id for sub in subs]
+        self.slots = Layout(ids, [sub.n_modes for sub in subs], "mode")
+        self.state = Layout(ids, [sub.n for sub in subs], "state")
+        self.input = Layout(ids, [sub.m for sub in subs], "input")
+        self.output = Layout(ids, [sub.q for sub in subs], "output")
+        self.internal_input = Layout(ids, [sub.internal_width for sub in subs], "internal input")
+        ext_ranges = [sub.external_range(0) for sub in subs]
+        self.external = Layout(ids, [hi - lo for lo, hi in ext_ranges], "external output")
+
+        def family(rows, cols, matrix):
+            per_node = [[matrix(sub, mode) for mode in sub.modes] for sub in subs]
+            return TaggedEntries.family(per_node, rows, cols, self.slots)
+
+        self._A = family(self.state, self.state, lambda sub, mode: mode.A)
+        self._B = family(self.state, self.input, lambda sub, mode: mode.B)
+        self._C = family(self.output, self.state, lambda sub, mode: mode.C)
+        self._D = family(self.state, self.internal_input, lambda sub, mode: mode.D)
+        self._external = family(  # rows of y, wherever the mode puts the block
+            self.external, self.output,
+            lambda sub, mode: np.eye(sub.q)[slice(*mode.out_blocks[sub.id])],
+        )
+        ys, w0 = self.output.off.tolist(), self.internal_input.off.tolist()
+        first = self.slots.off.tolist()
+        wiring, self._unwired = [], []
+        for pos, sub in enumerate(subs):
+            for s, mode in enumerate(sub.modes):
+                for j, (lo, hi) in mode.in_blocks.items():
+                    if hi <= lo:  # zero-width blocks may name any peer
+                        continue
+                    src = spec.index[j]
+                    for s2, src_mode in enumerate(subs[src].modes):
+                        tags = (first[pos] + s, first[src] + s2)
+                        r0, r1 = src_mode.out_blocks.get(sub.id, (0, 0))
+                        if r1 > r0:
+                            wiring.append((np.eye(hi - lo), w0[pos] + lo, ys[src] + r0, *tags))
+                        else:
+                            self._unwired.append((*tags, sub.id, j, s2))
+        self._wiring = TaggedEntries(wiring, self.internal_input.size)
+        pairs = [t[:2] for t in self._unwired]
+        self._unwired_slots = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
+
+    def step(self, x: np.ndarray, u: np.ndarray, active: np.ndarray):
+        """(x_next, y, w, external outputs) at the active slots; WiringError
+        when a node's mode expects input that its source's mode does not
+        produce."""
+        hit = np.flatnonzero(active[self._unwired_slots[0]] & active[self._unwired_slots[1]])
+        if hit.size:
+            _, _, dst, src, src_mode = self._unwired[hit[0]]
+            raise WiringError(
+                f"subsystem {dst} expects input from {src}, but {src}'s current "
+                f"mode outputs nothing to {dst}",
+                src=src, dst=dst, src_mode=src_mode,
             )
+        y = self._C.apply(active, x)
+        w = self._wiring.apply(active, y)
+        x_next = self._A.apply(active, x) + self._D.apply(active, w) + self._B.apply(active, u)
+        return x_next, y, w, self._external.apply(active, y)
 
 
 # ---------------------------------------------------------------------------

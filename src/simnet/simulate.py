@@ -14,9 +14,10 @@ with theta = alpha^(-1/b), beta = (1 - lambda_inf)^(1/b) and
 gamma_ext(t) = (rho_ext(t) / (lambda_inf alpha))^(1/b), obtained by unrolling
 the decrease inequality and splitting the 1/b power subadditively.
 
-Per-node updates within a step are independent; steps are the only
-synchronization points, so identical inputs give bitwise-identical runs
-regardless of evaluation order.
+Each step is one compiled lockstep step (composition.Lockstep) on the flat
+stacked states of all nodes: a fixed sequence of gathers and bincounts over
+tagged matrix entries, in an order that does not depend on the data or on
+the thread count, so identical inputs give bitwise-identical runs.
 """
 
 from __future__ import annotations
@@ -25,10 +26,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .certificates import interface_input
-from .composition import ComposedCertificate
+from .composition import ComposedCertificate, Lockstep
 from .errors import DimensionMismatchError
-from .network import NetworkSpec, SwitchingSignal, assemble_internal_input, step_with_modes
+from .network import NetworkSpec, SwitchingSignal
 
 
 @dataclass
@@ -37,12 +37,9 @@ class SimulationRun:
 
     horizon: int
     node_ids: tuple[int, ...]
-    states: list[list[np.ndarray]]
     abstract_states: list[list[np.ndarray]]
     external_outputs: list[list[np.ndarray]]
     abstract_external_outputs: list[list[np.ndarray]]
-    refined_inputs: list[list[np.ndarray]]
-    abstract_inputs: list[list[np.ndarray]]
     modes: list[list[int]]
     v_trace: list[float]
     error_trace: list[float]
@@ -80,60 +77,31 @@ def simulate_lockstep(
             f"switching horizon {switching.horizon} does not cover {horizon + 1} steps",
             horizon=horizon,
         )
-    abstract = spec.abstract_view()
-    states = [np.array(x, dtype=float) for x in x0]
-    hat_states = [np.array(x, dtype=float) for x in xhat0]
+    lockstep = Lockstep(spec, certs, composed)
+    concrete, abstract = lockstep.concrete, lockstep.abstract
+    x = concrete.state.stack(x0)
+    x_hat = abstract.state.stack(xhat0)
 
     run = SimulationRun(
         horizon=horizon,
         node_ids=spec.graph.nodes,
-        states=[], abstract_states=[],
+        abstract_states=[],
         external_outputs=[], abstract_external_outputs=[],
-        refined_inputs=[], abstract_inputs=[],
         modes=[], v_trace=[], error_trace=[], u_hat_norms=[],
     )
-
     for k in range(horizon + 1):
         modes = switching.modes_at(k)
-        u_hats = [np.asarray(u, dtype=float) for u in abstract_controller(hat_states, k)]
-        if len(u_hats) != spec.n_nodes:
-            raise DimensionMismatchError(
-                f"controller returned {len(u_hats)} inputs for {spec.n_nodes} nodes"
-            )
-        w_hats = assemble_internal_input(abstract, hat_states, modes)
-        inputs = [
-            interface_input(certs[i], states[i], hat_states[i], u_hats[i], w_hats[i], modes[i])
-            for i in range(spec.n_nodes)
-        ]
-        y_ext, yhat_ext = [], []
-        for i, sub in enumerate(spec.subsystems):
-            lo, hi = sub.external_range(modes[i])
-            y_ext.append((sub.modes[modes[i]].C @ states[i])[lo:hi])
-            asub = abstract.subsystems[i]
-            yhat_ext.append((asub.modes[modes[i]].C @ hat_states[i])[lo:hi])
-
-        run.states.append([x.copy() for x in states])
-        run.abstract_states.append([x.copy() for x in hat_states])
-        run.external_outputs.append(y_ext)
-        run.abstract_external_outputs.append(yhat_ext)
-        run.refined_inputs.append(inputs)
-        run.abstract_inputs.append(u_hats)
+        hat_states = abstract.state.split(x_hat)
+        u_hat = abstract.input.stack(abstract_controller(hat_states, k))
+        x_next, x_hat_next, y, y_hat, v = lockstep.step(x, x_hat, u_hat, modes)
+        run.abstract_states.append(hat_states)
+        run.external_outputs.append(concrete.external.split(y))
+        run.abstract_external_outputs.append(abstract.external.split(y_hat))
         run.modes.append(list(modes))
-        run.v_trace.append(composed.evaluate_V(states, hat_states, modes))
-        run.error_trace.append(
-            float(
-                np.sqrt(
-                    sum(float(np.sum((a - b) ** 2)) for a, b in zip(y_ext, yhat_ext))
-                )
-            )
-        )
-        run.u_hat_norms.append(
-            float(np.sqrt(sum(float(np.sum(u**2)) for u in u_hats)))
-        )
-
-        if k < horizon:
-            states = step_with_modes(spec, states, inputs, modes).next_states
-            hat_states = step_with_modes(abstract, hat_states, u_hats, modes).next_states
+        run.v_trace.append(v)
+        run.error_trace.append(float(np.sqrt(np.sum((y - y_hat) ** 2))))
+        run.u_hat_norms.append(float(np.sqrt(np.sum(u_hat**2))))
+        x, x_hat = x_next, x_hat_next
     return run
 
 
@@ -199,20 +167,19 @@ def check_trajectory_bound(
     """Error envelope check at every recorded step.
 
     The sup of |uhat| is the running supremum up to the current step, which
-    is tighter than the full-horizon sup and still valid.
+    is tighter than the full-horizon sup and still valid.  The witness is
+    the first step with the most negative margin.
     """
     if bound is None:
         bound = BoundConstants.from_composed(composed)
     v0 = run.v_trace[0]
-    worst = np.inf
-    witness = None
-    for k in range(run.horizon + 1):
-        env = bound.envelope(k, v0, run.running_sup_u_hat(k)) + 1e-9
-        margin = env - run.error_trace[k]
-        if margin < worst:
-            worst = float(margin)
-            if margin < 0:
-                witness = k
+    sup = np.maximum.accumulate(run.u_hat_norms[: run.horizon + 1]).tolist()
+    margins = [
+        bound.envelope(k, v0, s) + 1e-9 - err
+        for k, (s, err) in enumerate(zip(sup, run.error_trace))
+    ]
+    worst = min(margins)
+    witness = margins.index(worst) if worst < 0 else None
     return TrajectoryReport(ok=worst >= 0.0, worst_margin=worst, witness_step=witness)
 
 
@@ -222,25 +189,21 @@ def check_V_decrease(
     """One-step decrease of the composed value along the realized trajectory.
 
     V(k+1) - V(k) <= -lambda_inf V(k) + rho_ext(|uhat(k)|) with slack
-    1e-9 (1 + V(k)); worst slack reported (negative means satisfied).
+    1e-9 (1 + V(k)); worst slack reported (negative means satisfied), the
+    witness is the first step with the largest positive slack.
     """
     lam = composed.lambda_inf if lambda_inf is None else lambda_inf
-    worst = -np.inf
-    witness = None
-    for k in range(run.horizon):
-        allowed = (
-            -lam * run.v_trace[k]
-            + composed.rho_ext_coeff * run.u_hat_norms[k] ** 2
-            + 1e-9 * (1.0 + run.v_trace[k])
-        )
-        slack = run.v_trace[k + 1] - run.v_trace[k] - allowed
-        if slack > worst:
-            worst = float(slack)
-            if slack > 0:
-                witness = k + 1
     if run.horizon == 0:
-        worst = -np.inf
-    return TrajectoryReport(ok=worst <= 0.0, worst_margin=worst, witness_step=witness)
+        return TrajectoryReport(ok=True, worst_margin=-np.inf)
+    v = np.asarray(run.v_trace[: run.horizon + 1])
+    u = np.asarray(run.u_hat_norms[: run.horizon])
+    allowed = -lam * v[:-1] + composed.rho_ext_coeff * u**2 + 1e-9 * (1.0 + v[:-1])
+    slack = v[1:] - v[:-1] - allowed
+    k = int(np.argmax(slack))
+    worst = float(slack[k])
+    return TrajectoryReport(
+        ok=worst <= 0.0, worst_margin=worst, witness_step=k + 1 if worst > 0 else None
+    )
 
 
 def export_run(run: SimulationRun, path) -> None:

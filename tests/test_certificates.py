@@ -596,6 +596,17 @@ class TestCertificateIO:
                 R=[[[1.0]]], T=[[[0.0]]], kappa=1.5,
             )
 
+    @pytest.mark.parametrize("family", ["R", "T"])
+    def test_interface_widths_fixed_across_modes(self, family):
+        # the compiled interface lays uhat and what out with one width per node
+        widths = {"R": [[[1.0]], [[1.0]]], "T": [[[0.0]], [[0.0]]]}
+        widths[family] = [[[1.0]], [[1.0, 0.5]]]
+        with pytest.raises(DimensionMismatchError, match=f"{family}\\[1\\]"):
+            LocalCertificate(
+                M=[[[1.0]]] * 2, K=[[[0.0]]] * 2, P=[[1.0]], Q=[[[0.0]]] * 2,
+                R=widths["R"], T=widths["T"], kappa=0.2,
+            )
+
     def test_indefinite_matrix_rejected(self):
         with pytest.raises(CertificateError):
             LocalCertificate(

@@ -33,6 +33,15 @@ print(json.dumps({"exit": code, "blas_threads_at_numpy_import": seen}))
 """
 
 
+# Runs ``simnet simulate NET CERTS --horizon 20 -o CSV`` from its arguments.
+SIMULATE_SCRIPT = """
+import sys
+from simnet.cli import main
+net, certs, csv = sys.argv[1:]
+raise SystemExit(main(["simulate", net, certs, "--horizon", "20", "--seed", "1", "-o", csv]))
+"""
+
+
 def run_python(code, *args, **env_vars):
     """Run ``python -c code args`` on this checkout's sources with no BLAS
     thread variables set except ``env_vars``; return its stdout lines."""
@@ -219,6 +228,34 @@ class TestDeterminism:
         net, _ = ring_files
         probe = json.loads(run_python(NUMPY_IMPORT_PROBE, net, SIMNET_THREADS="1")[-1])
         assert probe == {"exit": 0, "blas_threads_at_numpy_import": ["1"]}
+
+    def test_simulate_csv_independent_of_thread_cap(self, tmp_path):
+        net, certs = tmp_path / "net.json", tmp_path / "certs.json"
+        assert main(["swing-gen", "--nodes", "200", "-o", str(net), "--certs-out", str(certs)]) == 0
+        csvs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"run-{threads}.csv"
+            run_python(SIMULATE_SCRIPT, net, certs, out, SIMNET_THREADS=threads)
+            csvs.append(out.read_bytes())
+        assert csvs[0] == csvs[1]
+
+    def test_only_simulate_compiles_the_engines(self, ring_files, monkeypatch):
+        import simnet.certificates
+        import simnet.network
+
+        built = []
+        for cls in (simnet.network.NetworkEngine, simnet.certificates.CompiledCertificates):
+            def record(self, *args, _init=cls.__init__, _name=cls.__name__):
+                built.append(_name)
+                _init(self, *args)
+
+            monkeypatch.setattr(cls, "__init__", record)
+        net, certs = ring_files
+        for argv in (["validate", net], ["verify", net, certs], ["compose", net, certs]):
+            assert main([str(a) for a in argv]) == 0
+        assert built == []
+        assert main(["simulate", str(net), str(certs), "--horizon", "2"]) == 0
+        assert sorted(built) == ["CompiledCertificates", "NetworkEngine", "NetworkEngine"]
 
     def test_generated_files_byte_identical(self, tmp_path):
         paths = []

@@ -22,7 +22,17 @@ from simnet import (
     step,
     step_with_modes,
 )
-from vehicles import random_network, stacked_step_oracle
+from vehicles import heterogeneous_network, random_network, stacked_step_oracle
+
+# random_network seeds, then heterogeneous_network seeds 0 and 1 (dims 1-4,
+# three modes, zero-width D, an isolated node)
+STEP_CASES = [*range(10), "heterogeneous-0", "heterogeneous-1"]
+
+
+def step_case_network(case) -> NetworkSpec:
+    if isinstance(case, int):
+        return random_network(case)
+    return heterogeneous_network(int(case.rsplit("-", 1)[1]))[0]
 
 
 def single_node_json():
@@ -153,6 +163,28 @@ class TestLoadNetwork:
         with pytest.raises(WiringError):
             parse_network(data)
 
+    def test_external_block_width_fixed_across_modes(self):
+        # node 0's external block is 1 wide in mode 0 and 2 wide in mode 1
+        # (its block to node 1 shrinks to nothing); the run CSV's columns
+        # come from one step, so the width may not change with the mode
+        def mode(out_blocks):
+            return Mode(A=[[0.5]], B=[[1.0]], C=[[1.0], [0.5]], D=np.zeros((1, 0)),
+                        out_blocks=out_blocks, in_blocks={})
+
+        reader = SwitchedLinearSubsystem(1, [
+            Mode(A=[[0.5]], B=[[1.0]], C=[[1.0]], D=[[1.0]],
+                 out_blocks={1: (0, 1)}, in_blocks={0: (0, 1)})
+        ] * 2)
+        isolated = SwitchedLinearSubsystem(2, [
+            Mode(A=[[0.5]], B=[[1.0]], C=[[1.0]], D=np.zeros((1, 0)),
+                 out_blocks={2: (0, 1)}, in_blocks={})
+        ] * 2)
+        with pytest.raises(BlockPartitionError, match="external output block is 2 wide"):
+            node0 = SwitchedLinearSubsystem(
+                0, [mode({0: (0, 1), 1: (1, 2)}), mode({0: (0, 2), 1: (2, 2)})]
+            )
+            NetworkSpec([node0, reader, isolated])
+
     def test_zero_width_block_is_inert(self):
         # a zero-width out-block keeps q constant across modes without
         # creating an edge
@@ -161,13 +193,15 @@ class TestLoadNetwork:
             [
                 Mode(
                     A=[[0.5]], B=[[0.0]], C=[[1.0]], D=np.zeros((1, 0)),
-                    out_blocks={0: (0, 1), 1: (1, 1)}, in_blocks={},
+                    out_blocks={0: (0, 1), 1: (1, 1)}, in_blocks={2: (0, 0)},
                 )
             ],
         )
         assert sub.out_neighbors(0) == ()
         spec = NetworkSpec([sub])
         assert spec.graph.edges == ()
+        res = step_with_modes(spec, [np.array([2.0])], [np.zeros(1)], [0])
+        np.testing.assert_array_equal(res.next_states[0], [1.0])
 
     def test_round_trip_identity(self, tmp_path):
         spec = generate_ring_network(SwingParams(n_nodes=4))
@@ -266,10 +300,10 @@ class TestStep:
         with pytest.raises(WiringError):
             assemble_internal_input(spec, states, [0, 1, 0])
 
-    @pytest.mark.parametrize("seed", range(10))
+    @pytest.mark.parametrize("seed", STEP_CASES)
     def test_random_network_matches_stacked_oracle(self, seed):
-        rng = np.random.default_rng(seed + 77)
-        spec = random_network(seed)
+        rng = np.random.default_rng(STEP_CASES.index(seed) + 77)
+        spec = step_case_network(seed)
         modes = [int(rng.integers(0, s.n_modes)) for s in spec.subsystems]
         states = [rng.uniform(-1, 1, s.n) for s in spec.subsystems]
         inputs = [rng.uniform(-1, 1, s.m) for s in spec.subsystems]
@@ -277,6 +311,25 @@ class TestStep:
         stacked = stacked_step_oracle(spec, states, inputs, modes)
         for a, b in zip(blockwise, stacked):
             assert float(np.abs(a - b).max()) <= 1e-12
+
+    @pytest.mark.parametrize("mode", [-1, 2])
+    def test_out_of_range_mode_rejected(self, mode):
+        # the ring has two modes: -1 used to alias mode 1, 2 to raise IndexError
+        spec = generate_ring_network(SwingParams(n_nodes=3))
+        states, inputs = [np.zeros(2)] * 3, [np.zeros(1)] * 3
+        for call in (
+            lambda: step_with_modes(spec, states, inputs, [0, mode, 0]),
+            lambda: assemble_internal_input(spec, states, [mode] * 3),
+        ):
+            with pytest.raises(DimensionMismatchError, match=f"subsystem [01]: mode {mode} "):
+                call()
+
+    @pytest.mark.parametrize("n_nodes", [2, 5])
+    def test_switching_signal_must_cover_every_node(self, n_nodes):
+        spec = generate_ring_network(SwingParams(n_nodes=3))
+        with pytest.raises(DimensionMismatchError):
+            step(spec, [np.zeros(2)] * 3, [np.zeros(1)] * 3,
+                 SwitchingSignal.constant(n_nodes, 0), 0)
 
     def test_step_respects_switching_signal(self):
         spec = generate_ring_network(SwingParams(n_nodes=3))

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from simnet import (
+    DimensionMismatchError,
     LocalCertificate,
     Mode,
     NetworkSpec,
@@ -15,17 +16,28 @@ from simnet import (
     check_trajectory_bound,
     check_V_decrease,
     derive_gains,
+    evaluate_V,
     export_run,
+    interface_input,
     run_ring_experiment,
     simulate_lockstep,
 )
+from simnet.certificates import CompiledCertificates
 from simnet.composition import (
+    ComposedCertificate,
+    Lockstep,
     build_gain_operator_from_network,
     compose_certificate,
     construct_mu,
 )
 from simnet.simulate import BoundConstants
-from vehicles import certified_network, tight_two_node_network
+from vehicles import (
+    blockwise_internal_input,
+    certified_network,
+    heterogeneous_network,
+    stacked_step_oracle,
+    tight_two_node_network,
+)
 
 
 def zero_controller(spec):
@@ -155,6 +167,63 @@ class TestSimulateLockstep:
         assert long.error_trace[:21] == short.error_trace
         assert check_trajectory_bound(short, composed).ok
         assert check_trajectory_bound(long, composed).ok
+
+
+    @pytest.mark.parametrize("signal_nodes", [1, 3])
+    def test_switching_signal_must_cover_every_node(self, signal_nodes):
+        spec, certs, gains, composed = tight_two_node_network()
+        with pytest.raises(DimensionMismatchError):
+            simulate_lockstep(
+                spec, certs, composed, [np.zeros(2)] * 2, [np.zeros(1)] * 2,
+                zero_controller(spec), SwitchingSignal.constant(signal_nodes, 0), 5,
+            )
+
+    def test_ten_thousand_node_ring(self):
+        exp = run_ring_experiment(SwingParams(n_nodes=10_000), horizon=10)
+        assert check_trajectory_bound(exp.run, exp.composed).ok
+        assert check_V_decrease(exp.run, exp.composed).ok
+
+
+class TestLockstepStep:
+    """The compiled step against the per-node references under mixed modes."""
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_matches_per_node_reference(self, seed):
+        spec, by_id = heterogeneous_network(seed)
+        certs = [by_id[i] for i in spec.graph.nodes]
+        abstract = spec.abstract_view()
+        rng = np.random.default_rng(seed + 300)
+        mu = rng.uniform(0.5, 2.0, spec.n_nodes)
+        composed = ComposedCertificate(mu, 0.1, 1.0, 1.0, certs)
+        lockstep = Lockstep(spec, certs, composed)
+        for _ in range(5):
+            modes = [int(rng.integers(sub.n_modes)) for sub in spec.subsystems]
+            xs = [rng.uniform(-1, 1, sub.n) for sub in spec.subsystems]
+            hats = [rng.uniform(-1, 1, sub.n) for sub in abstract.subsystems]
+            u_hats = [rng.uniform(-1, 1, sub.m) for sub in abstract.subsystems]
+            w_hats = blockwise_internal_input(abstract, hats, modes)
+            inputs = [
+                interface_input(c, x, h, u, w, s)
+                for c, x, h, u, w, s in zip(certs, xs, hats, u_hats, w_hats, modes)
+            ]
+            v_ref = sum(
+                m * evaluate_V(c, x, h, s) for m, c, x, h, s in zip(mu, certs, xs, hats, modes)
+            )
+
+            x, x_hat, u_hat = (np.concatenate(v) for v in (xs, hats, u_hats))
+            compiled = CompiledCertificates(certs)
+            u = compiled.interface_input(
+                compiled.slots.select(modes), x, x_hat, u_hat, np.concatenate(w_hats)
+            )
+            np.testing.assert_allclose(u, np.concatenate(inputs), rtol=1e-12, atol=1e-12)
+            assert composed.evaluate_V(xs, hats, modes) == pytest.approx(v_ref, rel=1e-12)
+
+            x_next, x_hat_next, _, _, v = lockstep.step(x, x_hat, u_hat, modes)
+            assert v == pytest.approx(v_ref, rel=1e-12)
+            ref = np.concatenate(stacked_step_oracle(spec, xs, inputs, modes))
+            np.testing.assert_allclose(x_next, ref, rtol=1e-12, atol=1e-12)
+            ref = np.concatenate(stacked_step_oracle(abstract, hats, u_hats, modes))
+            np.testing.assert_allclose(x_hat_next, ref, rtol=1e-12, atol=1e-12)
 
 
 class TestTrajectoryBound:

@@ -3,6 +3,8 @@
 - stacked_step_oracle: an independent monolithic one-step update of the
   closed interconnection (dense matrices, single matmul), used to
   cross-check the blockwise network step.
+- blockwise_internal_input: the internal inputs w_ij = y_ji assembled node
+  by node, the reference for the compiled wiring.
 - random_network / certified_network: seeded generators; the certified
   variant builds exact structural data (B invertible, contraction targets)
   so every generated certificate passes all verifications and the coupling
@@ -62,6 +64,21 @@ def stacked_step_oracle(spec: NetworkSpec, states, inputs, modes):
         bu_full[sl] = mode.B @ np.asarray(inputs[pos], dtype=float)
     x_next = a_full @ x_full + bu_full
     return [x_next[offs[p]:offs[p + 1]] for p in range(len(sizes))]
+
+
+def blockwise_internal_input(spec: NetworkSpec, states, modes):
+    """Per-node internal inputs: w_i[lo:hi] = C_j[r] x_j for each in-block."""
+    ws = []
+    for pos, sub in enumerate(spec.subsystems):
+        w = np.zeros(sub.internal_width)
+        for j, (lo, hi) in sub.modes[modes[pos]].in_blocks.items():
+            if hi > lo:
+                jpos = spec.index[j]
+                src_mode = spec.subsystems[jpos].modes[modes[jpos]]
+                r0, r1 = src_mode.out_blocks[sub.id]
+                w[lo:hi] = src_mode.C[r0:r1] @ np.asarray(states[jpos], dtype=float)
+        ws.append(w)
+    return ws
 
 
 def random_network(seed: int, max_nodes: int = 4, max_modes: int = 3) -> NetworkSpec:
