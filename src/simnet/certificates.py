@@ -15,14 +15,32 @@ the tracking energy V = (x - P xhat)' M (x - P xhat) decrease up to the
 gain-weighted input terms.  A seeded sampler provides the refutation oracle
 for that inequality.
 
+Certificate files are ingested column by column: ``load_certificates``
+walks the decoded entries once (an integral id, mode keys that are
+integers, every field present), converts each matrix family (M, K, P, Q,
+R, T) with one ``np.array`` call per shape and checks all certificates
+together, in this order per certificate: the matrices numeric and M
+square; kappa a number and transitions mode pairs; every entry finite
+(NaN and infinities are rejected, naming the node, mode and matrix);
+kappa in (0, 1); P's rows; per mode M's dimension, M positive
+semidefinite (one stacked ``eigvalsh`` per M dimension, lambda_min >=
+-1e-8 (1 + max |eigenvalue|)), the shapes of K, Q, R and T; the
+transitions within the modes.  The first defect of the first defective
+certificate in file order is raised.  A ``LocalCertificate`` built from
+arrays goes through the same checks; loaded ones are read-only views into
+the stacks.  The obligations decide with comparisons that fail when a
+residual or margin is NaN.
+
 All functions are pure; mode pairs and samples may be checked in parallel
 and reports aggregate order-independently (worst slack is a max).
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,6 +50,7 @@ from .errors import (
     ConvergenceError,
     DimensionMismatchError,
     SchemaError,
+    SimnetError,
     StructuralInfeasibleError,
 )
 from .linalg import (
@@ -44,27 +63,41 @@ from .linalg import (
     psd_order,
     solve_linear_least_squares,
 )
-from .network import Layout, NetworkSpec, SwitchedLinearSubsystem, TaggedEntries
+from .network import (
+    Layout,
+    NetworkSpec,
+    SwitchedLinearSubsystem,
+    TaggedEntries,
+    _check_subsystems,
+    _file_id,
+    _Matrices,
+    _paused_gc,
+    _read_json,
+    _view,
+)
 
 SCHEMA_CERTS = "simnet-certs-v1"
 
 
 class LocalCertificate:
-    """Per-subsystem certificate data; immutable after construction."""
+    """Per-subsystem certificate data; immutable after construction.
+
+    Constructing one checks it with the same columnar checks that load a
+    certificate file (see ``_certificates``); loaded certificates are views
+    into the file's matrix stacks.
+    """
 
     def __init__(self, M, K, P, Q, R, T, kappa, transitions=None, node_id=None):
-        self.M = tuple(m if isinstance(m, SymMatrix) else SymMatrix(m) for m in M)
-        self.K = tuple(np.array(k, dtype=float) for k in K)
-        self.P = np.array(P, dtype=float)
-        self.Q = tuple(np.array(q, dtype=float) for q in Q)
-        self.R = tuple(np.array(r, dtype=float) for r in R)
-        self.T = tuple(np.array(t, dtype=float) for t in T)
-        self.kappa = float(kappa)
-        self.node_id = node_id
-        self.transitions = (
-            tuple((int(a), int(b)) for a, b in transitions) if transitions else None
-        )
-        self._validate()
+        M = [m.entries if isinstance(m, SymMatrix) else m for m in M]
+        K, Q, R, T = list(K), list(Q), list(R), list(T)
+        if not M:
+            raise SchemaError(f"{_where(node_id)} declares no modes", node=node_id)
+        if not (len(K) == len(Q) == len(R) == len(T) == len(M)):
+            raise DimensionMismatchError(
+                "per-mode matrix families must all have the same length", modes=len(M)
+            )
+        (cert,) = _certificates([(node_id, M, K, P, Q, R, T, kappa, transitions)])
+        self.__dict__.update(cert.__dict__)
 
     @property
     def n_modes(self) -> int:
@@ -91,46 +124,288 @@ class LocalCertificate:
     def error_vector(self, x, x_hat) -> np.ndarray:
         return np.asarray(x, dtype=float) - self.P @ np.asarray(x_hat, dtype=float)
 
-    def _validate(self):
-        if not (0.0 < self.kappa < 1.0):
-            raise CertificateError(f"kappa must lie in (0, 1), got {self.kappa}")
-        r = self.n_modes
-        if not (len(self.K) == len(self.Q) == len(self.R) == len(self.T) == r):
-            raise DimensionMismatchError(
-                "per-mode matrix families must all have the same length",
-                modes=r,
+
+_CERT_FAMILIES = ("M", "K", "P", "Q", "R", "T")
+
+
+def _as_matrix(obj) -> np.ndarray:
+    try:
+        return np.array(obj, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise SchemaError("matrix has non-numeric entries") from exc
+
+
+def _where(node, mode=None) -> str:
+    head = "certificate" if node is None else f"certificate for node {node}"
+    return head if mode is None else f"{head} mode {mode}"
+
+
+def _certificates(raws) -> list[LocalCertificate]:
+    """Checked LocalCertificates from raw ``(node, M, K, P, Q, R, T, kappa,
+    transitions)`` tuples, with at least one mode and every per-mode family
+    as long as M; matrices as arrays or decoded lists.
+
+    Each family is converted with as few ``np.array`` calls as its shapes
+    allow (see ``_Matrices``) and checked column by column over all
+    (certificate, mode) rows; the M of each dimension are symmetrized and
+    decided positive semidefinite with one stacked ``eigvalsh``.  The
+    certificates hold views into these stacks.  Checks per certificate, in
+    order: each matrix numeric and M square (in file order: M, K, P, Q, R,
+    T); kappa a number; transitions mode pairs; every matrix finite; kappa
+    in (0, 1); P's rows; per mode M's dimension, M positive semidefinite,
+    the shapes of K, Q, R and T; transitions within the modes.  The first
+    defect of the first defective certificate is raised.
+    """
+    n_certs = len(raws)
+    r = [len(raw[1]) for raw in raws]
+    first = np.array([0, *itertools.accumulate(r)])
+    row_cert = np.repeat(np.arange(n_certs), r)
+    mats = _Matrices(
+        [[m for raw in raws for m in raw[f]] if f != 3 else [raw[3] for raw in raws]
+         for f in range(1, 7)],
+        _as_matrix,
+    )
+
+    def extent(f, j, at=None):
+        """Extent j of family f's matrices: one int when they share a shape,
+        else per matrix (at the items ``at``)."""
+        if mats.shapes[f] is not None:
+            return mats.shapes[f][j]
+        column = mats.dims[f][:, j]
+        return column if at is None else column[at]
+
+    def per_row(x):
+        return x[row_cert] if isinstance(x, np.ndarray) else x
+
+    def misshaped(f, rows, cols):
+        if mats.shapes[f] is not None:
+            return (mats.shapes[f][0] != rows) | (mats.shapes[f][1] != cols)
+        dims = mats.dims[f]
+        return ~mats.plain[f] | (dims[:, 0] != rows) | (dims[:, 1] != cols)
+
+    side = extent(0, 0)
+    not_square = (side != extent(0, 1)) | (side < 1)
+    if mats.shapes[0] is None:
+        not_square |= ~mats.plain[0]
+    if _any(not_square) or mats.any_bad():
+        raise _malformed(raws, mats, not_square, first)
+    kappas, transitions, scalar = _scalars(raws)
+
+    heads = first[:-1]
+    n, m, nh = extent(0, 0, heads), extent(1, 0, heads), extent(2, 1)
+    n_r, m_r = per_row(n), per_row(m)
+    sym, lam_min, scale = _semidefinite(mats, side)
+    per_mode = [  # M's dimension, M >= 0, K, Q, R, T shapes
+        side != n_r,
+        lam_min < -_PSD_SLACK * scale,
+        misshaped(1, m_r, n_r),
+        misshaped(3, m_r, per_row(nh)),
+        misshaped(4, m_r, per_row(extent(4, 1, heads))),
+        misshaped(5, m_r, per_row(extent(5, 1, heads))),
+    ]
+    rates = np.array(kappas, dtype=float)
+    owner = [row_cert, row_cert, np.arange(n_certs), row_cert, row_cert, row_cert]
+    nonfinite = not mats.all_finite() and functools.reduce(operator.or_, [
+        _owners(~mats.finite_of(f), rows, n_certs) for f, rows in enumerate(owner)
+    ])
+    checks = [  # per certificate
+        scalar,
+        nonfinite,
+        not all(0.0 < k < 1.0 for k in kappas) and ~((0.0 < rates) & (rates < 1.0)),
+        extent(2, 0) != n,
+        any(map(_any, per_mode)) and _owners(functools.reduce(operator.or_, per_mode),
+                                             row_cert, n_certs),
+        any(transitions) and np.array([
+            pairs is not None and any(not (0 <= s < k and 0 <= s2 < k) for s, s2 in pairs)
+            for pairs, k in zip(transitions, r)
+        ]),
+    ]
+    if any(map(_any, checks)):
+        bad = functools.reduce(operator.or_, checks)
+        c = int(np.argmax(np.broadcast_to(bad, (n_certs,))))
+        check = next(k for k, col in enumerate(checks) if np.broadcast_to(col, (n_certs,))[c])
+        lo, hi = int(first[c]), int(first[c + 1])
+        rows = [np.broadcast_to(col, row_cert.shape)[lo:hi] for col in per_mode]
+        dims = [int(np.broadcast_to(x, (n_certs,))[c]) for x in (n, m, nh)]
+        raise _defect(raws[c], check, kappas[c], transitions[c], mats, c, lo, hi,
+                      rows, lam_min[lo:hi], dims)
+
+    bounds = first.tolist()
+
+    def per_cert(items):
+        return [tuple(items[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
+
+    arrays = mats.arrays
+    return [
+        _view(LocalCertificate, M=ms, K=ks, P=p, Q=qs, R=rs, T=ts, kappa=kappa,
+              node_id=raw[0], transitions=pairs)
+        for raw, ms, ks, p, qs, rs, ts, kappa, pairs in zip(
+            raws, per_cert(sym), per_cert(arrays[1]), arrays[2], per_cert(arrays[3]),
+            per_cert(arrays[4]), per_cert(arrays[5]), kappas, transitions,
+        )
+    ]
+
+
+def _any(flags) -> bool:
+    return bool(flags.any() if isinstance(flags, np.ndarray) else flags)
+
+
+def _owners(flags, owner: np.ndarray, n_certs: int):
+    """Per certificate whether any of its items is flagged; ``flags`` is
+    per item (``owner`` maps items to certificates) or one bool for all."""
+    if not _any(flags):
+        return False
+    owners = np.zeros(n_certs, dtype=bool)
+    owners[owner[np.broadcast_to(flags, owner.shape)]] = True
+    return owners
+
+
+def _scalars(raws):
+    """Per certificate its kappa as a float, its transitions as int pairs
+    (None when absent), and whether either does not convert; the defects
+    themselves are re-derived by ``_defect``."""
+    kappas, transitions = [raw[7] for raw in raws], [raw[8] for raw in raws]
+    if set(map(type, kappas)) <= {float, int} and not any(transitions):
+        return list(map(float, kappas)), [None] * len(raws), False
+    flags = np.zeros(len(raws), dtype=bool)
+    for c, raw in enumerate(raws):
+        try:
+            kappas[c] = float(raw[7])
+        except (TypeError, ValueError):
+            kappas[c], flags[c] = np.nan, True
+        try:
+            transitions[c] = tuple((int(a), int(b)) for a, b in raw[8]) if raw[8] else None
+        except (TypeError, ValueError):
+            transitions[c], flags[c] = None, True
+    return kappas, transitions, flags
+
+
+def _malformed(raws, mats, not_square, first) -> SimnetError:
+    """The first matrix that is not numeric, or an M that is not square, in
+    file order; certificates before it are checked first (and raise)."""
+    n_certs = len(raws)
+    row_cert = np.repeat(np.arange(n_certs), np.diff(first))
+    flags = [mats.bad_of(f) for f in range(6)]
+    flags[0] = flags[0] | np.broadcast_to(not_square, flags[0].shape)
+    owner = [row_cert, row_cert, np.arange(n_certs), row_cert, row_cert, row_cert]
+    c = min(int(rows[flag][0]) for flag, rows in zip(flags, owner) if flag.any())
+    _certificates(raws[:c])
+    node = raws[c][0]
+    for f, name in enumerate(_CERT_FAMILIES):
+        lo, hi = (c, c + 1) if name == "P" else (int(first[c]), int(first[c + 1]))
+        rows = np.flatnonzero(flags[f][lo:hi])
+        if not rows.size:
+            continue
+        i, s = lo + int(rows[0]), None if name == "P" else int(rows[0])
+        if mats.bad_of(f)[i]:
+            return SchemaError(
+                f"{_where(node, s)}: matrix {name} has non-numeric entries",
+                node=node, mode=s, matrix=name,
             )
-        n, m, nh = self.n, self.m, self.n_abstract
-        if self.P.shape[0] != n:
-            raise DimensionMismatchError(
-                f"P must have {n} rows, got {self.P.shape}", matrix="P"
+        shape = mats.arrays[0][i].shape
+        if len(shape) != 2 or shape[0] != shape[1]:
+            return DimensionMismatchError(
+                f"symmetric matrix must be square, got shape {shape}", shape=shape
             )
-        for s in range(r):
-            if self.M[s].dim != n:
-                raise DimensionMismatchError(f"M[{s}] must be {n}x{n}", mode=s)
-            eigs = np.linalg.eigvalsh(self.M[s].entries)
-            if float(eigs.min()) < -1e-8 * (1.0 + float(np.abs(eigs).max())):
-                raise CertificateError(
-                    f"M[{s}] must be positive semidefinite "
-                    f"(lambda_min = {float(eigs.min()):.3e})",
-                    mode=s, lambda_min=float(eigs.min()),
+        return DimensionMismatchError("symmetric matrix must have dim >= 1")
+    raise AssertionError("no malformed matrix")
+
+
+def _defect(raw, check, kappa, transitions, mats, c, lo, hi, per_mode, lam_min, dims):
+    """The error of the first failing check of certificate ``c`` (see
+    ``_certificates`` for the order); its rows are ``lo:hi``."""
+    node = raw[0]
+    n, m, nh = dims
+    if check == 0:
+        try:
+            float(raw[7])
+        except (TypeError, ValueError):
+            return SchemaError(f"{_where(node)}: kappa {raw[7]!r} is not a number", node=node)
+        return SchemaError(
+            f"{_where(node)}: transitions must be [current, next] mode pairs", node=node
+        )
+    if check == 1:
+        for f, name in enumerate(_CERT_FAMILIES):
+            a, b = (c, c + 1) if name == "P" else (lo, hi)
+            rows = np.flatnonzero(~mats.finite_of(f)[a:b])
+            if rows.size:
+                s = None if name == "P" else int(rows[0])
+                return SchemaError(
+                    f"{_where(node, s)}: matrix {name} has non-finite entries",
+                    node=node, mode=s, matrix=name,
                 )
-            if self.K[s].shape != (m, n):
-                raise DimensionMismatchError(f"K[{s}] must be {m}x{n}", mode=s)
-            if self.Q[s].shape != (m, nh):
-                raise DimensionMismatchError(f"Q[{s}] must be {m}x{nh}", mode=s)
-            for name, family in (("R", self.R), ("T", self.T)):
-                if family[s].ndim != 2 or family[s].shape != (m, family[0].shape[1]):
-                    raise DimensionMismatchError(
-                        f"{name}[{s}] must have {m} rows and as many columns as {name}[0]", mode=s
-                    )
-        if self.transitions is not None:
-            for s, s2 in self.transitions:
-                if not (0 <= s < r and 0 <= s2 < r):
-                    raise CertificateError(
-                        f"transition pair ({s}, {s2}) references an unknown mode",
-                        pair=(s, s2),
-                    )
+    if check == 2:
+        return CertificateError(f"kappa must lie in (0, 1), got {kappa}")
+    if check == 3:
+        return DimensionMismatchError(
+            f"P must have {n} rows, got {mats.arrays[2][c].shape}", matrix="P"
+        )
+    if check == 4:
+        s = int(np.flatnonzero(np.logical_or.reduce(per_mode))[0])
+        which = next(k for k, col in enumerate(per_mode) if col[s])
+        if which == 1:
+            low = float(lam_min[s])
+            return CertificateError(
+                f"M[{s}] must be positive semidefinite (lambda_min = {low:.3e})",
+                mode=s, lambda_min=low,
+            )
+        if which == 0:
+            return DimensionMismatchError(f"M[{s}] must be {n}x{n}", mode=s)
+        if which == 2:
+            return DimensionMismatchError(f"K[{s}] must be {m}x{n}", mode=s)
+        if which == 3:
+            return DimensionMismatchError(f"Q[{s}] must be {m}x{nh}", mode=s)
+        name = "R" if which == 4 else "T"
+        return DimensionMismatchError(
+            f"{name}[{s}] must have {m} rows and as many columns as {name}[0]", mode=s
+        )
+    k = hi - lo
+    s, s2 = next(p for p in transitions if not (0 <= p[0] < k and 0 <= p[1] < k))
+    return CertificateError(
+        f"transition pair ({s}, {s2}) references an unknown mode", pair=(s, s2)
+    )
+
+
+_PSD_SLACK = 1e-8  # M's eigenvalues may reach -1e-8 (1 + max |eigenvalue|)
+
+
+def _semidefinite(mats, side):
+    """The symmetrized M (SymMatrix views into one read-only stack per
+    dimension ``side``, an int when all M share it) and per M lambda_min
+    and 1 + max |eigenvalue|: one stacked eigvalsh per dimension.
+    Non-finite M are decided on zeros."""
+    ms = mats.arrays[0]
+    if not isinstance(side, np.ndarray):  # one dimension: one group, in order
+        sym, lam_min, scale = _psd_stack(mats.stacks[0], mats.finite_of(0))
+        return list(map(_sym_view, sym)), lam_min, scale
+    sym = [None] * len(ms)
+    lam_min, scale = np.zeros(len(ms)), np.ones(len(ms))
+    for dim in sorted(set(side.tolist())):
+        idx = np.flatnonzero(side == dim)
+        stack = np.array([ms[i] for i in idx.tolist()], dtype=float).reshape(-1, dim, dim)
+        stack, lam_min[idx], scale[idx] = _psd_stack(stack, mats.finite_of(0)[idx])
+        for i, entries in zip(idx.tolist(), map(_sym_view, stack)):
+            sym[i] = entries
+    return sym, lam_min, scale
+
+
+def _psd_stack(stack, finite):
+    """The symmetrized read-only stack, its lambda_min and 1 + max
+    |eigenvalue| per matrix, with one eigvalsh; non-finite matrices are
+    decided on zeros."""
+    if not finite.all():
+        stack = np.where(finite[:, None, None], stack, 0.0)
+    stack = 0.5 * (stack + np.swapaxes(stack, -1, -2))
+    stack.flags.writeable = False
+    eigs = np.linalg.eigvalsh(stack)
+    return stack, eigs[:, 0], 1.0 + np.abs(eigs).max(axis=1)
+
+
+def _sym_view(entries: np.ndarray) -> SymMatrix:
+    """A SymMatrix around an already symmetric, read-only array."""
+    sym = object.__new__(SymMatrix)
+    sym.entries = entries
+    return sym
 
 
 @dataclass(frozen=True)
@@ -237,6 +512,7 @@ class _Batch:
 
     def __init__(self, items):
         self.items = items
+        _check_subsystems(sub for item in items for sub in item[1:] if sub is not None)
         for cert, concrete, _ in items:
             if cert.n != concrete.n:
                 raise DimensionMismatchError(
@@ -344,9 +620,9 @@ def _output_dominance(batch: _Batch, tol: ToleranceProfile) -> list[Verification
     for (k, s), (margin, scale), mt in zip(batch.modes, psd, match):
         failures, margins = out[k]
         margins[s] = {"psd_margin": margin, "output_match": mt}
-        if margin < -tol.psd_tol * scale:
+        if not margin >= -tol.psd_tol * scale:
             failures.append(f"mode {s}: output Gram matrix is not dominated by M")
-        if mt > tol.eig_tol:
+        if not mt <= tol.eig_tol:
             failures.append(f"mode {s}: C P differs from the abstract C by {mt:.3e}")
     return [_report("output_dominance", *o) for o in out]
 
@@ -408,9 +684,9 @@ def _structure(batch: _Batch, tol: ToleranceProfile) -> list[VerificationReport]
         failures, margins = out[k]
         margins[s] = {"state": res_state, "coupling": res_coupling}
         limit = tol.eig_tol * (1.0 + amax)
-        if res_state > limit:
+        if not res_state <= limit:
             failures.append(f"mode {s}: state matching residual {res_state:.3e}")
-        if res_coupling > limit:
+        if not res_coupling <= limit:
             failures.append(f"mode {s}: coupling matching residual {res_coupling:.3e}")
     return [_report("structure", *o) for o in out]
 
@@ -870,36 +1146,78 @@ def save_certificates(certs: dict[int, LocalCertificate], path) -> None:
 
 
 def load_certificates(path) -> dict[int, LocalCertificate]:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"not valid JSON: {exc}", path=str(path)) from exc
+    """Load and check a certificate file (schema ``simnet-certs-v1``): one
+    walk over its entries, then the columnar checks of ``_certificates``.
+    The first defect in file order is raised."""
+    with _paused_gc():
+        return _parse_certificates(_read_json(path))
+
+
+def _parse_certificates(data) -> dict[int, LocalCertificate]:
     if not isinstance(data, dict) or data.get("schema") != SCHEMA_CERTS:
         raise SchemaError(
             f"missing or unsupported schema tag (expected '{SCHEMA_CERTS}')",
             schema=data.get("schema") if isinstance(data, dict) else None,
         )
-    certs = {}
-    for entry in data.get("certificates", []):
-        if "id" not in entry:
-            raise SchemaError("certificate entries must carry an 'id'")
-        node = int(entry["id"])
-        try:
-            mode_keys = sorted(entry["M"], key=int)
-            certs[node] = LocalCertificate(
-                M=[entry["M"][k] for k in mode_keys],
-                K=[entry["K"][k] for k in mode_keys],
-                P=entry["P"],
-                Q=[entry["Q"][k] for k in mode_keys],
-                R=[entry["R"][k] for k in mode_keys],
-                T=[entry["T"][k] for k in mode_keys],
-                kappa=entry["kappa"],
-                transitions=entry.get("transitions"),
-                node_id=node,
-            )
-        except KeyError as exc:
-            raise SchemaError(
-                f"certificate for node {node} lacks field {exc}", node=node
-            ) from exc
+    entries = data.get("certificates", [])
+    if not isinstance(entries, list):
+        raise SchemaError("certificate file must declare a 'certificates' array")
+    raws, malformed = [], None
+    try:
+        for pos, entry in enumerate(entries):
+            raws.append(_certificate_entry(pos, entry))
+    except SchemaError as exc:
+        malformed = exc
+    certs = {cert.node_id: cert for cert in _certificates(raws)}
+    if malformed is not None:
+        raise malformed
     return certs
+
+
+def _certificate_entry(pos: int, entry) -> tuple:
+    """The raw tuple of one decoded certificate entry (see
+    ``_certificates``); SchemaError when its structure is malformed."""
+    if not isinstance(entry, dict) or "id" not in entry:
+        raise SchemaError("certificate entries must carry an 'id'")
+    try:
+        node = _file_id(entry["id"])
+    except (TypeError, ValueError):
+        raise SchemaError(
+            f"certificate at position {pos}: id {entry['id']!r} is not an integer",
+            position=pos, id=entry["id"],
+        ) from None
+    try:
+        per_mode = []
+        for name in ("M", "K", "Q", "R", "T"):
+            family = entry[name]
+            if not isinstance(family, dict):
+                raise SchemaError(
+                    f"certificate for node {node}: {name} must be an object of mode -> matrix",
+                    node=node, matrix=name,
+                )
+            if name == "M":
+                try:
+                    keys = sorted(family, key=int)
+                except ValueError:
+                    key = next(k for k in family if not _is_int(k))
+                    raise SchemaError(
+                        f"certificate for node {node}: mode key {key!r} is not an integer",
+                        node=node, key=key,
+                    ) from None
+                if not keys:
+                    raise SchemaError(f"{_where(node)} declares no modes", node=node)
+            per_mode.append(list(map(family.__getitem__, keys)))
+            if name == "K":
+                per_mode.append(entry["P"])
+        per_mode.append(entry["kappa"])
+    except KeyError as exc:
+        raise SchemaError(f"certificate for node {node} lacks field {exc}", node=node) from exc
+    return (node, *per_mode, entry.get("transitions"))
+
+
+def _is_int(key) -> bool:
+    try:
+        int(key)
+    except ValueError:
+        return False
+    return True

@@ -15,6 +15,32 @@ with the mode); a subsystem-level block map is accepted as the default for
 all modes.  The interconnection graph exposed on the spec is the union over
 modes.
 
+Ingest is columnar.  ``parse_network`` walks the decoded JSON once per
+layer (concrete, then abstract): every matrix is converted in one
+``np.array`` call per shape, into read-only stacks that the ``Mode``
+objects view without copying, and every block of every block map becomes
+a row of one integer table (row = (node, mode), kind, peer, lo, hi).
+Validation then runs once per check over whole columns, never per matrix
+or per mode, in this order:
+
+  1. per layer, node by node in file order: the file's structure (each
+     entry an object with an integral id and nonempty modes, matrices as
+     arrays of numeric row arrays, block maps as id -> [start, stop] with
+     integer bounds; booleans and non-integral ids are rejected), then per
+     mode the shapes of A, B, C, D, their finiteness, the out- and
+     in-block partitions, the external block (keyed by the own id,
+     nonempty, one width in every mode) and self-feeding;
+  2. per spec: unique ids, unknown peers, dangling edges and wiring
+     widths, inverse wiring entries, abstraction alignment (ids, mode
+     counts, output widths and block maps) and, for files, the declared
+     edges.
+
+The first defect in file order is raised, with the class, message and
+details of the check that finds it.  A ``NetworkSpec`` built from objects
+goes through the same validators, its node checks included (a
+``SwitchedLinearSubsystem`` is checked where it is used, not when it is
+made); the abstract view reuses the validated abstract layer.
+
 Specs are immutable after loading.  On first use a spec compiles into a
 ``NetworkEngine`` that evaluates every node at once on flat stacked
 vectors; ``step``, ``step_with_modes`` and ``assemble_internal_input`` are
@@ -24,9 +50,14 @@ composed oracle run on it directly.
 
 from __future__ import annotations
 
+import bisect
+import gc
 import json
+import operator
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
 
 import numpy as np
 
@@ -34,6 +65,7 @@ from .errors import (
     BlockPartitionError,
     DimensionMismatchError,
     SchemaError,
+    SimnetError,
     WiringError,
 )
 
@@ -42,10 +74,16 @@ SCHEMA_NETWORK = "simnet-v1"
 BlockMap = dict[int, tuple[int, int]]  # peer id -> half-open index range
 
 
-def _freeze(a) -> np.ndarray:
-    a = np.array(a, dtype=float)
-    a.flags.writeable = False
-    return a
+_OUT, _IN = 0, 1  # block kinds in a layer's block table
+_FAMILIES = ("A", "B", "C", "D")
+
+
+def _view(cls, **fields):
+    """An instance of ``cls`` holding ``fields``, made without running its
+    constructor: for data the columnar validators have already checked."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
 
 
 @dataclass(frozen=True)
@@ -60,19 +98,25 @@ class Mode:
     in_blocks: BlockMap
 
     def __post_init__(self):
-        for name in ("A", "B", "C", "D"):
-            object.__setattr__(self, name, _freeze(getattr(self, name)))
+        for name in _FAMILIES:
+            object.__setattr__(self, name, _frozen(np.array(getattr(self, name), dtype=float)))
 
 
 class SwitchedLinearSubsystem:
-    """One node of the network: a finite family of modes sharing dimensions."""
+    """One node of the network: a finite family of modes sharing dimensions.
+
+    The node's own checks (shapes, finiteness, block partitions, external
+    block, self-feeding) run where subsystems are used, all nodes at once:
+    when a file is parsed, when a NetworkSpec is built, and when a
+    certificate is verified against subsystems not checked before (see
+    ``_check_subsystems``).
+    """
 
     def __init__(self, node_id: int, modes: list[Mode]):
         if not modes:
             raise SchemaError(f"subsystem {node_id} declares no modes", node=node_id)
         self.id = int(node_id)
         self.modes = tuple(modes)
-        self._validate()
 
     # shared dimensions
     @property
@@ -105,97 +149,477 @@ class SwitchedLinearSubsystem:
             if j != self.id and hi > lo
         )
 
-    def union_in_neighbors(self) -> tuple[int, ...]:
-        seen: dict[int, None] = {}
-        for s in range(self.n_modes):
-            for j in self.in_neighbors(s):
-                seen.setdefault(j, None)
-        return tuple(sorted(seen))
-
-    def union_out_neighbors(self) -> tuple[int, ...]:
-        seen: dict[int, None] = {}
-        for s in range(self.n_modes):
-            for j in self.out_neighbors(s):
-                seen.setdefault(j, None)
-        return tuple(sorted(seen))
-
     def external_range(self, mode: int) -> tuple[int, int]:
         return self.modes[mode].out_blocks[self.id]
 
-    def _validate(self):
-        i = self.id
-        n, m, q, nw = self.n, self.m, self.q, self.internal_width
-        for s, mode in enumerate(self.modes):
-            if mode.A.shape != (n, n):
-                raise DimensionMismatchError(
-                    f"subsystem {i} mode {s}: A must be {n}x{n}, got {mode.A.shape}",
-                    node=i, mode=s, matrix="A",
+
+def _raise(defect) -> None:
+    if defect is not None:
+        raise defect
+
+
+def _check_subsystems(subsystems) -> None:
+    """Run the node checks on the subsystems not checked before, all at
+    once; raise the first defect."""
+    fresh = tuple(sub for sub in subsystems if "_layer" not in sub.__dict__)
+    if fresh:
+        _Layer(fresh).check_nodes()
+
+
+def _key(obj):
+    """Shape key of a matrix: an array's shape; for a decoded list its
+    (rows, columns) judged by the first row, columns -1 if that is not a
+    list, and (0, 0) for ``[]``; None for anything else."""
+    if type(obj) is np.ndarray:
+        return obj.shape
+    if type(obj) is not list:
+        return None
+    if not obj:
+        return (0, 0)
+    return (len(obj), len(obj[0]) if type(obj[0]) is list else -1)
+
+
+class _Matrices:
+    """Matrix families converted to read-only float arrays with as few
+    ``np.array`` calls as the shapes allow: a family whose matrices share
+    one shape is one stack (``stacks[f]``, its matrices' shape
+    ``shapes[f]``), any other family one stack per shape (``shapes[f]`` is
+    then None).  ``arrays[f][i]`` is a view into its stack.
+
+    For families without one shape, per matrix i: ``dims[f][i]`` (the
+    first two extents, -1 past the ndim), ``plain[f][i]`` (2-d),
+    ``finite[f][i]`` and ``bad[f][i]`` (``convert`` rejects it with a
+    SchemaError); ``dims_of``/``plain_of``/``finite_of``/``bad_of`` give
+    these for every family.  Matrices that do not stack with their shape go
+    through ``convert`` one at a time.
+    """
+
+    def __init__(self, families, convert):
+        self.stacks = [_stack(fam) if fam else None for fam in families]
+        self.shapes = [None if s is None else s.shape[1:] for s in self.stacks]
+        self.arrays = [None if s is None else list(s) for s in self.stacks]
+        self.dims, self.plain, self.finite, self.bad = ([None] * len(families) for _ in range(4))
+        for f, fam in enumerate(families):
+            if self.stacks[f] is None:
+                self._by_shape(f, fam, convert)
+
+    def _by_shape(self, f, fam, convert):
+        k = len(fam)
+        dims = self.dims[f] = np.full((k, 2), -1, dtype=np.int64)
+        plain = self.plain[f] = np.zeros(k, dtype=bool)
+        finite = self.finite[f] = np.ones(k, dtype=bool)
+        bad = self.bad[f] = np.zeros(k, dtype=bool)
+        arrays = self.arrays[f] = [None] * k
+        groups: dict = {}
+        for i, obj in enumerate(fam):
+            groups.setdefault(_key(obj), []).append(i)
+        for key, idx in groups.items():
+            group = None if key is None else _stack([fam[i] for i in idx], key)
+            if group is not None:
+                dims[idx] = (key + (-1, -1))[:2]
+                plain[idx] = len(key) == 2
+                finite[idx] = np.isfinite(group).reshape(len(idx), -1).all(axis=1)
+                for i, a in zip(idx, group):
+                    arrays[i] = a
+                continue
+            for i in idx:
+                try:
+                    a = convert(fam[i])
+                except SchemaError:
+                    bad[i] = True
+                    continue
+                a.flags.writeable = False
+                arrays[i] = a
+                dims[i] = (a.shape + (-1, -1))[:2]
+                plain[i] = a.ndim == 2
+                finite[i] = bool(np.isfinite(a).all())
+
+    def dims_of(self, f: int) -> np.ndarray:
+        if self.shapes[f] is None:
+            return self.dims[f]
+        return np.broadcast_to(np.array(self.shapes[f], dtype=np.int64), (len(self.arrays[f]), 2))
+
+    def plain_of(self, f: int) -> np.ndarray:
+        if self.shapes[f] is None:
+            return self.plain[f]
+        return np.ones(len(self.arrays[f]), dtype=bool)
+
+    def finite_of(self, f: int) -> np.ndarray:
+        if self.finite[f] is None:
+            self.finite[f] = np.isfinite(self.stacks[f]).all(axis=(1, 2))
+        return self.finite[f]
+
+    def all_finite(self) -> bool:
+        stacked = [s.ravel() for s in self.stacks if s is not None]
+        return bool(np.isfinite(np.concatenate(stacked)).all() if stacked else True) and all(
+            finite.all() for finite in self.finite if finite is not None
+        )
+
+    def bad_of(self, f: int) -> np.ndarray:
+        if self.shapes[f] is None:
+            return self.bad[f]
+        return np.zeros(len(self.arrays[f]), dtype=bool)
+
+    def any_bad(self) -> bool:
+        return any(bad is not None and bad.any() for bad in self.bad)
+
+
+def _stack(group, shape=None):
+    """The read-only stack of ``group``, or None if its items do not
+    convert together to matrices of ``shape`` (any one shape if None)."""
+    try:
+        stack = np.array(group, dtype=float)
+    except (TypeError, ValueError):
+        return None
+    if shape is None:
+        return _frozen(stack) if stack.ndim == 3 else None
+    want = (len(group), *shape)
+    if stack.shape != want:
+        if stack.size or -1 in shape:
+            return None
+        stack = stack.reshape(want)  # zero-column rows
+    return _frozen(stack)
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+class _Layer:
+    """One layer of a network (its concrete or its abstract subsystems),
+    column by column, as the validators read it.
+
+    Rows are the (node, mode) pairs in node order: ``node`` and ``first``
+    map rows to node positions and back, ``dims``/``plain``/``finite``
+    describe A, B, C and D per row (see ``_Matrices``).  The block table
+    has one entry per block of every row's block maps, in file order:
+    ``row``, ``kind`` (``_OUT``/``_IN``), ``peer``, ``lo``, ``hi``.
+    Subsystems parsed from a file carry their layer, so a spec built from
+    them reuses it (see ``of``).
+    """
+
+    def __init__(self, subsystems, mats: _Matrices | None = None):
+        self.subsystems = subsystems
+        self.checked = False
+        modes = [mode for sub in subsystems for mode in sub.modes]
+        if mats is None:
+            mats = _Matrices([[getattr(mode, f) for mode in modes] for f in _FAMILIES], np.asarray)
+        counts = [len(sub.modes) for sub in subsystems]
+        self.ids = np.array([sub.id for sub in subsystems], dtype=np.int64)
+        self.first = np.concatenate(([0], np.cumsum(counts, dtype=np.intp)))
+        self.node = np.repeat(np.arange(len(subsystems)), counts)
+        n_rows = len(modes)
+        self.dims = np.stack([mats.dims_of(f)[:n_rows] for f in range(4)], axis=1)
+        self.plain = np.stack([mats.plain_of(f)[:n_rows] for f in range(4)], axis=1)
+        self.finite = np.stack([mats.finite_of(f)[:n_rows] for f in range(4)], axis=1)
+        maps = [m for mode in modes for m in (mode.out_blocks, mode.in_blocks)]
+        seg = np.repeat(np.arange(2 * len(modes)), [len(m) for m in maps])
+        self.row, self.kind = seg >> 1, seg & 1
+        bounds = np.array(list(chain.from_iterable(chain.from_iterable(m.values() for m in maps))))
+        if bounds.size and bounds.dtype.kind not in "iu":
+            raise SchemaError("block ranges must be integer pairs [start, stop]")
+        try:
+            self.peer = np.array(list(chain.from_iterable(maps)), dtype=np.int64)
+            self.lo, self.hi = bounds.astype(np.int64).reshape(-1, 2).T
+        except OverflowError as exc:
+            raise SchemaError("block ids and ranges must fit in 64 bits") from exc
+        self.owner = self.node[self.row]
+
+    @staticmethod
+    def of(subsystems) -> "_Layer":
+        """The layer of these subsystems: the one they were parsed into, if
+        they are exactly its subsystems in order, else built from them."""
+        layer = subsystems[0].__dict__.get("_layer") if subsystems else None
+        if (
+            layer is not None
+            and len(layer.subsystems) == len(subsystems)
+            and all(map(operator.is_, layer.subsystems, subsystems))
+        ):
+            return layer
+        return _Layer(subsystems)
+
+    def check_nodes(self) -> None:
+        """Raise the first node defect, else mark the subsystems checked:
+        each then carries this layer, which a spec of exactly these
+        subsystems reuses."""
+        if not self.checked:
+            _raise(self.node_defect())
+            self.checked = True
+            for sub in self.subsystems:
+                sub._layer = self
+
+    def _locate(self, row: int):
+        pos = int(self.node[row])
+        sub = self.subsystems[pos]
+        s = int(row - self.first[pos])
+        return sub, s, sub.modes[s]
+
+    # -- node checks -------------------------------------------------------
+
+    def node_defect(self) -> SimnetError | None:
+        """The first defect of any node in (node, mode, check) order, or
+        None.  Checks per mode, in order: the shapes of A, B, C, D against
+        the node's first mode, their finiteness, the out- and in-block
+        partitions of the output and internal-input widths, the external
+        block (present, nonempty, as wide as in the first mode) and
+        self-feeding."""
+        d, n_rows = self.dims, len(self.node)
+        if not n_rows:
+            return None
+        f = self.first[self.node]
+        n, m, q, nw = d[f, 0, 0], d[f, 1, 1], d[f, 2, 0], d[f, 3, 1]
+        want = np.stack([n, n, n, m, q, n, n, nw], axis=1).reshape(n_rows, 4, 2)
+        mine = self.peer == self.ids[self.owner]
+        ext = mine & (self.kind == _OUT)
+        has_ext = np.zeros(n_rows, dtype=bool)
+        has_ext[self.row[ext]] = True
+        ext_width = np.zeros(n_rows, dtype=np.int64)
+        ext_width[self.row[ext]] = (self.hi - self.lo)[ext]
+        feeds_self = np.zeros(n_rows, dtype=bool)
+        feeds_self[self.row[mine & (self.kind == _IN)]] = True
+        fails = np.column_stack([
+            ~(self.plain & (d == want).all(axis=2)),
+            ~self.finite,
+            self._partition_bad(np.stack([q, nw], axis=1)),
+            ~has_ext,
+            has_ext & (ext_width <= 0),
+            feeds_self,
+            has_ext & (ext_width != ext_width[f]),
+        ])
+        rows = np.flatnonzero(fails.any(axis=1))
+        if not rows.size:
+            return None
+        r = int(rows[0])
+        return self._node_defect(r, int(np.argmax(fails[r])), n[r], m[r], q[r], nw[r])
+
+    def _partition_bad(self, widths: np.ndarray) -> np.ndarray:
+        """(rows, 2): whether each row's out-/in-block ranges fail to
+        partition 0..width (one lexsort over the block table)."""
+        order = np.lexsort((self.hi, self.lo, self.kind, self.row))
+        group = (self.row * 2 + self.kind)[order]
+        lo, hi = self.lo[order], self.hi[order]
+        new = np.ones(group.size, dtype=bool)
+        new[1:] = group[1:] != group[:-1]
+        cursor = np.where(new, 0, np.concatenate(([0], hi[:-1])))
+        bad = np.zeros(widths.size, dtype=bool)
+        bad[group[(lo != cursor) | (hi < lo)]] = True
+        covered = np.zeros(widths.size, dtype=np.int64)
+        last = np.ones(group.size, dtype=bool)
+        last[:-1] = new[1:]
+        covered[group[last]] = hi[last]
+        return (bad | (covered != widths.ravel())).reshape(-1, 2)
+
+    def _node_defect(self, r, check, n, m, q, nw) -> SimnetError:
+        sub, s, mode = self._locate(r)
+        i = sub.id
+        if check < 4:
+            name = _FAMILIES[check]
+            rows, cols = ((n, n), (n, m), (q, n), (n, nw))[check]
+            return DimensionMismatchError(
+                f"subsystem {i} mode {s}: {name} must be {rows}x{cols}, "
+                f"got {getattr(mode, name).shape}",
+                node=i, mode=s, matrix=name,
+            )
+        if check < 8:
+            name = _FAMILIES[check - 4]
+            return SchemaError(
+                f"subsystem {i} mode {s}: matrix {name} has non-finite entries",
+                node=i, mode=s, matrix=name,
+            )
+        if check == 8:
+            return _partition_defect(mode.out_blocks, int(q), i, s, "out_blocks")
+        if check == 9:
+            return _partition_defect(mode.in_blocks, int(nw), i, s, "in_blocks")
+        if check == 10:
+            return BlockPartitionError(
+                f"subsystem {i} mode {s}: out_blocks must key the external "
+                f"output block by the subsystem's own id",
+                node=i, mode=s,
+            )
+        if check == 11:
+            return BlockPartitionError(
+                f"subsystem {i} mode {s}: external output block must be nonempty",
+                node=i, mode=s,
+            )
+        if check == 12:
+            return WiringError(
+                f"subsystem {i} mode {s}: a subsystem may not feed itself", node=i, mode=s
+            )
+        lo, hi = mode.out_blocks[i]
+        lo0, hi0 = sub.external_range(0)
+        return BlockPartitionError(
+            f"subsystem {i} mode {s}: external output block is {hi - lo} wide, "
+            f"{hi0 - lo0} in mode 0 (its width is fixed across modes)",
+            node=i, mode=s,
+        )
+
+    # -- spec checks -------------------------------------------------------
+
+    def wire(self) -> "InterconnectionGraph":
+        """Check the layer as a network, in NetworkSpec's order (unique ids,
+        unknown peers, dangling edges and wiring widths, inverse wiring
+        entries) and return its union graph.  ``edges`` is then the
+        (source, destination) id array of the graph, sorted."""
+        ids, n_nodes = self.ids, len(self.ids)
+        order = np.argsort(ids, kind="stable")
+        sorted_ids = ids[order]
+        if (sorted_ids[1:] == sorted_ids[:-1]).any():
+            raise SchemaError("subsystem ids must be unique", ids=ids.tolist())
+        width = self.hi - self.lo
+        live_in = (self.kind == _IN) & (width > 0)
+        live_out = (self.kind == _OUT) & (width > 0) & (self.peer != ids[self.owner])
+        rank = np.minimum(np.searchsorted(sorted_ids, self.peer), max(n_nodes - 1, 0))
+        known = sorted_ids[rank] == self.peer if n_nodes else np.zeros(self.peer.size, bool)
+        unknown = np.flatnonzero((live_in | live_out) & ~known)
+        if unknown.size:
+            b = unknown[np.lexsort((self.peer[unknown], self.kind[unknown] == _OUT,
+                                    self.owner[unknown]))[0]]
+            node, peer = int(ids[self.owner[b]]), int(self.peer[b])
+            raise WiringError(
+                f"subsystem {node} references unknown peer {peer}", node=node, peer=peer
+            )
+        peer_pos = order[rank]
+        ins, outs = np.flatnonzero(live_in), np.flatnonzero(live_out)
+        # (source, reader) position pairs: an in-block's peer is its source,
+        # an out-block's owner is
+        in_key = peer_pos[ins] * n_nodes + self.owner[ins]
+        out_key = self.owner[outs] * n_nodes + peer_pos[outs]
+        o = np.argsort(out_key, kind="stable")
+        out_key, out_width = out_key[o], width[outs][o]
+        new = np.ones(out_key.size, dtype=bool)
+        new[1:] = out_key[1:] != out_key[:-1]
+        start = np.flatnonzero(new)
+        pairs = out_key[start]
+        if pairs.size:
+            narrow = np.minimum.reduceat(out_width, start)
+            wide = np.maximum.reduceat(out_width, start)
+            at = np.minimum(np.searchsorted(pairs, in_key), pairs.size - 1)
+            found = pairs[at] == in_key
+            fine = found & (narrow[at] == width[ins]) & (wide[at] == width[ins])
+        else:
+            found = fine = np.zeros(ins.size, dtype=bool)
+        bad = np.flatnonzero(~fine)
+        if bad.size:
+            raise self._wiring_defect(int(ins[bad[0]]), bool(found[bad[0]]))
+        lonely = pairs[~np.isin(pairs, in_key)]
+        if lonely.size:
+            src, dst = lonely // n_nodes, lonely % n_nodes
+            b = np.lexsort((ids[dst], src))[0]
+            j, i = int(ids[src[b]]), int(ids[dst[b]])
+            raise WiringError(
+                f"wiring inconsistency: edge {j}->{i} lacks the inverse in-neighbor entry",
+                src=j, dst=i,
+            )
+        src_id, dst_id = ids[pairs // n_nodes], ids[pairs % n_nodes]
+        by_edge = np.lexsort((dst_id, src_id))
+        self.edges = np.stack([src_id[by_edge], dst_id[by_edge]], axis=1)
+        nodes = ids.tolist()
+
+        def neighbors(pos, other):
+            o = np.lexsort((other, pos))
+            vals = other[o].tolist()
+            bounds = np.concatenate(
+                ([0], np.cumsum(np.bincount(pos, minlength=n_nodes)))
+            ).tolist()
+            return {i: tuple(vals[bounds[p]:bounds[p + 1]]) for p, i in enumerate(nodes)}
+
+        return _view(
+            InterconnectionGraph,
+            nodes=tuple(nodes),
+            in_neighbors=neighbors(pairs % n_nodes, src_id),
+            out_neighbors=neighbors(pairs // n_nodes, dst_id),
+        )
+
+    def _wiring_defect(self, b: int, found: bool) -> WiringError:
+        sub, s, mode = self._locate(int(self.row[b]))
+        j = int(self.peer[b])
+        if not found:
+            return WiringError(
+                f"dangling edge: subsystem {sub.id} mode {s} expects input "
+                f"from {j}, but {j} never outputs to {sub.id}",
+                src=j, dst=sub.id, mode=s,
+            )
+        lo, hi = mode.in_blocks[j]
+        src = self.subsystems[int(np.flatnonzero(self.ids == j)[0])]
+        widths = [
+            r[1] - r[0]
+            for sm in src.modes
+            if (r := sm.out_blocks.get(sub.id)) is not None and r[1] > r[0]
+        ]
+        return WiringError(
+            f"edge {j}->{sub.id}: in-block width {hi - lo} does not "
+            f"match the source output block width",
+            src=j, dst=sub.id, width_in=hi - lo, widths_out=widths,
+        )
+
+    def align(self, abstract: "_Layer") -> None:
+        """Check that ``abstract`` abstracts this layer node by node: same
+        ids, mode counts and output widths, and equal block maps per mode.
+        The layers are compared as whole columns; only a mismatch is then
+        located node by node, to raise what the first node gets wrong."""
+        if len(abstract.ids) != len(self.ids):
+            raise SchemaError(
+                "abstract subsystem list must align with the concrete list",
+                concrete=len(self.ids), abstract=len(abstract.ids),
+            )
+        if (
+            np.array_equal(self.ids, abstract.ids)
+            and np.array_equal(self.first, abstract.first)
+            and np.array_equal(self.dims[self.first[:-1], 2, 0],
+                               abstract.dims[abstract.first[:-1], 2, 0])
+            and np.array_equal(self._blocks(), abstract._blocks())
+        ):
+            return
+        for conc, abst in zip(self.subsystems, abstract.subsystems):
+            if conc.id != abst.id:
+                raise SchemaError(
+                    f"abstract subsystem id {abst.id} does not match concrete {conc.id}",
+                    concrete=conc.id, abstract=abst.id,
                 )
-            if mode.B.shape != (n, m):
+            if conc.n_modes != abst.n_modes:
                 raise DimensionMismatchError(
-                    f"subsystem {i} mode {s}: B must be {n}x{m}, got {mode.B.shape}",
-                    node=i, mode=s, matrix="B",
+                    f"subsystem {conc.id}: abstract mode count {abst.n_modes} "
+                    f"differs from concrete {conc.n_modes}",
+                    node=conc.id,
                 )
-            if mode.C.shape != (q, n):
+            if conc.q != abst.q:
                 raise DimensionMismatchError(
-                    f"subsystem {i} mode {s}: C must be {q}x{n}, got {mode.C.shape}",
-                    node=i, mode=s, matrix="C",
+                    f"subsystem {conc.id}: abstract output width {abst.q} differs "
+                    f"from concrete {conc.q} (identical output spaces required)",
+                    node=conc.id, q=conc.q, q_abstract=abst.q,
                 )
-            if mode.D.shape != (n, nw):
-                raise DimensionMismatchError(
-                    f"subsystem {i} mode {s}: D must be {n}x{nw}, got {mode.D.shape}",
-                    node=i, mode=s, matrix="D",
-                )
-            for name in ("A", "B", "C", "D"):
-                if not np.all(np.isfinite(getattr(mode, name))):
-                    raise SchemaError(
-                        f"subsystem {i} mode {s}: matrix {name} has non-finite entries",
-                        node=i, mode=s, matrix=name,
+            for s, (cm, am) in enumerate(zip(conc.modes, abst.modes)):
+                if cm.out_blocks != am.out_blocks or cm.in_blocks != am.in_blocks:
+                    raise WiringError(
+                        f"subsystem {conc.id} mode {s}: abstract block maps must "
+                        f"match the concrete wiring",
+                        node=conc.id, mode=s,
                     )
-            _check_partition(mode.out_blocks, q, i, s, "out_blocks")
-            _check_partition(mode.in_blocks, nw, i, s, "in_blocks")
-            if i not in mode.out_blocks:
-                raise BlockPartitionError(
-                    f"subsystem {i} mode {s}: out_blocks must key the external "
-                    f"output block by the subsystem's own id",
-                    node=i, mode=s,
-                )
-            lo, hi = mode.out_blocks[i]
-            if hi <= lo:
-                raise BlockPartitionError(
-                    f"subsystem {i} mode {s}: external output block must be nonempty",
-                    node=i, mode=s,
-                )
-            if i in mode.in_blocks:
-                raise WiringError(
-                    f"subsystem {i} mode {s}: a subsystem may not feed itself",
-                    node=i, mode=s,
-                )
-            lo0, hi0 = self.external_range(0)
-            if hi - lo != hi0 - lo0:
-                raise BlockPartitionError(
-                    f"subsystem {i} mode {s}: external output block is {hi - lo} wide, "
-                    f"{hi0 - lo0} in mode 0 (its width is fixed across modes)",
-                    node=i, mode=s,
-                )
+
+    def _blocks(self) -> np.ndarray:
+        """The block table sorted by (row, kind, peer): equal for two layers
+        iff every row has equal block maps (ids are unique per map)."""
+        table = np.stack([self.row, self.kind, self.peer, self.lo, self.hi], axis=1)
+        return table[np.lexsort((self.peer, self.kind, self.row))]
 
 
-def _check_partition(blocks: BlockMap, width: int, node: int, mode: int, kind: str):
-    ranges = sorted((lo, hi) for lo, hi in blocks.values())
+def _partition_defect(blocks: BlockMap, width: int, node: int, mode: int, kind: str):
+    """The BlockPartitionError of one mode's block map that fails to
+    partition 0..width: the first gap or overlap, else the coverage."""
     cursor = 0
-    for lo, hi in ranges:
+    for lo, hi in sorted((lo, hi) for lo, hi in blocks.values()):
         if lo != cursor or hi < lo:
-            raise BlockPartitionError(
+            return BlockPartitionError(
                 f"subsystem {node} mode {mode}: {kind} ranges leave a gap or overlap "
                 f"at index {cursor}",
                 node=node, mode=mode, kind=kind, index=cursor,
             )
         cursor = hi
-    if cursor != width:
-        raise BlockPartitionError(
-            f"subsystem {node} mode {mode}: {kind} ranges cover {cursor} of {width} indices",
-            node=node, mode=mode, kind=kind, covered=cursor, width=width,
-        )
+    return BlockPartitionError(
+        f"subsystem {node} mode {mode}: {kind} ranges cover {cursor} of {width} indices",
+        node=node, mode=mode, kind=kind, covered=cursor, width=width,
+    )
 
 
 @dataclass(frozen=True)
@@ -238,35 +662,47 @@ class SwitchingSignal:
     """Per-subsystem mode schedules sigma_i : k -> mode index.
 
     Either an explicit table over a horizon or a periodic rule; switching may
-    be asynchronous across subsystems.
+    be asynchronous across subsystems.  The built-in schedules read every
+    node's mode at a step from one array; a signal built from a callable
+    calls it per node.
     """
 
     def __init__(self, n_nodes: int, fn, horizon: int | None):
         self._n = n_nodes
         self._fn = fn
         self.horizon = horizon
+        self._at = None  # k -> every node's mode, for the built-in schedules
 
     @property
     def n_nodes(self) -> int:
         return self._n
 
-    def mode(self, node_pos: int, k: int) -> int:
+    def _check(self, k: int) -> None:
         if self.horizon is not None and k >= self.horizon:
             raise DimensionMismatchError(
                 f"switching horizon {self.horizon} does not cover step {k}",
                 step=k, horizon=self.horizon,
             )
+
+    def mode(self, node_pos: int, k: int) -> int:
+        self._check(k)
         return self._fn(node_pos, k)
 
     def modes_at(self, k: int) -> list[int]:
-        return [self.mode(i, k) for i in range(self._n)]
+        self._check(k)
+        if self._at is not None:
+            return self._at(k)
+        return [self._fn(i, k) for i in range(self._n)]
 
     @classmethod
     def from_table(cls, table: list[list[int]]) -> "SwitchingSignal":
         rows = [list(map(int, row)) for row in table]
         if not rows or any(len(r) != len(rows[0]) for r in rows):
             raise SchemaError("switching table rows must be nonempty and equal length")
-        return cls(len(rows), lambda i, k: rows[i][k], len(rows[0]))
+        sig = cls(len(rows), lambda i, k: rows[i][k], len(rows[0]))
+        columns = np.array(rows, dtype=np.int64)
+        sig._at = lambda k: columns[:, k].tolist()
+        return sig
 
     @classmethod
     def periodic(cls, schedules: list[list[int]], period: int) -> "SwitchingSignal":
@@ -275,9 +711,12 @@ class SwitchingSignal:
         rows = [list(map(int, row)) for row in schedules]
         if not rows or any(not r for r in rows):
             raise SchemaError("each periodic schedule must be nonempty")
-        return cls(
-            len(rows), lambda i, k: rows[i][(k // period) % len(rows[i])], None
-        )
+        sig = cls(len(rows), lambda i, k: rows[i][(k // period) % len(rows[i])], None)
+        lengths = np.array([len(r) for r in rows], dtype=np.int64)
+        start = np.concatenate(([0], np.cumsum(lengths)[:-1]))
+        flat = np.concatenate([np.array(r, dtype=np.int64) for r in rows])
+        sig._at = lambda k: flat[start + (k // period) % lengths].tolist()
+        return sig
 
     @classmethod
     def synchronized(cls, n_nodes: int, schedule: list[int], period: int) -> "SwitchingSignal":
@@ -286,7 +725,9 @@ class SwitchingSignal:
 
     @classmethod
     def constant(cls, n_nodes: int, mode: int = 0) -> "SwitchingSignal":
-        return cls(n_nodes, lambda i, k: mode, None)
+        sig = cls(n_nodes, lambda i, k: mode, None)
+        sig._at = lambda k: [mode] * n_nodes
+        return sig
 
 
 class NetworkSpec:
@@ -297,15 +738,16 @@ class NetworkSpec:
         self.abstract_subsystems = (
             tuple(abstract_subsystems) if abstract_subsystems else None
         )
-        ids = [s.id for s in self.subsystems]
-        if len(set(ids)) != len(ids):
-            raise SchemaError("subsystem ids must be unique", ids=ids)
-        self.index = {s.id: pos for pos, s in enumerate(self.subsystems)}
-        self._validate_peers()
-        self._validate_wiring()  # precise dangling-edge/width diagnostics first
-        self.graph = self._build_graph()
+        self._layer = _Layer.of(self.subsystems)
+        self._layer.check_nodes()
+        self._abstract_layer = None
         if self.abstract_subsystems is not None:
-            self._validate_abstraction()
+            self._abstract_layer = _Layer.of(self.abstract_subsystems)
+            self._abstract_layer.check_nodes()
+        self.graph = self._layer.wire()
+        self.index = dict(zip(self.graph.nodes, range(len(self.subsystems))))
+        if self._abstract_layer is not None:
+            self._layer.align(self._abstract_layer)
         self._abstract_view = None
 
     @property
@@ -318,13 +760,24 @@ class NetworkSpec:
     def abstract_view(self) -> "NetworkSpec":
         """The abstract network as a spec in its own right (same wiring).
 
-        Built and validated on the first call; specs are immutable, so later
+        Built on the first call from the abstract layer the spec validated:
+        its block maps equal the concrete ones mode by mode, so the graph and
+        the wiring checks carry over unchanged.  Specs are immutable, so later
         calls return the same view.
         """
         if self.abstract_subsystems is None:
             raise SchemaError("network declares no abstract subsystems")
         if self._abstract_view is None:
-            self._abstract_view = NetworkSpec(self.abstract_subsystems)
+            self._abstract_view = _view(
+                NetworkSpec,
+                subsystems=self.abstract_subsystems,
+                abstract_subsystems=None,
+                graph=self.graph,
+                index=self.index,
+                _layer=self._abstract_layer,
+                _abstract_layer=None,
+                _abstract_view=None,
+            )
         return self._abstract_view
 
     @cached_property
@@ -332,80 +785,6 @@ class NetworkSpec:
         """The spec compiled for evaluation, on first use: loading and
         validating a spec never pay for it."""
         return NetworkEngine(self)
-
-    def _validate_peers(self):
-        known = set(self.index)
-        for sub in self.subsystems:
-            for j in sub.union_in_neighbors() + sub.union_out_neighbors():
-                if j not in known:
-                    raise WiringError(
-                        f"subsystem {sub.id} references unknown peer {j}",
-                        node=sub.id, peer=j,
-                    )
-
-    def _build_graph(self) -> InterconnectionGraph:
-        in_n = {sub.id: sub.union_in_neighbors() for sub in self.subsystems}
-        out_n = {sub.id: sub.union_out_neighbors() for sub in self.subsystems}
-        return InterconnectionGraph(tuple(s.id for s in self.subsystems), in_n, out_n)
-
-    def _validate_wiring(self):
-        # every in-block must find at least one producing mode on the source,
-        # and all coexisting widths must agree
-        for sub in self.subsystems:
-            for s, mode in enumerate(sub.modes):
-                for j, (lo, hi) in mode.in_blocks.items():
-                    if hi <= lo:
-                        continue
-                    src = self.subsystem(j)
-                    widths = [
-                        r[1] - r[0]
-                        for sm in src.modes
-                        if (r := sm.out_blocks.get(sub.id)) is not None and r[1] > r[0]
-                    ]
-                    if not widths:
-                        raise WiringError(
-                            f"dangling edge: subsystem {sub.id} mode {s} expects input "
-                            f"from {j}, but {j} never outputs to {sub.id}",
-                            src=j, dst=sub.id, mode=s,
-                        )
-                    if any(w != hi - lo for w in widths):
-                        raise WiringError(
-                            f"edge {j}->{sub.id}: in-block width {hi - lo} does not "
-                            f"match the source output block width",
-                            src=j, dst=sub.id, width_in=hi - lo, widths_out=widths,
-                        )
-
-    def _validate_abstraction(self):
-        if len(self.abstract_subsystems) != len(self.subsystems):
-            raise SchemaError(
-                "abstract subsystem list must align with the concrete list",
-                concrete=len(self.subsystems), abstract=len(self.abstract_subsystems),
-            )
-        for conc, abst in zip(self.subsystems, self.abstract_subsystems):
-            if conc.id != abst.id:
-                raise SchemaError(
-                    f"abstract subsystem id {abst.id} does not match concrete {conc.id}",
-                    concrete=conc.id, abstract=abst.id,
-                )
-            if conc.n_modes != abst.n_modes:
-                raise DimensionMismatchError(
-                    f"subsystem {conc.id}: abstract mode count {abst.n_modes} "
-                    f"differs from concrete {conc.n_modes}",
-                    node=conc.id,
-                )
-            if conc.q != abst.q:
-                raise DimensionMismatchError(
-                    f"subsystem {conc.id}: abstract output width {abst.q} differs "
-                    f"from concrete {conc.q} (identical output spaces required)",
-                    node=conc.id, q=conc.q, q_abstract=abst.q,
-                )
-            for s, (cm, am) in enumerate(zip(conc.modes, abst.modes)):
-                if cm.out_blocks != am.out_blocks or cm.in_blocks != am.in_blocks:
-                    raise WiringError(
-                        f"subsystem {conc.id} mode {s}: abstract block maps must "
-                        f"match the concrete wiring",
-                        node=conc.id, mode=s,
-                    )
 
 
 @dataclass(frozen=True)
@@ -616,15 +995,40 @@ class NetworkEngine:
 
 def load_network(path) -> NetworkSpec:
     """Load and validate a network file (schema ``simnet-v1``)."""
+    with _paused_gc():
+        return parse_network(_read_json(path))
+
+
+@contextmanager
+def _paused_gc():
+    """Hold the cyclic garbage collector for the duration of an ingest.
+
+    Decoding and parsing allocate hundreds of thousands of objects and no
+    reference cycles; every collection in between would traverse the whole
+    decoded tree again (a third of ``json.load``'s time on a 2 MB file).
+    Collection resumes afterwards if it was enabled before.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _read_json(path):
+    """The decoded JSON file, a SchemaError if it is not valid JSON."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            data = json.load(fh)
+            return json.load(fh)
         except json.JSONDecodeError as exc:
             raise SchemaError(f"not valid JSON: {exc}", path=str(path)) from exc
-    return parse_network(data)
 
 
 def parse_network(data) -> NetworkSpec:
+    """The validated spec of a decoded network file: each layer parsed by
+    ``_parse_layer``, then the spec checks and the declared edges."""
     if not isinstance(data, dict):
         raise SchemaError("network file must be a JSON object")
     if data.get("schema") != SCHEMA_NETWORK:
@@ -634,12 +1038,27 @@ def parse_network(data) -> NetworkSpec:
         )
     if "subsystems" not in data or not isinstance(data["subsystems"], list):
         raise SchemaError("network file must declare a 'subsystems' array")
-    subs = [_parse_subsystem(entry) for entry in data["subsystems"]]
+    subs = _parse_layer(data["subsystems"])
     abstract = None
     if data.get("abstract_subsystems") is not None:
-        abstract = [_parse_subsystem(e) for e in data["abstract_subsystems"]]
+        abstract = _parse_layer(data["abstract_subsystems"])
     spec = NetworkSpec(subs, abstract)
-    declared = {tuple(map(int, e)) for e in data.get("edges", [])}
+    edges = data.get("edges", [])
+    try:
+        declared = np.array(edges)
+    except ValueError:
+        declared = None
+    if (
+        declared is not None
+        and declared.dtype.kind == "i"
+        and declared.shape[1:] == (2,)
+        and np.array_equal(np.unique(declared, axis=0), spec._layer.edges)
+    ):
+        return spec
+    try:
+        declared = {tuple(map(_file_id, e)) for e in edges}
+    except (TypeError, ValueError) as exc:
+        raise SchemaError("'edges' must be an array of [source, destination] id pairs") from exc
     derived = set(spec.graph.edges)
     if declared != derived:
         extra = sorted(declared - derived)
@@ -652,7 +1071,132 @@ def parse_network(data) -> NetworkSpec:
     return spec
 
 
-def _parse_matrix(obj, node, mode, name) -> np.ndarray:
+def _file_id(value) -> int:
+    """An id read from a file: an integer, an integral float or an integer
+    string within int64.  ValueError or TypeError otherwise, booleans too."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError(f"{value!r} is not an integer")
+    value = int(value)
+    if not -(2**63) <= value < 2**63:
+        raise ValueError(f"{value} is out of range")
+    return value
+
+
+def _parse_layer(entries) -> tuple[SwitchedLinearSubsystem, ...]:
+    """The subsystems of one layer's decoded entries, as views into the
+    layer's matrix stacks, node-checked in one pass.
+
+    The walk stops at the first malformed entry; matrices are converted and
+    block bounds type-checked after it, all at once.  The first defect in
+    file order is raised: a malformed part of a node comes after the checks
+    of the nodes before it and before the node's own checks.  Positions are
+    (row, slot): slots 0-3 are a row's A-D, 4 and 5 its out- and in-blocks,
+    -1 the entry before them.
+    """
+    try:
+        entries = list(entries)
+    except TypeError as exc:
+        raise SchemaError("'abstract_subsystems' must be an array") from exc
+    ids, counts, raw, blocks, maps = [], [], [], [], []
+    malformed = None
+    try:
+        for pos, entry in enumerate(entries):
+            if not isinstance(entry, dict) or "id" not in entry:
+                raise SchemaError("each subsystem must be an object with an 'id'")
+            try:
+                node = _file_id(entry["id"])
+            except (TypeError, ValueError) as exc:
+                raise SchemaError(
+                    f"subsystem at position {pos}: id {entry['id']!r} is not an integer",
+                    position=pos, id=entry["id"],
+                ) from exc
+            modes_raw = entry.get("modes")
+            if not isinstance(modes_raw, list) or not modes_raw:
+                raise SchemaError(
+                    f"subsystem {node} must declare a nonempty 'modes' array", node=node
+                )
+            default_out = entry.get("out_blocks")
+            default_in = entry.get("in_blocks")
+            for s, mraw in enumerate(modes_raw):
+                if not isinstance(mraw, dict):
+                    raise SchemaError(
+                        f"subsystem {node} mode {s} must be an object", node=node, mode=s
+                    )
+                try:
+                    mats = (mraw["A"], mraw["B"], mraw["C"], mraw["D"])
+                except KeyError:
+                    missing = [k for k in _FAMILIES if k not in mraw]
+                    raise SchemaError(
+                        f"subsystem {node} mode {s} lacks matrices {missing}",
+                        node=node, mode=s, missing=missing,
+                    ) from None
+                out_raw = mraw.get("out_blocks", default_out)
+                in_raw = mraw.get("in_blocks", default_in)
+                if out_raw is None or in_raw is None:
+                    raise SchemaError(
+                        f"subsystem {node} mode {s}: out_blocks/in_blocks missing (neither "
+                        f"per-mode nor subsystem-level)",
+                        node=node, mode=s,
+                    )
+                raw.append(mats)
+                maps += (out_raw, in_raw)
+                blocks.append(_block_map(out_raw, node, s, "out_blocks"))
+                blocks.append(_block_map(in_raw, node, s, "in_blocks"))
+            ids.append(node)
+            counts.append(len(modes_raw))
+    except SchemaError as exc:
+        pending = 2 * len(raw) - len(blocks)  # block maps of the last row left unparsed
+        malformed = ((len(raw) - 1, 6 - pending) if pending else (len(raw), -1), exc)
+    families = [list(f) for f in zip(*raw)] or [[] for _ in _FAMILIES]
+    mats = _Matrices(families, _parse_matrix)
+    defects = [malformed] if malformed else []
+    if mats.any_bad():
+        bad = np.stack([mats.bad_of(f) for f in range(4)])
+        row = int(np.flatnonzero(bad.any(axis=0))[0])
+        defects.append(((row, int(np.argmax(bad[:, row]))), None))
+    if _bound_types(blocks) - {int}:  # booleans and floats unpack like ints
+        first = next(b for b, m in enumerate(blocks) if _bound_types([m]) - {int})
+        defects.append(((first // 2, 4 + first % 2), None))
+    row = len(raw)
+    if defects:
+        (row, slot), error = min(defects, key=lambda d: d[0])
+        keep = bisect.bisect_right(np.cumsum(counts).tolist(), row)
+        if error is None:  # at a row of node ``keep``, complete or the last walked
+            at, mode = (ids + [node])[keep], row - sum(counts[:keep])
+            if slot < 4:
+                try:
+                    _parse_matrix(raw[row][slot], at, mode, _FAMILIES[slot])
+                except SchemaError as exc:
+                    error = exc
+            else:
+                error = _block_defect(maps[2 * row + slot - 4], at, mode, _KINDS[slot - 4])
+        ids, counts = ids[:keep], counts[:keep]
+        malformed = error
+        row = sum(counts)
+    arrays = [iter(f) for f in mats.arrays] or [iter(())] * 4
+    outs, ins = blocks[0:2 * row:2], blocks[1:2 * row:2]
+    modes = [
+        _view(Mode, A=a, B=b, C=c, D=d, out_blocks=o, in_blocks=i)
+        for a, b, c, d, o, i in zip(*arrays, outs, ins)
+    ]
+    subs, start = [], 0
+    for node, count in zip(ids, counts):
+        subs.append(_view(SwitchedLinearSubsystem, id=node, modes=tuple(modes[start:start + count])))
+        start += count
+    subs = tuple(subs)
+    layer = _Layer(subs, mats)
+    if malformed is not None:
+        _raise(layer.node_defect())
+        raise malformed
+    layer.check_nodes()
+    return subs
+
+
+def _bound_types(blocks) -> set:
+    return set(map(type, chain.from_iterable(chain.from_iterable(m.values() for m in blocks))))
+
+
+def _parse_matrix(obj, node=None, mode=None, name=None) -> np.ndarray:
     if not isinstance(obj, list) or not all(isinstance(r, list) for r in obj):
         raise SchemaError(
             f"subsystem {node} mode {mode}: matrix {name} must be an array of row arrays",
@@ -676,72 +1220,40 @@ def _parse_matrix(obj, node, mode, name) -> np.ndarray:
     return a
 
 
-def _parse_blocks(obj, node, mode, kind) -> BlockMap:
+_KINDS = ("out_blocks", "in_blocks")
+
+
+def _block_map(obj, node, mode, kind) -> BlockMap:
+    """A decoded block map with integer ids; its bounds are type-checked
+    in bulk by the caller."""
+    try:
+        return {int(key): (lo, hi) for key, (lo, hi) in obj.items()}
+    except (AttributeError, TypeError, ValueError):
+        raise _block_defect(obj, node, mode, kind) from None
+
+
+def _block_defect(obj, node, mode, kind) -> SchemaError:
+    """The SchemaError of a malformed block map: not an object, or its
+    first entry without an integer id or an integer pair."""
     if not isinstance(obj, dict):
-        raise SchemaError(
+        return SchemaError(
             f"subsystem {node}: {kind} must be an object of id -> [start, stop]",
             node=node, kind=kind,
         )
-    blocks: BlockMap = {}
     for key, rng in obj.items():
         try:
-            peer = int(key)
-        except ValueError as exc:
-            raise SchemaError(
+            _file_id(key)
+        except ValueError:
+            return SchemaError(
                 f"subsystem {node}: {kind} key '{key}' is not an integer id",
                 node=node, kind=kind,
-            ) from exc
-        if (
-            not isinstance(rng, list)
-            or len(rng) != 2
-            or not all(isinstance(v, int) for v in rng)
-        ):
-            raise SchemaError(
+            )
+        if type(rng) is not list or len(rng) != 2 or type(rng[0]) is not int or type(rng[1]) is not int:
+            return SchemaError(
                 f"subsystem {node}: {kind}[{key}] must be an integer pair [start, stop]",
                 node=node, kind=kind, key=key,
             )
-        blocks[peer] = (rng[0], rng[1])
-    return blocks
-
-
-def _parse_subsystem(entry) -> SwitchedLinearSubsystem:
-    if not isinstance(entry, dict) or "id" not in entry:
-        raise SchemaError("each subsystem must be an object with an 'id'")
-    node = int(entry["id"])
-    modes_raw = entry.get("modes")
-    if not isinstance(modes_raw, list) or not modes_raw:
-        raise SchemaError(f"subsystem {node} must declare a nonempty 'modes' array", node=node)
-    default_out = entry.get("out_blocks")
-    default_in = entry.get("in_blocks")
-    modes = []
-    for s, mraw in enumerate(modes_raw):
-        if not isinstance(mraw, dict):
-            raise SchemaError(f"subsystem {node} mode {s} must be an object", node=node, mode=s)
-        missing = [k for k in ("A", "B", "C", "D") if k not in mraw]
-        if missing:
-            raise SchemaError(
-                f"subsystem {node} mode {s} lacks matrices {missing}",
-                node=node, mode=s, missing=missing,
-            )
-        out_raw = mraw.get("out_blocks", default_out)
-        in_raw = mraw.get("in_blocks", default_in)
-        if out_raw is None or in_raw is None:
-            raise SchemaError(
-                f"subsystem {node} mode {s}: out_blocks/in_blocks missing (neither "
-                f"per-mode nor subsystem-level)",
-                node=node, mode=s,
-            )
-        modes.append(
-            Mode(
-                A=_parse_matrix(mraw["A"], node, s, "A"),
-                B=_parse_matrix(mraw["B"], node, s, "B"),
-                C=_parse_matrix(mraw["C"], node, s, "C"),
-                D=_parse_matrix(mraw["D"], node, s, "D"),
-                out_blocks=_parse_blocks(out_raw, node, s, "out_blocks"),
-                in_blocks=_parse_blocks(in_raw, node, s, "in_blocks"),
-            )
-        )
-    return SwitchedLinearSubsystem(node, modes)
+    raise AssertionError("block map has no malformed entry")
 
 
 def network_to_json(spec: NetworkSpec) -> dict:
