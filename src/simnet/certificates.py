@@ -20,12 +20,12 @@ walks the decoded entries once (an integral id, mode keys that are
 integers, every field present), converts each matrix family (M, K, P, Q,
 R, T) with one ``np.array`` call per shape and checks all certificates
 together, in this order per certificate: the matrices numeric and M
-square; kappa a number and transitions mode pairs; every entry finite
-(NaN and infinities are rejected, naming the node, mode and matrix);
-kappa in (0, 1); P's rows; per mode M's dimension, M positive
-semidefinite (one stacked ``eigvalsh`` per M dimension, lambda_min >=
--1e-8 (1 + max |eigenvalue|)), the shapes of K, Q, R and T; the
-transitions within the modes.  The first defect of the first defective
+square; kappa a number and transitions mode pairs; kappa in (0, 1); P's
+rows; per mode M's dimension, M positive semidefinite (one stacked
+``eigvalsh`` per M dimension, lambda_min >= -1e-8 (1 + max
+|eigenvalue|)), the shapes of K, Q, R and T; the transitions within the
+modes; every entry finite (NaN and infinities are rejected, naming the
+node, mode and matrix).  The first defect of the first defective
 certificate in file order is raised.  A ``LocalCertificate`` built from
 arrays goes through the same checks; loaded ones are read-only views into
 the stacks.  The obligations decide with comparisons that fail when a
@@ -69,7 +69,7 @@ from .network import (
     SwitchedLinearSubsystem,
     TaggedEntries,
     _check_subsystems,
-    _file_id,
+    _integral,
     _Matrices,
     _paused_gc,
     _read_json,
@@ -151,10 +151,12 @@ def _certificates(raws) -> list[LocalCertificate]:
     decided positive semidefinite with one stacked ``eigvalsh``.  The
     certificates hold views into these stacks.  Checks per certificate, in
     order: each matrix numeric and M square (in file order: M, K, P, Q, R,
-    T); kappa a number; transitions mode pairs; every matrix finite; kappa
-    in (0, 1); P's rows; per mode M's dimension, M positive semidefinite,
-    the shapes of K, Q, R and T; transitions within the modes.  The first
-    defect of the first defective certificate is raised.
+    T); kappa a number; transitions mode pairs; kappa in (0, 1); P's rows;
+    per mode M's dimension, M positive semidefinite, the shapes of K, Q, R
+    and T; transitions within the modes; every matrix finite (last, so
+    that every defect found before non-finite entries were rejected is
+    still the one reported).  The first defect of the first defective
+    certificate is raised.
     """
     n_certs = len(raws)
     r = [len(raw[1]) for raw in raws]
@@ -210,7 +212,6 @@ def _certificates(raws) -> list[LocalCertificate]:
     ])
     checks = [  # per certificate
         scalar,
-        nonfinite,
         not all(0.0 < k < 1.0 for k in kappas) and ~((0.0 < rates) & (rates < 1.0)),
         extent(2, 0) != n,
         any(map(_any, per_mode)) and _owners(functools.reduce(operator.or_, per_mode),
@@ -219,6 +220,7 @@ def _certificates(raws) -> list[LocalCertificate]:
             pairs is not None and any(not (0 <= s < k and 0 <= s2 < k) for s, s2 in pairs)
             for pairs, k in zip(transitions, r)
         ]),
+        nonfinite,
     ]
     if any(map(_any, checks)):
         bad = functools.reduce(operator.or_, checks)
@@ -325,22 +327,12 @@ def _defect(raw, check, kappa, transitions, mats, c, lo, hi, per_mode, lam_min, 
             f"{_where(node)}: transitions must be [current, next] mode pairs", node=node
         )
     if check == 1:
-        for f, name in enumerate(_CERT_FAMILIES):
-            a, b = (c, c + 1) if name == "P" else (lo, hi)
-            rows = np.flatnonzero(~mats.finite_of(f)[a:b])
-            if rows.size:
-                s = None if name == "P" else int(rows[0])
-                return SchemaError(
-                    f"{_where(node, s)}: matrix {name} has non-finite entries",
-                    node=node, mode=s, matrix=name,
-                )
-    if check == 2:
         return CertificateError(f"kappa must lie in (0, 1), got {kappa}")
-    if check == 3:
+    if check == 2:
         return DimensionMismatchError(
             f"P must have {n} rows, got {mats.arrays[2][c].shape}", matrix="P"
         )
-    if check == 4:
+    if check == 3:
         s = int(np.flatnonzero(np.logical_or.reduce(per_mode))[0])
         which = next(k for k, col in enumerate(per_mode) if col[s])
         if which == 1:
@@ -359,11 +351,22 @@ def _defect(raw, check, kappa, transitions, mats, c, lo, hi, per_mode, lam_min, 
         return DimensionMismatchError(
             f"{name}[{s}] must have {m} rows and as many columns as {name}[0]", mode=s
         )
-    k = hi - lo
-    s, s2 = next(p for p in transitions if not (0 <= p[0] < k and 0 <= p[1] < k))
-    return CertificateError(
-        f"transition pair ({s}, {s2}) references an unknown mode", pair=(s, s2)
-    )
+    if check == 4:
+        k = hi - lo
+        s, s2 = next(p for p in transitions if not (0 <= p[0] < k and 0 <= p[1] < k))
+        return CertificateError(
+            f"transition pair ({s}, {s2}) references an unknown mode", pair=(s, s2)
+        )
+    for f, name in enumerate(_CERT_FAMILIES):
+        a, b = (c, c + 1) if name == "P" else (lo, hi)
+        rows = np.flatnonzero(~mats.finite_of(f)[a:b])
+        if rows.size:
+            s = None if name == "P" else int(rows[0])
+            return SchemaError(
+                f"{_where(node, s)}: matrix {name} has non-finite entries",
+                node=node, mode=s, matrix=name,
+            )
+    raise AssertionError("no failing check")
 
 
 _PSD_SLACK = 1e-8  # M's eigenvalues may reach -1e-8 (1 + max |eigenvalue|)
@@ -1180,7 +1183,7 @@ def _certificate_entry(pos: int, entry) -> tuple:
     if not isinstance(entry, dict) or "id" not in entry:
         raise SchemaError("certificate entries must carry an 'id'")
     try:
-        node = _file_id(entry["id"])
+        node = _integral(entry["id"])
     except (TypeError, ValueError):
         raise SchemaError(
             f"certificate at position {pos}: id {entry['id']!r} is not an integer",

@@ -166,16 +166,28 @@ def _check_subsystems(subsystems) -> None:
         _Layer(fresh).check_nodes()
 
 
+_FAR = 2**62  # stands in for ids and bounds beyond int64: no node has it, no partition reaches it
+
+
+def _int64(values: list) -> np.ndarray:
+    """Integers as int64, those beyond +-2**62 clipped to it (the checks
+    decide them alike, and messages read the block maps themselves)."""
+    arr = np.array(values)
+    if arr.dtype.kind == "O":
+        arr = np.array([min(max(v, -_FAR), _FAR) if type(v) is int else v for v in values])
+    if arr.size and arr.dtype.kind not in "iu":
+        raise SchemaError("block ids and ranges must be integers")
+    return arr.astype(np.int64, copy=False)
+
+
 def _key(obj):
-    """Shape key of a matrix: an array's shape; for a decoded list its
-    (rows, columns) judged by the first row, columns -1 if that is not a
-    list, and (0, 0) for ``[]``; None for anything else."""
+    """Shape key of a matrix: an array's shape; for a decoded list of
+    rows its (rows, columns) judged by the first row, columns -1 if that
+    is not a list; None for anything else (``[]`` included)."""
     if type(obj) is np.ndarray:
         return obj.shape
-    if type(obj) is not list:
+    if type(obj) is not list or not obj:
         return None
-    if not obj:
-        return (0, 0)
     return (len(obj), len(obj[0]) if type(obj[0]) is list else -1)
 
 
@@ -266,19 +278,13 @@ class _Matrices:
 
 def _stack(group, shape=None):
     """The read-only stack of ``group``, or None if its items do not
-    convert together to matrices of ``shape`` (any one shape if None)."""
+    convert together to matrices of ``shape`` (any one 2-d shape if None)."""
     try:
         stack = np.array(group, dtype=float)
     except (TypeError, ValueError):
         return None
-    if shape is None:
-        return _frozen(stack) if stack.ndim == 3 else None
-    want = (len(group), *shape)
-    if stack.shape != want:
-        if stack.size or -1 in shape:
-            return None
-        stack = stack.reshape(want)  # zero-column rows
-    return _frozen(stack)
+    fits = stack.ndim == 3 if shape is None else stack.shape[1:] == shape
+    return _frozen(stack) if fits else None
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -316,14 +322,9 @@ class _Layer:
         maps = [m for mode in modes for m in (mode.out_blocks, mode.in_blocks)]
         seg = np.repeat(np.arange(2 * len(modes)), [len(m) for m in maps])
         self.row, self.kind = seg >> 1, seg & 1
-        bounds = np.array(list(chain.from_iterable(chain.from_iterable(m.values() for m in maps))))
-        if bounds.size and bounds.dtype.kind not in "iu":
-            raise SchemaError("block ranges must be integer pairs [start, stop]")
-        try:
-            self.peer = np.array(list(chain.from_iterable(maps)), dtype=np.int64)
-            self.lo, self.hi = bounds.astype(np.int64).reshape(-1, 2).T
-        except OverflowError as exc:
-            raise SchemaError("block ids and ranges must fit in 64 bits") from exc
+        self.peer = _int64(list(chain.from_iterable(maps)))
+        bounds = _int64(list(chain.from_iterable(chain.from_iterable(m.values() for m in maps))))
+        self.lo, self.hi = bounds.reshape(-1, 2).T
         self.owner = self.node[self.row]
 
     @staticmethod
@@ -475,7 +476,7 @@ class _Layer:
         if unknown.size:
             b = unknown[np.lexsort((self.peer[unknown], self.kind[unknown] == _OUT,
                                     self.owner[unknown]))[0]]
-            node, peer = int(ids[self.owner[b]]), int(self.peer[b])
+            node, peer = int(ids[self.owner[b]]), self._peer_of(b)
             raise WiringError(
                 f"subsystem {node} references unknown peer {peer}", node=node, peer=peer
             )
@@ -530,6 +531,13 @@ class _Layer:
             in_neighbors=neighbors(pairs % n_nodes, src_id),
             out_neighbors=neighbors(pairs // n_nodes, dst_id),
         )
+
+    def _peer_of(self, b: int) -> int:
+        """The id block ``b`` names, as its block map holds it."""
+        _, _, mode = self._locate(int(self.row[b]))
+        blocks = mode.in_blocks if self.kind[b] == _IN else mode.out_blocks
+        group = self.row * 2 + self.kind
+        return list(blocks)[b - int(np.searchsorted(group, group[b]))]
 
     def _wiring_defect(self, b: int, found: bool) -> WiringError:
         sub, s, mode = self._locate(int(self.row[b]))
@@ -1056,7 +1064,7 @@ def parse_network(data) -> NetworkSpec:
     ):
         return spec
     try:
-        declared = {tuple(map(_file_id, e)) for e in edges}
+        declared = {tuple(map(_integral, e)) for e in edges}
     except (TypeError, ValueError) as exc:
         raise SchemaError("'edges' must be an array of [source, destination] id pairs") from exc
     derived = set(spec.graph.edges)
@@ -1071,12 +1079,17 @@ def parse_network(data) -> NetworkSpec:
     return spec
 
 
-def _file_id(value) -> int:
-    """An id read from a file: an integer, an integral float or an integer
-    string within int64.  ValueError or TypeError otherwise, booleans too."""
+def _integral(value) -> int:
+    """An integer read from a file: an int, an integral float or an integer
+    string.  ValueError or TypeError otherwise, booleans too."""
     if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
         raise ValueError(f"{value!r} is not an integer")
-    value = int(value)
+    return int(value)
+
+
+def _file_id(value) -> int:
+    """A subsystem id read from a file (see ``_integral``), within int64."""
+    value = _integral(value)
     if not -(2**63) <= value < 2**63:
         raise ValueError(f"{value} is out of range")
     return value
@@ -1242,7 +1255,7 @@ def _block_defect(obj, node, mode, kind) -> SchemaError:
         )
     for key, rng in obj.items():
         try:
-            _file_id(key)
+            _integral(key)
         except ValueError:
             return SchemaError(
                 f"subsystem {node}: {kind} key '{key}' is not an integer id",

@@ -79,6 +79,9 @@ NETWORK_CASES = {
     "block-map-not-object": lambda d: mode(d, 1, 1).__setitem__("out_blocks", [0, 1]),
     "block-key-not-integer": lambda d: mode(d, 1, 1)["out_blocks"].__setitem__("a", [2, 2]),
     "block-range-float": lambda d: mode(d, 1, 1)["out_blocks"].__setitem__("1", [0, 1.5]),
+    "block-range-huge": lambda d: mode(d, 1, 1)["out_blocks"].__setitem__("0", [1, 10**20]),
+    "unknown-peer-huge": lambda d: mode(d, 1, 1).__setitem__(
+        "out_blocks", {"1": [0, 1], str(10**20): [1, 2]}),
     "A-shape": lambda d: mode(d, 1, 1).__setitem__("A", [[1.0, 1.0, 0.0], [0.0, 1.0, 0.0]]),
     "B-shape": lambda d: mode(d, 1, 1).__setitem__("B", [[0.0, 0.0], [1.0, 0.0]]),
     "C-shape": lambda d: mode(d, 1, 1).__setitem__("C", [[0.0, 1.0, 0.0], [1.0, 0.0, 0.0]]),
@@ -158,6 +161,10 @@ CERTIFICATE_CASES = {
         d["certificates"][2]["M"]["0"][0].__setitem__(0, "x")),
     "two-defects-structure-first": lambda d: (
         d["certificates"][1].pop("T"), d["certificates"][2].__setitem__("kappa", 1.5)),
+    # non-finite entries (accepted before) come after every older check
+    "two-defects-non-finite-last": lambda d: (
+        d["certificates"][1]["T"]["0"][0].__setitem__(0, NAN),
+        d["certificates"][1]["Q"].__setitem__("1", [[1.0, 2.0]])),
 }
 
 
@@ -182,6 +189,8 @@ EXPECTED = {
     'load_network/block-map-not-object': ('SchemaError', 'subsystem 1: out_blocks must be an object of id -> [start, stop]', {'node': 1, 'kind': 'out_blocks'}),
     'load_network/block-key-not-integer': ('SchemaError', "subsystem 1: out_blocks key 'a' is not an integer id", {'node': 1, 'kind': 'out_blocks'}),
     'load_network/block-range-float': ('SchemaError', 'subsystem 1: out_blocks[1] must be an integer pair [start, stop]', {'node': 1, 'kind': 'out_blocks', 'key': '1'}),
+    'load_network/block-range-huge': ('BlockPartitionError', 'subsystem 1 mode 1: out_blocks ranges cover 100000000000000000000 of 2 indices', {'node': 1, 'mode': 1, 'kind': 'out_blocks', 'covered': 100000000000000000000, 'width': 2}),
+    'load_network/unknown-peer-huge': ('WiringError', 'subsystem 1 references unknown peer 100000000000000000000', {'node': 1, 'peer': 100000000000000000000}),
     'load_network/A-shape': ('DimensionMismatchError', 'subsystem 1 mode 1: A must be 2x2, got (2, 3)', {'node': 1, 'mode': 1, 'matrix': 'A'}),
     'load_network/B-shape': ('DimensionMismatchError', 'subsystem 1 mode 1: B must be 2x1, got (2, 2)', {'node': 1, 'mode': 1, 'matrix': 'B'}),
     'load_network/C-shape': ('DimensionMismatchError', 'subsystem 1 mode 1: C must be 2x2, got (2, 3)', {'node': 1, 'mode': 1, 'matrix': 'C'}),
@@ -239,6 +248,7 @@ EXPECTED = {
     'load_certificates/transitions-not-pairs': ('SchemaError', 'certificate for node 1: transitions must be [current, next] mode pairs', {'node': 1}),
     'load_certificates/two-defects-validation-first': ('DimensionMismatchError', 'K[1] must be 1x2', {'mode': 1}),
     'load_certificates/two-defects-structure-first': ('SchemaError', "certificate for node 1 lacks field 'T'", {'node': 1}),
+    'load_certificates/two-defects-non-finite-last': ('DimensionMismatchError', 'Q[1] must be 1x1', {'mode': 1}),
 }
 
 
