@@ -25,11 +25,13 @@ rows; per mode M's dimension, M positive semidefinite (one stacked
 ``eigvalsh`` per M dimension, lambda_min >= -1e-8 (1 + max
 |eigenvalue|)), the shapes of K, Q, R and T; the transitions within the
 modes; every entry finite (NaN and infinities are rejected, naming the
-node, mode and matrix).  The first defect of the first defective
-certificate in file order is raised.  A ``LocalCertificate`` built from
-arrays goes through the same checks; loaded ones are read-only views into
-the stacks.  The obligations decide with comparisons that fail when a
-residual or margin is NaN.
+node, mode and matrix).  The columns only flag: the first certificate
+flagged is checked again on its own (``_checked``), which raises its
+first defect, so the first defect of the first defective certificate in
+file order is raised.  ``LocalCertificate(...)`` runs ``_checked`` on its
+one certificate; loaded certificates are read-only views into the stacks.
+The obligations, the structural solve and the sampled oracle decide with
+comparisons that fail when a residual, margin or slack is NaN.
 
 All functions are pure; mode pairs and samples may be checked in parallel
 and reports aggregate order-independently (worst slack is a max).
@@ -37,10 +39,8 @@ and reports aggregate order-independently (worst slack is a max).
 
 from __future__ import annotations
 
-import functools
 import itertools
 import json
-import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -50,7 +50,6 @@ from .errors import (
     ConvergenceError,
     DimensionMismatchError,
     SchemaError,
-    SimnetError,
     StructuralInfeasibleError,
 )
 from .linalg import (
@@ -69,6 +68,7 @@ from .network import (
     SwitchedLinearSubsystem,
     TaggedEntries,
     _check_subsystems,
+    _extents,
     _integral,
     _Matrices,
     _paused_gc,
@@ -82,22 +82,23 @@ SCHEMA_CERTS = "simnet-certs-v1"
 class LocalCertificate:
     """Per-subsystem certificate data; immutable after construction.
 
-    Constructing one checks it with the same columnar checks that load a
-    certificate file (see ``_certificates``); loaded certificates are views
-    into the file's matrix stacks.
+    Constructing one checks it (see ``_checked``); certificates loaded from
+    a file are checked column by column instead (see ``_certificates``) and
+    are read-only views into the file's matrix stacks.
     """
 
     def __init__(self, M, K, P, Q, R, T, kappa, transitions=None, node_id=None):
-        M = [m.entries if isinstance(m, SymMatrix) else m for m in M]
-        K, Q, R, T = list(K), list(Q), list(R), list(T)
+        M, K, Q, R, T = list(M), list(K), list(Q), list(R), list(T)
         if not M:
             raise SchemaError(f"{_where(node_id)} declares no modes", node=node_id)
         if not (len(K) == len(Q) == len(R) == len(T) == len(M)):
             raise DimensionMismatchError(
                 "per-mode matrix families must all have the same length", modes=len(M)
             )
-        (cert,) = _certificates([(node_id, M, K, P, Q, R, T, kappa, transitions)])
-        self.__dict__.update(cert.__dict__)
+        (self.M, self.K, (self.P,), self.Q, self.R, self.T), self.kappa, self.transitions = (
+            _checked((node_id, M, K, P, Q, R, T, kappa, transitions))
+        )
+        self.node_id = node_id
 
     @property
     def n_modes(self) -> int:
@@ -140,99 +141,63 @@ def _where(node, mode=None) -> str:
     return head if mode is None else f"{head} mode {mode}"
 
 
+_PSD_SLACK = 1e-8  # M's eigenvalues may reach -1e-8 (1 + max |eigenvalue|)
+
+
 def _certificates(raws) -> list[LocalCertificate]:
     """Checked LocalCertificates from raw ``(node, M, K, P, Q, R, T, kappa,
     transitions)`` tuples, with at least one mode and every per-mode family
     as long as M; matrices as arrays or decoded lists.
 
-    Each family is converted with as few ``np.array`` calls as its shapes
-    allow (see ``_Matrices``) and checked column by column over all
-    (certificate, mode) rows; the M of each dimension are symmetrized and
-    decided positive semidefinite with one stacked ``eigvalsh``.  The
-    certificates hold views into these stacks.  Checks per certificate, in
-    order: each matrix numeric and M square (in file order: M, K, P, Q, R,
-    T); kappa a number; transitions mode pairs; kappa in (0, 1); P's rows;
-    per mode M's dimension, M positive semidefinite, the shapes of K, Q, R
-    and T; transitions within the modes; every matrix finite (last, so
-    that every defect found before non-finite entries were rejected is
-    still the one reported).  The first defect of the first defective
-    certificate is raised.
+    Each family is converted with one ``np.array`` call per shape (see
+    ``_Matrices``), and the checks of ``_checked`` run column by column
+    over all certificates and (certificate, mode) rows; the M of each
+    dimension are symmetrized and decided positive semidefinite with one
+    stacked ``eigvalsh``.  ``_checked`` then raises the first defect of the
+    first certificate flagged.  The certificates hold views into the
+    stacks.
     """
     n_certs = len(raws)
     r = [len(raw[1]) for raw in raws]
-    first = np.array([0, *itertools.accumulate(r)])
+    bounds = [0, *itertools.accumulate(r)]
+    heads = np.array(bounds[:-1], dtype=np.intp)
     row_cert = np.repeat(np.arange(n_certs), r)
     mats = _Matrices(
         [[m for raw in raws for m in raw[f]] if f != 3 else [raw[3] for raw in raws]
          for f in range(1, 7)],
         _as_matrix,
     )
-
-    def extent(f, j, at=None):
-        """Extent j of family f's matrices: one int when they share a shape,
-        else per matrix (at the items ``at``)."""
-        if mats.shapes[f] is not None:
-            return mats.shapes[f][j]
-        column = mats.dims[f][:, j]
-        return column if at is None else column[at]
-
-    def per_row(x):
-        return x[row_cert] if isinstance(x, np.ndarray) else x
+    dims, plain = mats.dims, mats.plain
+    side = dims[0][:, 0]
+    square = plain[0] & (side == dims[0][:, 1]) & (side >= 1)
+    n, m, nh = side[heads], dims[1][heads, 0], dims[2][:, 1]
+    n_r, m_r = n[row_cert], m[row_cert]
+    sym, lam_min, scale = _semidefinite(mats.arrays[0], np.where(square, side, 0), mats.finite[0])
 
     def misshaped(f, rows, cols):
-        if mats.shapes[f] is not None:
-            return (mats.shapes[f][0] != rows) | (mats.shapes[f][1] != cols)
-        dims = mats.dims[f]
-        return ~mats.plain[f] | (dims[:, 0] != rows) | (dims[:, 1] != cols)
+        return ~plain[f] | (dims[f][:, 0] != rows) | (dims[f][:, 1] != cols)
 
-    side = extent(0, 0)
-    not_square = (side != extent(0, 1)) | (side < 1)
-    if mats.shapes[0] is None:
-        not_square |= ~mats.plain[0]
-    if _any(not_square) or mats.any_bad():
-        raise _malformed(raws, mats, not_square, first)
-    kappas, transitions, scalar = _scalars(raws)
-
-    heads = first[:-1]
-    n, m, nh = extent(0, 0, heads), extent(1, 0, heads), extent(2, 1)
-    n_r, m_r = per_row(n), per_row(m)
-    sym, lam_min, scale = _semidefinite(mats, side)
-    per_mode = [  # M's dimension, M >= 0, K, Q, R, T shapes
-        side != n_r,
-        lam_min < -_PSD_SLACK * scale,
-        misshaped(1, m_r, n_r),
-        misshaped(3, m_r, per_row(nh)),
-        misshaped(4, m_r, per_row(extent(4, 1, heads))),
-        misshaped(5, m_r, per_row(extent(5, 1, heads))),
-    ]
+    # a matrix that does not convert is not plain, so it fails its shape check
+    per_row = (  # M square and n x n, M >= 0, K, Q, R, T shapes, finite
+        ~square | (side != n_r) | (lam_min < -_PSD_SLACK * scale)
+        | misshaped(1, m_r, n_r) | misshaped(3, m_r, nh[row_cert])
+        | misshaped(4, m_r, dims[4][heads, 1][row_cert])
+        | misshaped(5, m_r, dims[5][heads, 1][row_cert])
+        | ~np.logical_and.reduce([mats.finite[f] for f in (0, 1, 3, 4, 5)])
+    )
+    kappas, transitions, malformed = _scalars(raws)
     rates = np.array(kappas, dtype=float)
-    owner = [row_cert, row_cert, np.arange(n_certs), row_cert, row_cert, row_cert]
-    nonfinite = not mats.all_finite() and functools.reduce(operator.or_, [
-        _owners(~mats.finite_of(f), rows, n_certs) for f, rows in enumerate(owner)
-    ])
-    checks = [  # per certificate
-        scalar,
-        not all(0.0 < k < 1.0 for k in kappas) and ~((0.0 < rates) & (rates < 1.0)),
-        extent(2, 0) != n,
-        any(map(_any, per_mode)) and _owners(functools.reduce(operator.or_, per_mode),
-                                             row_cert, n_certs),
-        any(transitions) and np.array([
-            pairs is not None and any(not (0 <= s < k and 0 <= s2 < k) for s, s2 in pairs)
-            for pairs, k in zip(transitions, r)
-        ]),
-        nonfinite,
-    ]
-    if any(map(_any, checks)):
-        bad = functools.reduce(operator.or_, checks)
-        c = int(np.argmax(np.broadcast_to(bad, (n_certs,))))
-        check = next(k for k, col in enumerate(checks) if np.broadcast_to(col, (n_certs,))[c])
-        lo, hi = int(first[c]), int(first[c + 1])
-        rows = [np.broadcast_to(col, row_cert.shape)[lo:hi] for col in per_mode]
-        dims = [int(np.broadcast_to(x, (n_certs,))[c]) for x in (n, m, nh)]
-        raise _defect(raws[c], check, kappas[c], transitions[c], mats, c, lo, hi,
-                      rows, lam_min[lo:hi], dims)
-
-    bounds = first.tolist()
+    flagged = (  # per certificate: kappa and transitions, then P
+        malformed
+        | ~((0.0 < rates) & (rates < 1.0))
+        | np.array([pairs is not None and any(not (0 <= s < k and 0 <= s2 < k) for s, s2 in pairs)
+                    for pairs, k in zip(transitions, r)], dtype=bool)
+        | mats.bad[2] | (dims[2][:, 0] != n) | ~mats.finite[2]
+    )
+    flagged[row_cert[per_row]] = True
+    if flagged.any():
+        _checked(raws[int(np.argmax(flagged))])  # raises the certificate's first defect
+        raise AssertionError("a flagged certificate passed its checks")
 
     def per_cert(items):
         return [tuple(items[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
@@ -248,160 +213,128 @@ def _certificates(raws) -> list[LocalCertificate]:
     ]
 
 
-def _any(flags) -> bool:
-    return bool(flags.any() if isinstance(flags, np.ndarray) else flags)
-
-
-def _owners(flags, owner: np.ndarray, n_certs: int):
-    """Per certificate whether any of its items is flagged; ``flags`` is
-    per item (``owner`` maps items to certificates) or one bool for all."""
-    if not _any(flags):
-        return False
-    owners = np.zeros(n_certs, dtype=bool)
-    owners[owner[np.broadcast_to(flags, owner.shape)]] = True
-    return owners
-
-
 def _scalars(raws):
-    """Per certificate its kappa as a float, its transitions as int pairs
-    (None when absent), and whether either does not convert; the defects
-    themselves are re-derived by ``_defect``."""
-    kappas, transitions = [raw[7] for raw in raws], [raw[8] for raw in raws]
-    if set(map(type, kappas)) <= {float, int} and not any(transitions):
-        return list(map(float, kappas)), [None] * len(raws), False
-    flags = np.zeros(len(raws), dtype=bool)
+    """Per certificate its kappa as a float (NaN if it is not a number),
+    its transitions as int pairs (None when absent or malformed), and
+    whether either does not convert."""
+    kappas, transitions = [], []
+    malformed = np.zeros(len(raws), dtype=bool)
     for c, raw in enumerate(raws):
         try:
-            kappas[c] = float(raw[7])
+            kappas.append(float(raw[7]))
         except (TypeError, ValueError):
-            kappas[c], flags[c] = np.nan, True
+            kappas.append(np.nan)
+            malformed[c] = True
         try:
-            transitions[c] = tuple((int(a), int(b)) for a, b in raw[8]) if raw[8] else None
+            transitions.append(tuple((int(a), int(b)) for a, b in raw[8]) if raw[8] else None)
         except (TypeError, ValueError):
-            transitions[c], flags[c] = None, True
-    return kappas, transitions, flags
+            transitions.append(None)
+            malformed[c] = True
+    return kappas, transitions, malformed
 
 
-def _malformed(raws, mats, not_square, first) -> SimnetError:
-    """The first matrix that is not numeric, or an M that is not square, in
-    file order; certificates before it are checked first (and raise)."""
-    n_certs = len(raws)
-    row_cert = np.repeat(np.arange(n_certs), np.diff(first))
-    flags = [mats.bad_of(f) for f in range(6)]
-    flags[0] = flags[0] | np.broadcast_to(not_square, flags[0].shape)
-    owner = [row_cert, row_cert, np.arange(n_certs), row_cert, row_cert, row_cert]
-    c = min(int(rows[flag][0]) for flag, rows in zip(flags, owner) if flag.any())
-    _certificates(raws[:c])
-    node = raws[c][0]
-    for f, name in enumerate(_CERT_FAMILIES):
-        lo, hi = (c, c + 1) if name == "P" else (int(first[c]), int(first[c + 1]))
-        rows = np.flatnonzero(flags[f][lo:hi])
-        if not rows.size:
-            continue
-        i, s = lo + int(rows[0]), None if name == "P" else int(rows[0])
-        if mats.bad_of(f)[i]:
-            return SchemaError(
-                f"{_where(node, s)}: matrix {name} has non-numeric entries",
-                node=node, mode=s, matrix=name,
-            )
-        shape = mats.arrays[0][i].shape
-        if len(shape) != 2 or shape[0] != shape[1]:
-            return DimensionMismatchError(
-                f"symmetric matrix must be square, got shape {shape}", shape=shape
-            )
-        return DimensionMismatchError("symmetric matrix must have dim >= 1")
-    raise AssertionError("no malformed matrix")
-
-
-def _defect(raw, check, kappa, transitions, mats, c, lo, hi, per_mode, lam_min, dims):
-    """The error of the first failing check of certificate ``c`` (see
-    ``_certificates`` for the order); its rows are ``lo:hi``."""
-    node = raw[0]
-    n, m, nh = dims
-    if check == 0:
-        try:
-            float(raw[7])
-        except (TypeError, ValueError):
-            return SchemaError(f"{_where(node)}: kappa {raw[7]!r} is not a number", node=node)
-        return SchemaError(
-            f"{_where(node)}: transitions must be [current, next] mode pairs", node=node
-        )
-    if check == 1:
-        return CertificateError(f"kappa must lie in (0, 1), got {kappa}")
-    if check == 2:
-        return DimensionMismatchError(
-            f"P must have {n} rows, got {mats.arrays[2][c].shape}", matrix="P"
-        )
-    if check == 3:
-        s = int(np.flatnonzero(np.logical_or.reduce(per_mode))[0])
-        which = next(k for k, col in enumerate(per_mode) if col[s])
-        if which == 1:
-            low = float(lam_min[s])
-            return CertificateError(
-                f"M[{s}] must be positive semidefinite (lambda_min = {low:.3e})",
-                mode=s, lambda_min=low,
-            )
-        if which == 0:
-            return DimensionMismatchError(f"M[{s}] must be {n}x{n}", mode=s)
-        if which == 2:
-            return DimensionMismatchError(f"K[{s}] must be {m}x{n}", mode=s)
-        if which == 3:
-            return DimensionMismatchError(f"Q[{s}] must be {m}x{nh}", mode=s)
-        name = "R" if which == 4 else "T"
-        return DimensionMismatchError(
-            f"{name}[{s}] must have {m} rows and as many columns as {name}[0]", mode=s
-        )
-    if check == 4:
-        k = hi - lo
-        s, s2 = next(p for p in transitions if not (0 <= p[0] < k and 0 <= p[1] < k))
-        return CertificateError(
-            f"transition pair ({s}, {s2}) references an unknown mode", pair=(s, s2)
-        )
-    for f, name in enumerate(_CERT_FAMILIES):
-        a, b = (c, c + 1) if name == "P" else (lo, hi)
-        rows = np.flatnonzero(~mats.finite_of(f)[a:b])
-        if rows.size:
-            s = None if name == "P" else int(rows[0])
-            return SchemaError(
-                f"{_where(node, s)}: matrix {name} has non-finite entries",
-                node=node, mode=s, matrix=name,
-            )
-    raise AssertionError("no failing check")
-
-
-_PSD_SLACK = 1e-8  # M's eigenvalues may reach -1e-8 (1 + max |eigenvalue|)
-
-
-def _semidefinite(mats, side):
+def _semidefinite(ms, side: np.ndarray, finite: np.ndarray):
     """The symmetrized M (SymMatrix views into one read-only stack per
-    dimension ``side``, an int when all M share it) and per M lambda_min
+    dimension ``side``; None where ``side`` is 0) and per M its lambda_min
     and 1 + max |eigenvalue|: one stacked eigvalsh per dimension.
     Non-finite M are decided on zeros."""
-    ms = mats.arrays[0]
-    if not isinstance(side, np.ndarray):  # one dimension: one group, in order
-        sym, lam_min, scale = _psd_stack(mats.stacks[0], mats.finite_of(0))
-        return list(map(_sym_view, sym)), lam_min, scale
     sym = [None] * len(ms)
     lam_min, scale = np.zeros(len(ms)), np.ones(len(ms))
-    for dim in sorted(set(side.tolist())):
+    for dim in np.unique(side[side > 0]).tolist():
         idx = np.flatnonzero(side == dim)
         stack = np.array([ms[i] for i in idx.tolist()], dtype=float).reshape(-1, dim, dim)
-        stack, lam_min[idx], scale[idx] = _psd_stack(stack, mats.finite_of(0)[idx])
-        for i, entries in zip(idx.tolist(), map(_sym_view, stack)):
-            sym[i] = entries
+        stack = np.where(finite[idx, None, None], stack, 0.0)
+        stack = 0.5 * (stack + np.swapaxes(stack, -1, -2))
+        stack.flags.writeable = False
+        eigs = np.linalg.eigvalsh(stack)
+        lam_min[idx], scale[idx] = eigs[:, 0], 1.0 + np.abs(eigs).max(axis=1)
+        for i, entries in zip(idx.tolist(), stack):
+            sym[i] = _sym_view(entries)
     return sym, lam_min, scale
 
 
-def _psd_stack(stack, finite):
-    """The symmetrized read-only stack, its lambda_min and 1 + max
-    |eigenvalue| per matrix, with one eigvalsh; non-finite matrices are
-    decided on zeros."""
-    if not finite.all():
-        stack = np.where(finite[:, None, None], stack, 0.0)
-    stack = 0.5 * (stack + np.swapaxes(stack, -1, -2))
-    stack.flags.writeable = False
-    eigs = np.linalg.eigvalsh(stack)
-    return stack, eigs[:, 0], 1.0 + np.abs(eigs).max(axis=1)
+def _checked(raw) -> tuple:
+    """One raw certificate (see ``_certificates``) checked on its own: its
+    six families as tuples of read-only arrays (M as SymMatrix, P as a
+    family of one), its kappa and its transitions.  Raises the first
+    defect, in order: each matrix numeric and M square (M, K, P, Q, R, T,
+    mode by mode); kappa a number; transitions mode pairs; kappa in
+    (0, 1); P's rows; per mode M's dimension, M positive semidefinite, the
+    shapes of K, Q, R and T; transitions within the modes; every entry
+    finite (last, so that every defect found before non-finite entries
+    were rejected is still the one reported)."""
+    node = raw[0]
+    families = []
+    for name, value in zip(_CERT_FAMILIES, raw[1:7]):
+        family = []
+        for s, obj in enumerate([value] if name == "P" else value):
+            if isinstance(obj, SymMatrix):  # symmetric and read-only already
+                family.append(obj.entries)
+                continue
+            mode = None if name == "P" else s
+            try:
+                a = _as_matrix(obj)
+            except SchemaError:
+                raise SchemaError(
+                    f"{_where(node, mode)}: matrix {name} has non-numeric entries",
+                    node=node, mode=mode, matrix=name,
+                ) from None
+            if name == "M":
+                a = SymMatrix(a).entries
+            a.flags.writeable = False
+            family.append(a)
+        families.append(tuple(family))
+    try:
+        kappa = float(raw[7])
+    except (TypeError, ValueError):
+        raise SchemaError(f"{_where(node)}: kappa {raw[7]!r} is not a number", node=node) from None
+    try:
+        pairs = tuple((int(a), int(b)) for a, b in raw[8]) if raw[8] else None
+    except (TypeError, ValueError):
+        raise SchemaError(
+            f"{_where(node)}: transitions must be [current, next] mode pairs", node=node
+        ) from None
+    if not (0.0 < kappa < 1.0):
+        raise CertificateError(f"kappa must lie in (0, 1), got {kappa}")
+    ms, ks, (p,), qs, rs, ts = families
+    n, m, nh = ms[0].shape[0], _extents(ks[0].shape)[0], _extents(p.shape)[1]
+    if _extents(p.shape)[0] != n:
+        raise DimensionMismatchError(f"P must have {n} rows, got {p.shape}", matrix="P")
+    finite = np.isfinite(np.concatenate([a.ravel() for family in families for a in family])).all()
+    for s in range(len(ms)):
+        if ms[s].shape[0] != n:
+            raise DimensionMismatchError(f"M[{s}] must be {n}x{n}", mode=s)
+        if finite or np.isfinite(ms[s]).all():  # non-finite M are rejected below
+            eigs = np.linalg.eigvalsh(ms[s])
+            if eigs[0] < -_PSD_SLACK * (1.0 + np.abs(eigs).max()):
+                low = float(eigs[0])
+                raise CertificateError(
+                    f"M[{s}] must be positive semidefinite (lambda_min = {low:.3e})",
+                    mode=s, lambda_min=low,
+                )
+        if ks[s].shape != (m, n):
+            raise DimensionMismatchError(f"K[{s}] must be {m}x{n}", mode=s)
+        if qs[s].shape != (m, nh):
+            raise DimensionMismatchError(f"Q[{s}] must be {m}x{nh}", mode=s)
+        for name, family in (("R", rs), ("T", ts)):
+            if family[s].shape != (m, _extents(family[0].shape)[1]):
+                raise DimensionMismatchError(
+                    f"{name}[{s}] must have {m} rows and as many columns as {name}[0]", mode=s
+                )
+    for s, s2 in pairs or ():
+        if not (0 <= s < len(ms) and 0 <= s2 < len(ms)):
+            raise CertificateError(
+                f"transition pair ({s}, {s2}) references an unknown mode", pair=(s, s2)
+            )
+    for name, family in zip(_CERT_FAMILIES, families if not finite else ()):
+        for s, a in enumerate(family):
+            if not np.isfinite(a).all():
+                mode = None if name == "P" else s
+                raise SchemaError(
+                    f"{_where(node, mode)}: matrix {name} has non-finite entries",
+                    node=node, mode=mode, matrix=name,
+                )
+    return (tuple(map(_sym_view, ms)), ks, (p,), qs, rs, ts), kappa, pairs
 
 
 def _sym_view(entries: np.ndarray) -> SymMatrix:
@@ -895,9 +828,12 @@ def check_dissipation_sampled(
         V_s2(x+, xhat+) - V_s(x, xhat)
             <= -lam V_s + rho_ext |uhat|^2 + rho_int |w - what|^2
 
-    pointwise with slack 1e-9 * (1 + |V|).  Slack is reported so that
-    negative means satisfied; the worst case is the max over samples.
+    pointwise with slack 1e-9 * (1 + |V|); a NaN slack counts as a
+    violation.  Slack is reported so that negative means satisfied; the
+    worst case is the max over samples.  Both subsystems are checked first
+    (see ``_check_subsystems``).
     """
+    _check_subsystems((concrete, abstract_sub))
     if gains is None:
         gains = derive_gains(cert, concrete, abstract_sub, tol)
     rng = np.random.default_rng(seed)
@@ -927,7 +863,7 @@ def check_dissipation_sampled(
         )
         slack = v_next - v - rhs
         allowed = 1e-9 * (1.0 + np.abs(v))
-        bad = slack > allowed
+        bad = ~(slack <= allowed)  # a NaN slack is a violation
         violations += int(bad.sum())
         total += samples
         idx = int(np.argmax(slack))
@@ -964,7 +900,9 @@ def synthesize_certificate_matrix(
     loops Ft_s = sqrt(3/(1-kappa)) (A_s + B_s K_s).  Convergence yields a
     common M verifying both matrix conditions with margin; divergence means
     this sufficient-only scheme fails, not that no certificate exists.
+    The subsystem is checked first (see ``_check_subsystems``).
     """
+    _check_subsystems((concrete,))
     if not (0.0 < kappa < 1.0):
         raise CertificateError(f"kappa must lie in (0, 1), got {kappa}")
     ks = [np.asarray(k, dtype=float) for k in K]
@@ -1033,12 +971,14 @@ def solve_structural(
 
     Per mode, Q_s and T_s are minimum-norm least-squares solutions of
     B_s Q = P Ahat_s - A_s P and B_s T = P Dhat_s - D_s; a residual above
-    eig_tol * (1 + max|A_s|) means the abstraction is infeasible for this P.
+    eig_tol * (1 + max|A_s|), or NaN, means the abstraction is infeasible
+    for this P.  The subsystem is checked first (see ``_check_subsystems``).
     Chat_s = C_s P always; R_s is the weight-optimal interface gain
     (BMB)^-1 BMP Bhat minimizing the external-input mismatch (identity
     weight when none is given).  Dhat defaults to zero (fully decoupled
     abstraction).
     """
+    _check_subsystems((concrete,))
     p = np.asarray(P, dtype=float)
     n_hat = p.shape[1]
     r = concrete.n_modes
@@ -1058,14 +998,14 @@ def solve_structural(
         cm = concrete.modes[s]
         limit = tol.eig_tol * (1.0 + float(np.abs(cm.A).max()))
         q, res_q = solve_linear_least_squares(cm.B, p @ a_hats[s] - cm.A @ p, tol)
-        if res_q > limit:
+        if not res_q <= limit:
             raise StructuralInfeasibleError(
                 f"abstraction infeasible for this P: state matching residual "
                 f"{res_q:.3e} in mode {s}",
                 equation="state", mode=s, residual=res_q,
             )
         t, res_t = solve_linear_least_squares(cm.B, p @ d_hats[s] - cm.D, tol)
-        if res_t > limit:
+        if not res_t <= limit:
             raise StructuralInfeasibleError(
                 f"abstraction infeasible for this P: coupling matching residual "
                 f"{res_t:.3e} in mode {s}",

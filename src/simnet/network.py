@@ -35,11 +35,14 @@ or per mode, in this order:
      counts, output widths and block maps) and, for files, the declared
      edges.
 
-The first defect in file order is raised, with the class, message and
-details of the check that finds it.  A ``NetworkSpec`` built from objects
-goes through the same validators, its node checks included (a
-``SwitchedLinearSubsystem`` is checked where it is used, not when it is
-made); the abstract view reuses the validated abstract layer.
+The columns only flag.  The first entry or node flagged is then read or
+checked again on its own (``_entry_defect``, ``_subsystem_defect``), which
+raises the first defect in file order with its class, message and
+details.  A ``NetworkSpec`` built from objects goes through the same
+checks.  A ``SwitchedLinearSubsystem`` is checked where it is used, not
+when it is made: by its spec, or on its own by the functions that take a
+subsystem outside a spec.  The abstract view reuses the checked abstract
+layer.
 
 Specs are immutable after loading.  On first use a spec compiles into a
 ``NetworkEngine`` that evaluates every node at once on flat stacked
@@ -50,7 +53,6 @@ composed oracle run on it directly.
 
 from __future__ import annotations
 
-import bisect
 import gc
 import json
 import operator
@@ -106,9 +108,9 @@ class SwitchedLinearSubsystem:
     """One node of the network: a finite family of modes sharing dimensions.
 
     The node's own checks (shapes, finiteness, block partitions, external
-    block, self-feeding) run where subsystems are used, all nodes at once:
-    when a file is parsed, when a NetworkSpec is built, and when a
-    certificate is verified against subsystems not checked before (see
+    block, self-feeding) run where subsystems are used: all nodes at once
+    when a file is parsed or a NetworkSpec is built, one at a time when a
+    subsystem no spec holds is verified, solved for or sampled (see
     ``_check_subsystems``).
     """
 
@@ -153,17 +155,15 @@ class SwitchedLinearSubsystem:
         return self.modes[mode].out_blocks[self.id]
 
 
-def _raise(defect) -> None:
-    if defect is not None:
-        raise defect
-
-
 def _check_subsystems(subsystems) -> None:
-    """Run the node checks on the subsystems not checked before, all at
-    once; raise the first defect."""
-    fresh = tuple(sub for sub in subsystems if "_layer" not in sub.__dict__)
-    if fresh:
-        _Layer(fresh).check_nodes()
+    """Raise the first defect of subsystems used on their own, one at a
+    time (see ``_subsystem_defect``); those a file or a spec checked are
+    skipped."""
+    for sub in subsystems:
+        if "_layer" not in sub.__dict__:
+            defect = _subsystem_defect(sub)
+            if defect is not None:
+                raise defect
 
 
 _FAR = 2**62  # stands in for ids and bounds beyond int64: no node has it, no partition reaches it
@@ -184,53 +184,49 @@ def _key(obj):
     """Shape key of a matrix: an array's shape; for a decoded list of
     rows its (rows, columns) judged by the first row, columns -1 if that
     is not a list; None for anything else (``[]`` included)."""
-    if type(obj) is np.ndarray:
-        return obj.shape
-    if type(obj) is not list or not obj:
-        return None
-    return (len(obj), len(obj[0]) if type(obj[0]) is list else -1)
+    if type(obj) is list and obj:
+        row = obj[0]
+        return (len(obj), len(row) if type(row) is list else -1)
+    return obj.shape if type(obj) is np.ndarray else None
+
+
+def _extents(shape: tuple) -> tuple:
+    """The first two extents of a shape, -1 past its ndim."""
+    return (tuple(shape) + (-1, -1))[:2]
 
 
 class _Matrices:
-    """Matrix families converted to read-only float arrays with as few
-    ``np.array`` calls as the shapes allow: a family whose matrices share
-    one shape is one stack (``stacks[f]``, its matrices' shape
-    ``shapes[f]``), any other family one stack per shape (``shapes[f]`` is
-    then None).  ``arrays[f][i]`` is a view into its stack.
-
-    For families without one shape, per matrix i: ``dims[f][i]`` (the
-    first two extents, -1 past the ndim), ``plain[f][i]`` (2-d),
-    ``finite[f][i]`` and ``bad[f][i]`` (``convert`` rejects it with a
-    SchemaError); ``dims_of``/``plain_of``/``finite_of``/``bad_of`` give
-    these for every family.  Matrices that do not stack with their shape go
-    through ``convert`` one at a time.
+    """Matrix families converted to read-only float arrays with one
+    ``np.array`` call per (family, shape): ``arrays[f][i]`` is a view into
+    the stack of its shape.  Per matrix i of family f: ``dims[f][i]`` (see
+    ``_extents``), ``plain[f][i]`` (2-d), ``finite[f][i]`` and
+    ``bad[f][i]`` (``convert`` rejects it with a SchemaError).  Matrices
+    that do not stack with their shape go through ``convert`` one at a
+    time.
     """
 
     def __init__(self, families, convert):
-        self.stacks = [_stack(fam) if fam else None for fam in families]
-        self.shapes = [None if s is None else s.shape[1:] for s in self.stacks]
-        self.arrays = [None if s is None else list(s) for s in self.stacks]
-        self.dims, self.plain, self.finite, self.bad = ([None] * len(families) for _ in range(4))
-        for f, fam in enumerate(families):
-            if self.stacks[f] is None:
-                self._by_shape(f, fam, convert)
+        self.arrays, self.dims, self.plain, self.finite, self.bad = [], [], [], [], []
+        for fam in families:
+            self._add(fam, convert)
 
-    def _by_shape(self, f, fam, convert):
+    def _add(self, fam, convert):
         k = len(fam)
-        dims = self.dims[f] = np.full((k, 2), -1, dtype=np.int64)
-        plain = self.plain[f] = np.zeros(k, dtype=bool)
-        finite = self.finite[f] = np.ones(k, dtype=bool)
-        bad = self.bad[f] = np.zeros(k, dtype=bool)
-        arrays = self.arrays[f] = [None] * k
+        dims = np.full((k, 2), -1, dtype=np.int64)
+        plain = np.zeros(k, dtype=bool)
+        finite = np.ones(k, dtype=bool)
+        bad = np.zeros(k, dtype=bool)
+        arrays = [None] * k
         groups: dict = {}
         for i, obj in enumerate(fam):
             groups.setdefault(_key(obj), []).append(i)
         for key, idx in groups.items():
             group = None if key is None else _stack([fam[i] for i in idx], key)
             if group is not None:
-                dims[idx] = (key + (-1, -1))[:2]
-                plain[idx] = len(key) == 2
-                finite[idx] = np.isfinite(group).reshape(len(idx), -1).all(axis=1)
+                at = np.array(idx, dtype=np.intp)
+                dims[at] = _extents(key)
+                plain[at] = len(key) == 2
+                finite[at] = np.isfinite(group).reshape(len(idx), -1).all(axis=1)
                 for i, a in zip(idx, group):
                     arrays[i] = a
                 continue
@@ -240,51 +236,25 @@ class _Matrices:
                 except SchemaError:
                     bad[i] = True
                     continue
-                a.flags.writeable = False
-                arrays[i] = a
-                dims[i] = (a.shape + (-1, -1))[:2]
+                arrays[i] = _frozen(a)
+                dims[i] = _extents(a.shape)
                 plain[i] = a.ndim == 2
                 finite[i] = bool(np.isfinite(a).all())
-
-    def dims_of(self, f: int) -> np.ndarray:
-        if self.shapes[f] is None:
-            return self.dims[f]
-        return np.broadcast_to(np.array(self.shapes[f], dtype=np.int64), (len(self.arrays[f]), 2))
-
-    def plain_of(self, f: int) -> np.ndarray:
-        if self.shapes[f] is None:
-            return self.plain[f]
-        return np.ones(len(self.arrays[f]), dtype=bool)
-
-    def finite_of(self, f: int) -> np.ndarray:
-        if self.finite[f] is None:
-            self.finite[f] = np.isfinite(self.stacks[f]).all(axis=(1, 2))
-        return self.finite[f]
-
-    def all_finite(self) -> bool:
-        stacked = [s.ravel() for s in self.stacks if s is not None]
-        return bool(np.isfinite(np.concatenate(stacked)).all() if stacked else True) and all(
-            finite.all() for finite in self.finite if finite is not None
-        )
-
-    def bad_of(self, f: int) -> np.ndarray:
-        if self.shapes[f] is None:
-            return self.bad[f]
-        return np.zeros(len(self.arrays[f]), dtype=bool)
-
-    def any_bad(self) -> bool:
-        return any(bad is not None and bad.any() for bad in self.bad)
+        self.arrays.append(arrays)
+        self.dims.append(dims)
+        self.plain.append(plain)
+        self.finite.append(finite)
+        self.bad.append(bad)
 
 
-def _stack(group, shape=None):
+def _stack(group, shape):
     """The read-only stack of ``group``, or None if its items do not
-    convert together to matrices of ``shape`` (any one 2-d shape if None)."""
+    convert together to matrices of ``shape``."""
     try:
         stack = np.array(group, dtype=float)
     except (TypeError, ValueError):
         return None
-    fits = stack.ndim == 3 if shape is None else stack.shape[1:] == shape
-    return _frozen(stack) if fits else None
+    return _frozen(stack) if stack.shape[1:] == shape else None
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -316,9 +286,9 @@ class _Layer:
         self.first = np.concatenate(([0], np.cumsum(counts, dtype=np.intp)))
         self.node = np.repeat(np.arange(len(subsystems)), counts)
         n_rows = len(modes)
-        self.dims = np.stack([mats.dims_of(f)[:n_rows] for f in range(4)], axis=1)
-        self.plain = np.stack([mats.plain_of(f)[:n_rows] for f in range(4)], axis=1)
-        self.finite = np.stack([mats.finite_of(f)[:n_rows] for f in range(4)], axis=1)
+        self.dims = np.stack([dims[:n_rows] for dims in mats.dims], axis=1)
+        self.plain = np.stack([plain[:n_rows] for plain in mats.plain], axis=1)
+        self.finite = np.stack([finite[:n_rows] for finite in mats.finite], axis=1)
         maps = [m for mode in modes for m in (mode.out_blocks, mode.in_blocks)]
         seg = np.repeat(np.arange(2 * len(modes)), [len(m) for m in maps])
         self.row, self.kind = seg >> 1, seg & 1
@@ -345,7 +315,9 @@ class _Layer:
         each then carries this layer, which a spec of exactly these
         subsystems reuses."""
         if not self.checked:
-            _raise(self.node_defect())
+            defect = self.node_defect()
+            if defect is not None:
+                raise defect
             self.checked = True
             for sub in self.subsystems:
                 sub._layer = self
@@ -359,12 +331,9 @@ class _Layer:
     # -- node checks -------------------------------------------------------
 
     def node_defect(self) -> SimnetError | None:
-        """The first defect of any node in (node, mode, check) order, or
-        None.  Checks per mode, in order: the shapes of A, B, C, D against
-        the node's first mode, their finiteness, the out- and in-block
-        partitions of the output and internal-input widths, the external
-        block (present, nonempty, as wide as in the first mode) and
-        self-feeding."""
+        """The first defect of any node in file order, or None.  The checks
+        of ``_subsystem_defect`` run over all (node, mode) rows at once;
+        that function then names the defect of the first node flagged."""
         d, n_rows = self.dims, len(self.node)
         if not n_rows:
             return None
@@ -373,26 +342,25 @@ class _Layer:
         want = np.stack([n, n, n, m, q, n, n, nw], axis=1).reshape(n_rows, 4, 2)
         mine = self.peer == self.ids[self.owner]
         ext = mine & (self.kind == _OUT)
-        has_ext = np.zeros(n_rows, dtype=bool)
-        has_ext[self.row[ext]] = True
-        ext_width = np.zeros(n_rows, dtype=np.int64)
+        ext_width = np.zeros(n_rows, dtype=np.int64)  # 0 where the block is missing
         ext_width[self.row[ext]] = (self.hi - self.lo)[ext]
         feeds_self = np.zeros(n_rows, dtype=bool)
         feeds_self[self.row[mine & (self.kind == _IN)]] = True
-        fails = np.column_stack([
-            ~(self.plain & (d == want).all(axis=2)),
-            ~self.finite,
-            self._partition_bad(np.stack([q, nw], axis=1)),
-            ~has_ext,
-            has_ext & (ext_width <= 0),
-            feeds_self,
-            has_ext & (ext_width != ext_width[f]),
-        ])
-        rows = np.flatnonzero(fails.any(axis=1))
+        fails = (
+            ~(self.plain & (d == want).all(axis=2)).all(axis=1)
+            | ~self.finite.all(axis=1)
+            | self._partition_bad(np.stack([q, nw], axis=1)).any(axis=1)
+            | (ext_width <= 0)
+            | feeds_self
+            | (ext_width != ext_width[f])
+        )
+        rows = np.flatnonzero(fails)
         if not rows.size:
             return None
-        r = int(rows[0])
-        return self._node_defect(r, int(np.argmax(fails[r])), n[r], m[r], q[r], nw[r])
+        defect = _subsystem_defect(self.subsystems[int(self.node[rows[0]])])
+        if defect is None:
+            raise AssertionError("a flagged subsystem passed its checks")
+        return defect
 
     def _partition_bad(self, widths: np.ndarray) -> np.ndarray:
         """(rows, 2): whether each row's out-/in-block ranges fail to
@@ -410,50 +378,6 @@ class _Layer:
         last[:-1] = new[1:]
         covered[group[last]] = hi[last]
         return (bad | (covered != widths.ravel())).reshape(-1, 2)
-
-    def _node_defect(self, r, check, n, m, q, nw) -> SimnetError:
-        sub, s, mode = self._locate(r)
-        i = sub.id
-        if check < 4:
-            name = _FAMILIES[check]
-            rows, cols = ((n, n), (n, m), (q, n), (n, nw))[check]
-            return DimensionMismatchError(
-                f"subsystem {i} mode {s}: {name} must be {rows}x{cols}, "
-                f"got {getattr(mode, name).shape}",
-                node=i, mode=s, matrix=name,
-            )
-        if check < 8:
-            name = _FAMILIES[check - 4]
-            return SchemaError(
-                f"subsystem {i} mode {s}: matrix {name} has non-finite entries",
-                node=i, mode=s, matrix=name,
-            )
-        if check == 8:
-            return _partition_defect(mode.out_blocks, int(q), i, s, "out_blocks")
-        if check == 9:
-            return _partition_defect(mode.in_blocks, int(nw), i, s, "in_blocks")
-        if check == 10:
-            return BlockPartitionError(
-                f"subsystem {i} mode {s}: out_blocks must key the external "
-                f"output block by the subsystem's own id",
-                node=i, mode=s,
-            )
-        if check == 11:
-            return BlockPartitionError(
-                f"subsystem {i} mode {s}: external output block must be nonempty",
-                node=i, mode=s,
-            )
-        if check == 12:
-            return WiringError(
-                f"subsystem {i} mode {s}: a subsystem may not feed itself", node=i, mode=s
-            )
-        lo, hi = mode.out_blocks[i]
-        lo0, hi0 = sub.external_range(0)
-        return BlockPartitionError(
-            f"subsystem {i} mode {s}: external output block is {hi - lo} wide, "
-            f"{hi0 - lo0} in mode 0 (its width is fixed across modes)",
-            node=i, mode=s,
-        )
 
     # -- spec checks -------------------------------------------------------
 
@@ -612,9 +536,64 @@ class _Layer:
         return table[np.lexsort((self.peer, self.kind, self.row))]
 
 
+def _subsystem_defect(sub: SwitchedLinearSubsystem) -> SimnetError | None:
+    """The first defect of one subsystem, or None.  Mode by mode: the
+    shapes of A, B, C, D against mode 0, their finiteness, the out- and
+    in-block partitions of the output and internal-input widths, the
+    external block (present, nonempty, as wide as in mode 0) and
+    self-feeding.  ``_Layer.node_defect`` runs the same checks on many
+    subsystems at once and calls this on the first one it flags."""
+    i, first = sub.id, sub.modes[0]
+    n, m = _extents(first.A.shape)[0], _extents(first.B.shape)[1]
+    q, nw = _extents(first.C.shape)[0], _extents(first.D.shape)[1]
+    for s, mode in enumerate(sub.modes):
+        for name, (rows, cols) in zip(_FAMILIES, ((n, n), (n, m), (q, n), (n, nw))):
+            shape = getattr(mode, name).shape
+            if shape != (rows, cols):
+                return DimensionMismatchError(
+                    f"subsystem {i} mode {s}: {name} must be {rows}x{cols}, got {shape}",
+                    node=i, mode=s, matrix=name,
+                )
+        for name in _FAMILIES:
+            if not np.isfinite(getattr(mode, name)).all():
+                return SchemaError(
+                    f"subsystem {i} mode {s}: matrix {name} has non-finite entries",
+                    node=i, mode=s, matrix=name,
+                )
+        for blocks, width, kind in ((mode.out_blocks, q, "out_blocks"),
+                                    (mode.in_blocks, nw, "in_blocks")):
+            defect = _partition_defect(blocks, width, i, s, kind)
+            if defect is not None:
+                return defect
+        if i not in mode.out_blocks:
+            return BlockPartitionError(
+                f"subsystem {i} mode {s}: out_blocks must key the external "
+                f"output block by the subsystem's own id",
+                node=i, mode=s,
+            )
+        lo, hi = mode.out_blocks[i]
+        if hi <= lo:
+            return BlockPartitionError(
+                f"subsystem {i} mode {s}: external output block must be nonempty",
+                node=i, mode=s,
+            )
+        if i in mode.in_blocks:
+            return WiringError(
+                f"subsystem {i} mode {s}: a subsystem may not feed itself", node=i, mode=s
+            )
+        lo0, hi0 = sub.external_range(0)
+        if hi - lo != hi0 - lo0:
+            return BlockPartitionError(
+                f"subsystem {i} mode {s}: external output block is {hi - lo} wide, "
+                f"{hi0 - lo0} in mode 0 (its width is fixed across modes)",
+                node=i, mode=s,
+            )
+    return None
+
+
 def _partition_defect(blocks: BlockMap, width: int, node: int, mode: int, kind: str):
-    """The BlockPartitionError of one mode's block map that fails to
-    partition 0..width: the first gap or overlap, else the coverage."""
+    """The BlockPartitionError of a block map that does not partition
+    0..width (the first gap or overlap, else the coverage), or None."""
     cursor = 0
     for lo, hi in sorted((lo, hi) for lo, hi in blocks.values()):
         if lo != cursor or hi < lo:
@@ -624,10 +603,12 @@ def _partition_defect(blocks: BlockMap, width: int, node: int, mode: int, kind: 
                 node=node, mode=mode, kind=kind, index=cursor,
             )
         cursor = hi
-    return BlockPartitionError(
-        f"subsystem {node} mode {mode}: {kind} ranges cover {cursor} of {width} indices",
-        node=node, mode=mode, kind=kind, covered=cursor, width=width,
-    )
+    if cursor != width:
+        return BlockPartitionError(
+            f"subsystem {node} mode {mode}: {kind} ranges cover {cursor} of {width} indices",
+            node=node, mode=mode, kind=kind, covered=cursor, width=width,
+        )
+    return None
 
 
 @dataclass(frozen=True)
@@ -670,16 +651,16 @@ class SwitchingSignal:
     """Per-subsystem mode schedules sigma_i : k -> mode index.
 
     Either an explicit table over a horizon or a periodic rule; switching may
-    be asynchronous across subsystems.  The built-in schedules read every
-    node's mode at a step from one array; a signal built from a callable
-    calls it per node.
+    be asynchronous across subsystems.  The built-in schedules are one
+    integer array each, read for every node at once by ``modes_at``; a
+    signal built from a callable calls it per node.
     """
 
     def __init__(self, n_nodes: int, fn, horizon: int | None):
         self._n = n_nodes
         self._fn = fn
         self.horizon = horizon
-        self._at = None  # k -> every node's mode, for the built-in schedules
+        self._at = None  # k -> every node's mode as an int array, for the built-in schedules
 
     @property
     def n_nodes(self) -> int:
@@ -699,7 +680,7 @@ class SwitchingSignal:
     def modes_at(self, k: int) -> list[int]:
         self._check(k)
         if self._at is not None:
-            return self._at(k)
+            return self._at(k).tolist()
         return [self._fn(i, k) for i in range(self._n)]
 
     @classmethod
@@ -707,9 +688,9 @@ class SwitchingSignal:
         rows = [list(map(int, row)) for row in table]
         if not rows or any(len(r) != len(rows[0]) for r in rows):
             raise SchemaError("switching table rows must be nonempty and equal length")
-        sig = cls(len(rows), lambda i, k: rows[i][k], len(rows[0]))
-        columns = np.array(rows, dtype=np.int64)
-        sig._at = lambda k: columns[:, k].tolist()
+        columns = np.array(rows, dtype=np.int64).reshape(len(rows), -1)
+        sig = cls(len(rows), lambda i, k: int(columns[i, k]), columns.shape[1])
+        sig._at = lambda k: columns[:, k]
         return sig
 
     @classmethod
@@ -719,11 +700,11 @@ class SwitchingSignal:
         rows = [list(map(int, row)) for row in schedules]
         if not rows or any(not r for r in rows):
             raise SchemaError("each periodic schedule must be nonempty")
-        sig = cls(len(rows), lambda i, k: rows[i][(k // period) % len(rows[i])], None)
         lengths = np.array([len(r) for r in rows], dtype=np.int64)
-        start = np.concatenate(([0], np.cumsum(lengths)[:-1]))
-        flat = np.concatenate([np.array(r, dtype=np.int64) for r in rows])
-        sig._at = lambda k: flat[start + (k // period) % lengths].tolist()
+        start = np.cumsum(lengths) - lengths
+        flat = np.array(list(chain.from_iterable(rows)), dtype=np.int64)
+        sig = cls(len(rows), lambda i, k: int(flat[start[i] + (k // period) % lengths[i]]), None)
+        sig._at = lambda k: flat[start + (k // period) % lengths]
         return sig
 
     @classmethod
@@ -733,8 +714,9 @@ class SwitchingSignal:
 
     @classmethod
     def constant(cls, n_nodes: int, mode: int = 0) -> "SwitchingSignal":
-        sig = cls(n_nodes, lambda i, k: mode, None)
-        sig._at = lambda k: [mode] * n_nodes
+        modes = np.full(n_nodes, mode, dtype=np.int64)
+        sig = cls(n_nodes, lambda i, k: int(modes[i]), None)
+        sig._at = lambda k: modes
         return sig
 
 
@@ -1051,20 +1033,8 @@ def parse_network(data) -> NetworkSpec:
     if data.get("abstract_subsystems") is not None:
         abstract = _parse_layer(data["abstract_subsystems"])
     spec = NetworkSpec(subs, abstract)
-    edges = data.get("edges", [])
     try:
-        declared = np.array(edges)
-    except ValueError:
-        declared = None
-    if (
-        declared is not None
-        and declared.dtype.kind == "i"
-        and declared.shape[1:] == (2,)
-        and np.array_equal(np.unique(declared, axis=0), spec._layer.edges)
-    ):
-        return spec
-    try:
-        declared = {tuple(map(_integral, e)) for e in edges}
+        declared = {tuple(map(_integral, e)) for e in data.get("edges", [])}
     except (TypeError, ValueError) as exc:
         raise SchemaError("'edges' must be an array of [source, destination] id pairs") from exc
     derived = set(spec.graph.edges)
@@ -1095,114 +1065,120 @@ def _file_id(value) -> int:
     return value
 
 
+_KINDS = ("out_blocks", "in_blocks")
+
+
 def _parse_layer(entries) -> tuple[SwitchedLinearSubsystem, ...]:
     """The subsystems of one layer's decoded entries, as views into the
     layer's matrix stacks, node-checked in one pass.
 
-    The walk stops at the first malformed entry; matrices are converted and
-    block bounds type-checked after it, all at once.  The first defect in
-    file order is raised: a malformed part of a node comes after the checks
-    of the nodes before it and before the node's own checks.  Positions are
-    (row, slot): slots 0-3 are a row's A-D, 4 and 5 its out- and in-blocks,
-    -1 the entry before them.
+    The walk reads each entry's id and per-mode structure and stops at the
+    first entry it cannot read; the matrices are then converted and the
+    block bounds type-checked all at once.  An entry is malformed if the
+    walk stopped at it or one of its matrices or bounds is; the nodes
+    before the first malformed entry are checked first, then
+    ``_entry_defect`` names what is wrong with it.  So the first defect in
+    file order is raised.
     """
     try:
         entries = list(entries)
     except TypeError as exc:
         raise SchemaError("'abstract_subsystems' must be an array") from exc
-    ids, counts, raw, blocks, maps = [], [], [], [], []
-    malformed = None
-    try:
-        for pos, entry in enumerate(entries):
-            if not isinstance(entry, dict) or "id" not in entry:
-                raise SchemaError("each subsystem must be an object with an 'id'")
-            try:
-                node = _file_id(entry["id"])
-            except (TypeError, ValueError) as exc:
-                raise SchemaError(
-                    f"subsystem at position {pos}: id {entry['id']!r} is not an integer",
-                    position=pos, id=entry["id"],
-                ) from exc
-            modes_raw = entry.get("modes")
-            if not isinstance(modes_raw, list) or not modes_raw:
-                raise SchemaError(
-                    f"subsystem {node} must declare a nonempty 'modes' array", node=node
-                )
-            default_out = entry.get("out_blocks")
-            default_in = entry.get("in_blocks")
-            for s, mraw in enumerate(modes_raw):
-                if not isinstance(mraw, dict):
-                    raise SchemaError(
-                        f"subsystem {node} mode {s} must be an object", node=node, mode=s
-                    )
-                try:
-                    mats = (mraw["A"], mraw["B"], mraw["C"], mraw["D"])
-                except KeyError:
-                    missing = [k for k in _FAMILIES if k not in mraw]
-                    raise SchemaError(
-                        f"subsystem {node} mode {s} lacks matrices {missing}",
-                        node=node, mode=s, missing=missing,
-                    ) from None
-                out_raw = mraw.get("out_blocks", default_out)
-                in_raw = mraw.get("in_blocks", default_in)
-                if out_raw is None or in_raw is None:
-                    raise SchemaError(
-                        f"subsystem {node} mode {s}: out_blocks/in_blocks missing (neither "
-                        f"per-mode nor subsystem-level)",
-                        node=node, mode=s,
-                    )
-                raw.append(mats)
-                maps += (out_raw, in_raw)
-                blocks.append(_block_map(out_raw, node, s, "out_blocks"))
-                blocks.append(_block_map(in_raw, node, s, "in_blocks"))
-            ids.append(node)
-            counts.append(len(modes_raw))
-    except SchemaError as exc:
-        pending = 2 * len(raw) - len(blocks)  # block maps of the last row left unparsed
-        malformed = ((len(raw) - 1, 6 - pending) if pending else (len(raw), -1), exc)
+    ids, counts, raw, blocks = [], [], [], []
+    for pos, entry in enumerate(entries):
+        try:
+            node = _node_id(pos, entry)
+            modes = [(mats, _block_map(out_raw), _block_map(in_raw))
+                     for mats, out_raw, in_raw in _raw_modes(node, entry)]
+        except (SchemaError, AttributeError, TypeError, ValueError):
+            break
+        ids.append(node)
+        counts.append(len(modes))
+        for mats, out_map, in_map in modes:
+            raw.append(mats)
+            blocks += (out_map, in_map)
     families = [list(f) for f in zip(*raw)] or [[] for _ in _FAMILIES]
     mats = _Matrices(families, _parse_matrix)
-    defects = [malformed] if malformed else []
-    if mats.any_bad():
-        bad = np.stack([mats.bad_of(f) for f in range(4)])
-        row = int(np.flatnonzero(bad.any(axis=0))[0])
-        defects.append(((row, int(np.argmax(bad[:, row]))), None))
+    flagged = np.logical_or.reduce(mats.bad)  # per row
     if _bound_types(blocks) - {int}:  # booleans and floats unpack like ints
-        first = next(b for b, m in enumerate(blocks) if _bound_types([m]) - {int})
-        defects.append(((first // 2, 4 + first % 2), None))
-    row = len(raw)
-    if defects:
-        (row, slot), error = min(defects, key=lambda d: d[0])
-        keep = bisect.bisect_right(np.cumsum(counts).tolist(), row)
-        if error is None:  # at a row of node ``keep``, complete or the last walked
-            at, mode = (ids + [node])[keep], row - sum(counts[:keep])
-            if slot < 4:
-                try:
-                    _parse_matrix(raw[row][slot], at, mode, _FAMILIES[slot])
-                except SchemaError as exc:
-                    error = exc
-            else:
-                error = _block_defect(maps[2 * row + slot - 4], at, mode, _KINDS[slot - 4])
-        ids, counts = ids[:keep], counts[:keep]
-        malformed = error
-        row = sum(counts)
-    arrays = [iter(f) for f in mats.arrays] or [iter(())] * 4
+        flagged[next(b for b, m in enumerate(blocks) if _bound_types([m]) - {int}) // 2] = True
+    rows = np.flatnonzero(flagged)
+    keep = int(np.repeat(np.arange(len(ids)), counts)[rows[0]]) if rows.size else len(ids)
+    row = sum(counts[:keep])
+    arrays = [iter(f) for f in mats.arrays]
     outs, ins = blocks[0:2 * row:2], blocks[1:2 * row:2]
     modes = [
         _view(Mode, A=a, B=b, C=c, D=d, out_blocks=o, in_blocks=i)
         for a, b, c, d, o, i in zip(*arrays, outs, ins)
     ]
     subs, start = [], 0
-    for node, count in zip(ids, counts):
+    for node, count in zip(ids[:keep], counts):
         subs.append(_view(SwitchedLinearSubsystem, id=node, modes=tuple(modes[start:start + count])))
         start += count
     subs = tuple(subs)
-    layer = _Layer(subs, mats)
-    if malformed is not None:
-        _raise(layer.node_defect())
-        raise malformed
-    layer.check_nodes()
+    _Layer(subs, mats).check_nodes()
+    if keep < len(entries):
+        raise _entry_defect(keep, entries[keep])
     return subs
+
+
+def _node_id(pos: int, entry) -> int:
+    if not isinstance(entry, dict) or "id" not in entry:
+        raise SchemaError("each subsystem must be an object with an 'id'")
+    try:
+        return _file_id(entry["id"])
+    except (TypeError, ValueError) as exc:
+        raise SchemaError(
+            f"subsystem at position {pos}: id {entry['id']!r} is not an integer",
+            position=pos, id=entry["id"],
+        ) from exc
+
+
+def _raw_modes(node: int, entry: dict):
+    """Per mode of a decoded entry, in file order: its (A, B, C, D) as
+    decoded and its out- and in-block maps (the mode's, else the entry's).
+    SchemaError at the first mode whose structure is malformed."""
+    modes_raw = entry.get("modes")
+    if not isinstance(modes_raw, list) or not modes_raw:
+        raise SchemaError(f"subsystem {node} must declare a nonempty 'modes' array", node=node)
+    default_out = entry.get("out_blocks")
+    default_in = entry.get("in_blocks")
+    for s, mraw in enumerate(modes_raw):
+        if not isinstance(mraw, dict):
+            raise SchemaError(f"subsystem {node} mode {s} must be an object", node=node, mode=s)
+        try:
+            mats = (mraw["A"], mraw["B"], mraw["C"], mraw["D"])
+        except KeyError:
+            missing = [k for k in _FAMILIES if k not in mraw]
+            raise SchemaError(
+                f"subsystem {node} mode {s} lacks matrices {missing}",
+                node=node, mode=s, missing=missing,
+            ) from None
+        out_raw = mraw.get("out_blocks", default_out)
+        in_raw = mraw.get("in_blocks", default_in)
+        if out_raw is None or in_raw is None:
+            raise SchemaError(
+                f"subsystem {node} mode {s}: out_blocks/in_blocks missing (neither "
+                f"per-mode nor subsystem-level)",
+                node=node, mode=s,
+            )
+        yield mats, out_raw, in_raw
+
+
+def _entry_defect(pos: int, entry) -> SchemaError:
+    """The first malformed part of one decoded entry in file order: its id,
+    then mode by mode its structure, A, B, C, D, out_blocks and in_blocks.
+    Called on the first entry that ``_parse_layer`` flags."""
+    try:
+        node = _node_id(pos, entry)
+        for s, (mats, out_raw, in_raw) in enumerate(_raw_modes(node, entry)):
+            for name, obj in zip(_FAMILIES, mats):
+                _parse_matrix(obj, node, s, name)
+            for kind, obj in zip(_KINDS, (out_raw, in_raw)):
+                _check_block_map(obj, node, kind)
+    except SchemaError as exc:
+        return exc
+    raise AssertionError(f"subsystem at position {pos} is not malformed")
 
 
 def _bound_types(blocks) -> set:
@@ -1233,40 +1209,33 @@ def _parse_matrix(obj, node=None, mode=None, name=None) -> np.ndarray:
     return a
 
 
-_KINDS = ("out_blocks", "in_blocks")
-
-
-def _block_map(obj, node, mode, kind) -> BlockMap:
+def _block_map(obj) -> BlockMap:
     """A decoded block map with integer ids; its bounds are type-checked
     in bulk by the caller."""
-    try:
-        return {int(key): (lo, hi) for key, (lo, hi) in obj.items()}
-    except (AttributeError, TypeError, ValueError):
-        raise _block_defect(obj, node, mode, kind) from None
+    return {int(key): (lo, hi) for key, (lo, hi) in obj.items()}
 
 
-def _block_defect(obj, node, mode, kind) -> SchemaError:
-    """The SchemaError of a malformed block map: not an object, or its
-    first entry without an integer id or an integer pair."""
+def _check_block_map(obj, node, kind) -> None:
+    """SchemaError if a decoded block map is not an object of integer id
+    -> [start, stop] with integer bounds (booleans are not integers)."""
     if not isinstance(obj, dict):
-        return SchemaError(
+        raise SchemaError(
             f"subsystem {node}: {kind} must be an object of id -> [start, stop]",
             node=node, kind=kind,
         )
     for key, rng in obj.items():
         try:
-            _integral(key)
-        except ValueError:
-            return SchemaError(
+            int(key)
+        except ValueError as exc:
+            raise SchemaError(
                 f"subsystem {node}: {kind} key '{key}' is not an integer id",
                 node=node, kind=kind,
-            )
-        if type(rng) is not list or len(rng) != 2 or type(rng[0]) is not int or type(rng[1]) is not int:
-            return SchemaError(
+            ) from exc
+        if type(rng) is not list or len(rng) != 2 or any(type(v) is not int for v in rng):
+            raise SchemaError(
                 f"subsystem {node}: {kind}[{key}] must be an integer pair [start, stop]",
                 node=node, kind=kind, key=key,
             )
-    raise AssertionError("block map has no malformed entry")
 
 
 def network_to_json(spec: NetworkSpec) -> dict:

@@ -18,6 +18,7 @@ from simnet import (
     SwitchedLinearSubsystem,
     SwitchingSignal,
     certificates_to_json,
+    check_dissipation_sampled,
     closed_form_certificate,
     derive_gains,
     generate_ring_network,
@@ -26,6 +27,8 @@ from simnet import (
     network_to_json,
     save_certificates,
     save_network,
+    solve_structural,
+    synthesize_certificate_matrix,
     verify_output_dominance,
     verify_structure,
 )
@@ -113,6 +116,7 @@ NETWORK_CASES = {
     "id-fractional": lambda d: d["subsystems"][1].__setitem__("id", 1.5),
     "block-range-boolean": lambda d: mode(d, 1, 1)["out_blocks"].__setitem__("1", [False, True]),
     "edges-not-pairs": lambda d: d.__setitem__("edges", 5),
+    "edges-boolean-id": lambda d: next(e for e in d["edges"] if e[0] == 1).__setitem__(0, True),
     # two defects: the earlier node's is reported
     "two-defects-validation-first": lambda d: (
         mode(d, 1, 1)["A"][1].__setitem__(0, NAN), d["subsystems"][2]["modes"].__setitem__(0, 3)),
@@ -217,6 +221,7 @@ EXPECTED = {
     'load_network/id-fractional': ('SchemaError', 'subsystem at position 1: id 1.5 is not an integer', {'position': 1, 'id': 1.5}),
     'load_network/block-range-boolean': ('SchemaError', 'subsystem 1: out_blocks[1] must be an integer pair [start, stop]', {'node': 1, 'kind': 'out_blocks', 'key': '1'}),
     'load_network/edges-not-pairs': ('SchemaError', "'edges' must be an array of [source, destination] id pairs", {}),
+    'load_network/edges-boolean-id': ('SchemaError', "'edges' must be an array of [source, destination] id pairs", {}),
     'load_network/two-defects-validation-first': ('SchemaError', 'subsystem 1 mode 1: matrix A has non-finite entries', {'node': 1, 'mode': 1, 'matrix': 'A'}),
     'load_network/two-defects-structure-first': ('SchemaError', "subsystem 1 mode 1 lacks matrices ['B']", {'node': 1, 'mode': 1, 'missing': ['B']}),
     'load_network/two-defects-matrix-then-entry': ('SchemaError', 'subsystem 1 mode 1: matrix A has non-numeric entries', {'node': 1, 'mode': 1, 'matrix': 'A'}),
@@ -312,6 +317,51 @@ def test_standalone_subsystem_checked_when_verified(swing_cert, swing_pair):
     ])
     with pytest.raises(simnet.DimensionMismatchError, match="B must be 2x1, got"):
         derive_gains(swing_cert, wrong, abstract)
+
+
+def test_standalone_subsystem_checked_before_solving(swing_cert, swing_pair):
+    # a NaN in A used to come back from solve_structural as a NaN solution
+    concrete, abstract = swing_pair
+    mode = concrete.modes[1]
+    a = np.array(mode.A)
+    a[0, 0] = np.nan
+    bad = SwitchedLinearSubsystem(0, [concrete.modes[0], Mode(
+        A=a, B=mode.B, C=mode.C, D=mode.D, out_blocks=mode.out_blocks, in_blocks=mode.in_blocks)])
+    gains = derive_gains(swing_cert, concrete, abstract)
+    calls = {
+        "solve_structural": lambda: solve_structural(
+            bad, [m.A for m in abstract.modes], swing_cert.P,
+            abstract_B=[m.B for m in abstract.modes]),
+        "synthesize_certificate_matrix": lambda: synthesize_certificate_matrix(
+            bad, swing_cert.K, swing_cert.kappa),
+        "check_dissipation_sampled": lambda: check_dissipation_sampled(
+            swing_cert, bad, abstract, samples=10, gains=gains),
+    }
+    for name, call in calls.items():
+        with pytest.raises(SchemaError) as err:
+            call()
+        assert (str(err.value), err.value.details) == (
+            "subsystem 0 mode 1: matrix A has non-finite entries",
+            {"node": 0, "mode": 1, "matrix": "A"},
+        ), name
+
+
+def test_structural_nan_residual_fails_closed():
+    # finite entries whose state matching residual overflows to inf - inf
+    big = 1e300
+    concrete = SwitchedLinearSubsystem(0, [Mode(
+        A=np.diag([big, big]), B=[[0.0], [1.0]], C=[[1.0, 0.0]], D=np.zeros((2, 0)),
+        out_blocks={0: (0, 1)}, in_blocks={})])
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+            simnet.StructuralInfeasibleError, match="state matching residual nan"):
+        solve_structural(concrete, [[[big]]], [[big], [-big]], abstract_B=[[[1.0]]])
+
+
+def test_nan_dissipation_slack_is_a_violation(swing_cert, swing_pair):
+    concrete, abstract = swing_pair
+    gains = simnet.LocalGains(alpha=1.0, lam=0.5, rho_int=float("nan"), rho_ext=0.0)
+    report = check_dissipation_sampled(swing_cert, concrete, abstract, samples=10, gains=gains)
+    assert not report.ok and report.violations == report.samples
 
 
 def test_abstract_view_reuses_the_checked_layer(monkeypatch):
