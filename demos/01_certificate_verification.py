@@ -14,9 +14,7 @@ from simnet import (
     check_dissipation_sampled,
     closed_form_certificate,
     derive_gains,
-    verify_decay,
-    verify_output_dominance,
-    verify_structure,
+    verify_certificate,
 )
 from simnet.swing import template_pair
 
@@ -34,9 +32,7 @@ cert = closed_form_certificate(params)
 print("\ncertificate matrix M =\n", cert.M[0].entries)
 print("feedback K =", cert.K[0].ravel(), " decay kappa =", cert.kappa)
 
-dom = verify_output_dominance(cert, concrete, abstract)
-dec = verify_decay(cert, concrete)
-struct = verify_structure(cert, concrete, abstract)
+dom, dec, struct = verify_certificate(cert, concrete, abstract).reports
 print("\noutput dominance:", bool(dom),
       " (worst margin", min(m["psd_margin"] for m in dom.margins.values()), ")")
 print("decay over mode pairs:", bool(dec),

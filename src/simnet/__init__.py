@@ -25,16 +25,12 @@ _EXPORTS = {
         "certificates_to_json",
         "check_dissipation_sampled",
         "derive_gains",
-        "evaluate_V",
-        "interface_input",
         "load_certificates",
         "save_certificates",
         "solve_structural",
         "synthesize_certificate_matrix",
-        "verify_decay",
         "verify_network",
-        "verify_output_dominance",
-        "verify_structure",
+        "verify_certificate",
     ),
     "composition": (
         "ComposedCertificate",
@@ -70,32 +66,23 @@ _EXPORTS = {
         "SymMatrix",
         "ToleranceProfile",
         "edge_pattern",
-        "operator_norm",
         "operator_norm_batch",
-        "principal_sqrt",
         "principal_sqrt_batch",
-        "psd_margin",
         "psd_margin_batch",
-        "psd_order",
         "radius_bracket",
         "solve_linear_least_squares",
-        "spectral_radius",
         "spectral_radius_dense",
     ),
     "network": (
         "InterconnectionGraph",
         "Mode",
         "NetworkSpec",
-        "StepResult",
         "SwitchedLinearSubsystem",
         "SwitchingSignal",
-        "assemble_internal_input",
         "load_network",
         "network_to_json",
         "parse_network",
         "save_network",
-        "step",
-        "step_with_modes",
     ),
     "simulate": (
         "BoundConstants",

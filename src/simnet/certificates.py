@@ -59,7 +59,6 @@ from .linalg import (
     operator_norm_batch,
     principal_sqrt_batch,
     psd_margin_batch,
-    psd_order,
     solve_linear_least_squares,
 )
 from .network import (
@@ -121,9 +120,6 @@ class LocalCertificate:
         if self.transitions is not None:
             return self.transitions
         return tuple(itertools.product(range(self.n_modes), repeat=2))
-
-    def error_vector(self, x, x_hat) -> np.ndarray:
-        return np.asarray(x, dtype=float) - self.P @ np.asarray(x_hat, dtype=float)
 
 
 _CERT_FAMILIES = ("M", "K", "P", "Q", "R", "T")
@@ -355,12 +351,12 @@ class LocalGains:
     p_exp: int = 2
     q_exp: int = 2
 
-    def __post_init__(self):
-        if self.alpha <= 0:
+    def __post_init__(self):  # each comparison fails on NaN
+        if not self.alpha > 0:
             raise CertificateError(f"alpha must be positive, got {self.alpha}")
         if not (0.0 < self.lam < 1.0):
             raise CertificateError(f"lambda must lie in (0, 1), got {self.lam}")
-        if self.rho_int < 0 or self.rho_ext < 0:
+        if not (self.rho_int >= 0 and self.rho_ext >= 0):
             raise CertificateError("gain coefficients must be nonnegative")
 
 
@@ -448,7 +444,7 @@ class _Batch:
 
     def __init__(self, items):
         self.items = items
-        _check_subsystems(sub for item in items for sub in item[1:] if sub is not None)
+        _check_subsystems(sub for item in items for sub in item[1:])
         for cert, concrete, _ in items:
             if cert.n != concrete.n:
                 raise DimensionMismatchError(
@@ -492,11 +488,9 @@ class _Batch:
 
 def _shape_signature(item) -> tuple:
     cert, concrete, abstract = item
-    mode = concrete.modes[0]
-    shapes = [mode.A.shape, mode.B.shape, mode.C.shape, mode.D.shape, cert.P.shape]
-    if abstract is not None:
-        a_mode = abstract.modes[0]
-        shapes += [a_mode.A.shape, a_mode.B.shape, a_mode.C.shape, a_mode.D.shape]
+    shapes = [cert.P.shape]
+    for mode in (concrete.modes[0], abstract.modes[0]):
+        shapes += [mode.A.shape, mode.B.shape, mode.C.shape, mode.D.shape]
     for family in (cert.K, cert.Q, cert.R, cert.T):
         shapes += [x.shape for x in family]
     return tuple(shapes)
@@ -663,39 +657,17 @@ def _gains(batch: _Batch, tol: ToleranceProfile) -> list[LocalGains]:
     ]
 
 
-def verify_output_dominance(
+def verify_certificate(
     cert: LocalCertificate,
     concrete: SwitchedLinearSubsystem,
     abstract_sub: SwitchedLinearSubsystem,
     tol: ToleranceProfile = DEFAULT_TOL,
-) -> VerificationReport:
-    """Per mode: C'C below M in the semidefinite order, and C P matching the
-    abstract output map entrywise within eig_tol.
-
-    Together these give the output-error lower bound with unit coefficient.
-    """
-    return _output_dominance(_Batch([(cert, concrete, abstract_sub)]), tol)[0]
-
-
-def verify_decay(
-    cert: LocalCertificate,
-    concrete: SwitchedLinearSubsystem,
-    tol: ToleranceProfile = DEFAULT_TOL,
-) -> VerificationReport:
-    """3 F_s' M_s2 F_s <= (1 - kappa) M_s over all admissible mode pairs."""
-    return _decay(_Batch([(cert, concrete, None)]), tol)[0]
-
-
-def verify_structure(
-    cert: LocalCertificate,
-    concrete: SwitchedLinearSubsystem,
-    abstract_sub: SwitchedLinearSubsystem,
-    tol: ToleranceProfile = DEFAULT_TOL,
-) -> VerificationReport:
-    """Structural matching: A P = P Ahat - B Q and D = P Dhat - B T per mode,
-    with residuals measured entrywise against eig_tol * (1 + max|A|).
-    """
-    return _structure(_Batch([(cert, concrete, abstract_sub)]), tol)[0]
+) -> VerifiedCertificate:
+    """The three obligations of one node (see the module docstring: the
+    semidefinite orders within psd_tol, C P = Chat entrywise within eig_tol,
+    the structure within eig_tol * (1 + max|A|)) and, when all pass, its
+    gains: the one-node case of ``verify_network``."""
+    return _verify([(cert, concrete, abstract_sub)], tol)[0]
 
 
 def derive_gains(
@@ -715,7 +687,7 @@ def derive_gains(
     with |.| the induced 2-norm.  Raises CertificateError if any of the three
     verification obligations fails.
     """
-    verified = _verify([(cert, concrete, abstract_sub)], tol)[0]
+    verified = verify_certificate(cert, concrete, abstract_sub, tol)
     if not verified:
         bad = [r for r in verified.reports if not r]
         raise CertificateError(
@@ -726,37 +698,11 @@ def derive_gains(
     return verified.gains
 
 
-def interface_input(cert: LocalCertificate, x, x_hat, u_hat, w_hat, mode: int) -> np.ndarray:
-    """Refined input u = K (x - P xhat) + Q xhat + R uhat + T what."""
-    x = np.asarray(x, dtype=float)
-    x_hat = np.asarray(x_hat, dtype=float)
-    u_hat = np.asarray(u_hat, dtype=float)
-    w_hat = np.asarray(w_hat, dtype=float)
-    if x.shape != (cert.n,) or x_hat.shape != (cert.n_abstract,):
-        raise DimensionMismatchError(
-            f"interface expects state dims ({cert.n},)/({cert.n_abstract},), "
-            f"got {x.shape}/{x_hat.shape}"
-        )
-    return (
-        cert.K[mode] @ cert.error_vector(x, x_hat)
-        + cert.Q[mode] @ x_hat
-        + cert.R[mode] @ u_hat
-        + cert.T[mode] @ w_hat
-    )
-
-
-def evaluate_V(cert: LocalCertificate, x, x_hat, mode: int) -> float:
-    """Tracking energy (x - P xhat)' M_mode (x - P xhat); nonnegative."""
-    e = cert.error_vector(x, x_hat)
-    return max(float(e @ cert.M[mode].entries @ e), 0.0)
-
-
 class CompiledCertificates:
     """The certificates of a node list, in node order, compiled for flat
     vectors like network.NetworkEngine: the P, K, Q, R, T and M blocks of
     every (node, mode) become tagged entries.  The layouts follow the
-    certificates (R and T set the abstract input widths); ``interface_input``
-    and ``evaluate_V`` above are the per-node references.
+    certificates (R and T set the abstract input widths).
     """
 
     def __init__(self, certs):
@@ -830,14 +776,15 @@ def check_dissipation_sampled(
 
     pointwise with slack 1e-9 * (1 + |V|); a NaN slack counts as a
     violation.  Slack is reported so that negative means satisfied; the
-    worst case is the max over samples.  Both subsystems are checked first
-    (see ``_check_subsystems``).
+    worst case is the max over samples, where a NaN slack ranks above every
+    number, and the witness is the worst violating sample.  Both subsystems
+    are checked first (see ``_check_subsystems``).
     """
     _check_subsystems((concrete, abstract_sub))
     if gains is None:
         gains = derive_gains(cert, concrete, abstract_sub, tol)
     rng = np.random.default_rng(seed)
-    worst = -np.inf
+    worst = worst_rank = witness_rank = -np.inf
     witness = None
     violations = 0
     total = 0
@@ -866,19 +813,22 @@ def check_dissipation_sampled(
         bad = ~(slack <= allowed)  # a NaN slack is a violation
         violations += int(bad.sum())
         total += samples
-        idx = int(np.argmax(slack))
-        if slack[idx] > worst:
-            worst = float(slack[idx])
-            if bad[idx]:
-                witness = {
-                    "mode_pair": (s, s2),
-                    "x": x[idx].tolist(),
-                    "x_hat": xh[idx].tolist(),
-                    "w": w[idx].tolist(),
-                    "w_hat": wh[idx].tolist(),
-                    "u_hat": uh[idx].tolist(),
-                    "slack": float(slack[idx]),
-                }
+        rank = np.where(np.isnan(slack), np.inf, slack)  # a NaN slack ranks worst
+        idx = int(np.argmax(rank))
+        if rank[idx] > worst_rank:
+            worst_rank, worst = rank[idx], float(slack[idx])
+        idx = int(np.argmax(np.where(bad, rank, -np.inf)))
+        if bad[idx] and (witness is None or rank[idx] > witness_rank):
+            witness_rank = rank[idx]
+            witness = {
+                "mode_pair": (s, s2),
+                "x": x[idx].tolist(),
+                "x_hat": xh[idx].tolist(),
+                "w": w[idx].tolist(),
+                "w_hat": wh[idx].tolist(),
+                "u_hat": uh[idx].tolist(),
+                "slack": float(slack[idx]),
+            }
     return DissipationReport(
         ok=violations == 0,
         worst_slack=worst,
@@ -938,13 +888,18 @@ def synthesize_certificate_matrix(
             iter_max=tol.iter_max,
         )
     result = SymMatrix(m_cur)
+    m = result.entries[None]
+    grams = _sym(np.array([mode.C.T @ mode.C for mode in concrete.modes]))
+    closed = np.array(loops) / scale
+    checks = (
+        ("output dominance", psd_margin_batch(grams, m)),
+        ("the decay condition", psd_margin_batch(
+            _sym(3.0 * np.swapaxes(closed, -1, -2) @ m @ closed), (1.0 - kappa) * m)),
+    )
     for s in range(concrete.n_modes):
-        c = concrete.modes[s].C
-        if not psd_order(SymMatrix(c.T @ c), result, tol):
-            raise CertificateError("synthesized matrix fails output dominance", mode=s)
-        lhs = SymMatrix(3.0 * (loops[s] / scale).T @ result.entries @ (loops[s] / scale))
-        if not psd_order(lhs, SymMatrix((1.0 - kappa) * result.entries), tol):
-            raise CertificateError("synthesized matrix fails the decay condition", mode=s)
+        for what, (margin, size) in checks:
+            if not margin[s] >= -tol.psd_tol * size[s]:
+                raise CertificateError(f"synthesized matrix fails {what}", mode=s)
     return result
 
 

@@ -363,14 +363,16 @@ class ComposedCertificate:
         self.alpha_total = float(alpha_total)
         self.rho_ext_coeff = float(rho_ext_coeff)
         self.certificates = tuple(certificates)
-        if np.any(self.mu <= 0.0):
+        if not np.all(self.mu > 0.0):  # each comparison fails on NaN
             raise CompositionError("mu must be positive componentwise")
         if not (0.0 < self.lambda_inf < 1.0):
             raise CompositionError(
                 f"lambda_inf must lie in (0, 1), got {self.lambda_inf}"
             )
-        if self.alpha_total <= 0.0:
+        if not self.alpha_total > 0.0:
             raise CompositionError("alpha_total must be positive")
+        if not self.rho_ext_coeff >= 0.0:
+            raise CompositionError("rho_ext_coeff must be nonnegative")
 
     @property
     def mu_min(self) -> float:
@@ -485,7 +487,8 @@ def check_composed_dissipation(
 
         V'(x+, xhat+) - V(x, xhat) <= -lambda_inf V + rho_ext(|uhat|_2)
 
-    with slack 1e-9 * (1 + V).
+    with slack 1e-9 * (1 + V); a NaN slack counts as a violation and ranks
+    above every number, and the witness is the worst violating sample.
     """
     if spec.abstract_subsystems is None:
         raise CompositionError("composed dissipation needs declared abstract subsystems")
@@ -504,7 +507,7 @@ def check_composed_dissipation(
     # one flat draw per quantity is the same stream as one draw per node
     sizes = (lockstep.concrete.state.size, lockstep.abstract.state.size,
              lockstep.abstract.input.size)
-    worst = -np.inf
+    worst = worst_rank = witness_rank = -np.inf
     witness = None
     violations = 0
     for _ in range(samples):
@@ -528,9 +531,13 @@ def check_composed_dissipation(
             -composed.lambda_inf * v_now + composed.rho_ext_coeff * u_hat_sq
         )
         allowed = 1e-9 * (1.0 + abs(v_now))
-        if slack > worst:
-            worst = float(slack)
-            if slack > allowed:
+        rank = math.inf if math.isnan(slack) else slack
+        if rank > worst_rank:
+            worst_rank, worst = rank, float(slack)
+        if not slack <= allowed:
+            violations += 1
+            if witness is None or rank > witness_rank:
+                witness_rank = rank
                 witness = {
                     "modes_now": modes_now,
                     "modes_next": modes_next,
@@ -538,8 +545,6 @@ def check_composed_dissipation(
                     "V_next": v_next,
                     "slack": float(slack),
                 }
-        if slack > allowed:
-            violations += 1
     return DissipationReport(
         ok=violations == 0,
         worst_slack=worst,

@@ -9,11 +9,12 @@ operands), which keeps the tests meaningful both for O(1e-10) residuals and
 for O(10) certificate matrices.
 
 ``radius_bracket`` works on an edge list and never forms the dense matrix;
-``spectral_radius`` (dense eigenvalues) is kept as its reference.
+``spectral_radius_dense`` (dense eigenvalues) is kept as its reference.
 
-The ``*_batch`` kernels take (k, n, n) stacks and make one stacked numpy
-call per operand, whatever k.  numpy runs the same LAPACK routine on every
-matrix of a stack, so each result equals the per-matrix kernel's bit for bit.
+Each semidefinite decision, square root and operator norm has one kernel,
+``*_batch``: it takes a (k, n, n) stack and makes one stacked numpy call per
+operand, whatever k.  numpy runs the same LAPACK routine on every matrix of
+a stack, so a stack of one gives the single-matrix result bit for bit.
 """
 
 from __future__ import annotations
@@ -85,78 +86,23 @@ class SymMatrix:
         return f"SymMatrix({self.entries!r})"
 
 
-def _as_sym(a) -> np.ndarray:
-    """Coerce a SymMatrix or array-like to a symmetric ndarray."""
-    if isinstance(a, SymMatrix):
-        return a.entries
-    return SymMatrix(a).entries
-
-
-def _eig_scale(a: np.ndarray) -> float:
-    """Largest-magnitude eigenvalue of a symmetric matrix."""
-    return float(np.abs(np.linalg.eigvalsh(a)).max()) if a.size else 0.0
-
-
-def psd_order(a, b, tol: ToleranceProfile = DEFAULT_TOL) -> bool:
-    """Decide the semidefinite ordering a <= b (Loewner order).
-
-    True iff lambda_min(b - a) >= -psd_tol * (1 + max(||a||, ||b||)), with
-    ||.|| the largest-magnitude eigenvalue.
-    """
-    a = _as_sym(a)
-    b = _as_sym(b)
-    if a.shape != b.shape:
-        raise DimensionMismatchError(
-            f"psd_order operands must share a dimension, got {a.shape[0]} and {b.shape[0]}",
-            dim_a=a.shape[0],
-            dim_b=b.shape[0],
-        )
-    scale = 1.0 + max(_eig_scale(a), _eig_scale(b))
-    lam_min = float(np.linalg.eigvalsh(b - a).min())
-    return lam_min >= -tol.psd_tol * scale
-
-
-def psd_margin(a, b) -> float:
-    """lambda_min(b - a); positive when a is strictly below b."""
-    a = _as_sym(a)
-    b = _as_sym(b)
-    if a.shape != b.shape:
-        raise DimensionMismatchError(
-            f"psd_margin operands must share a dimension, got {a.shape[0]} and {b.shape[0]}",
-            dim_a=a.shape[0],
-            dim_b=b.shape[0],
-        )
-    return float(np.linalg.eigvalsh(b - a).min())
-
-
 def psd_margin_batch(a, b) -> tuple[np.ndarray, np.ndarray]:
-    """psd_margin and psd_order's scale over stacks of symmetric matrices.
+    """Semidefinite margins over (k, n, n) stacks of symmetric matrices.
 
-    For (k, n, n) stacks returns lambda_min(b_i - a_i) and
-    1 + max(||a_i||, ||b_i||), so psd_order(a_i, b_i, tol) is
-    ``lam_min[i] >= -tol.psd_tol * scale[i]``.  Three stacked eigvalsh calls.
+    Returns lambda_min(b_i - a_i) and the scale 1 + max(||a_i||, ||b_i||),
+    with ||.|| the largest-magnitude eigenvalue; a_i <= b_i in the Loewner
+    order is decided as ``lam_min[i] >= -tol.psd_tol * scale[i]``.  Three
+    stacked eigvalsh calls.
     """
-    scale = 1.0 + np.maximum(_eig_scale_batch(a), _eig_scale_batch(b))
+    scale = 1.0 + np.maximum(*(np.abs(np.linalg.eigvalsh(m)).max(axis=-1) for m in (a, b)))
     return np.linalg.eigvalsh(b - a).min(axis=-1), scale
 
 
-def _eig_scale_batch(a: np.ndarray) -> np.ndarray:
-    return np.abs(np.linalg.eigvalsh(a)).max(axis=-1)
-
-
-def principal_sqrt(a, tol: ToleranceProfile = DEFAULT_TOL) -> SymMatrix:
-    """Principal square root of a positive semidefinite symmetric matrix.
-
-    Eigenvalues within -psd_tol * (1 + ||a||) of zero are clamped to zero;
-    anything more negative raises IndefiniteMatrixError carrying lambda_min.
-    """
-    return SymMatrix(principal_sqrt_batch(_as_sym(a)[None], tol)[0])
-
-
 def principal_sqrt_batch(a, tol: ToleranceProfile = DEFAULT_TOL) -> np.ndarray:
-    """principal_sqrt over a (k, n, n) stack of symmetric matrices, with one
-    stacked eigh; raises for the first matrix of the stack that is
-    indefinite beyond tolerance.  Returns the (k, n, n) symmetric roots.
+    """Principal square roots of a (k, n, n) stack of positive semidefinite
+    symmetric matrices, with one stacked eigh.  Eigenvalues within
+    -psd_tol * (1 + ||a_i||) of zero are clamped to zero; the first matrix
+    more indefinite raises IndefiniteMatrixError carrying its lambda_min.
     """
     w, v = np.linalg.eigh(a)
     scale = 1.0 + np.abs(w).max(axis=-1)
@@ -172,30 +118,19 @@ def principal_sqrt_batch(a, tol: ToleranceProfile = DEFAULT_TOL) -> np.ndarray:
     return 0.5 * (s + np.swapaxes(s, -1, -2))
 
 
-def operator_norm(a) -> float:
-    """Induced 2-norm (largest singular value)."""
-    a = np.asarray(a, dtype=float)
-    if a.size == 0:
-        return 0.0
-    return float(np.linalg.norm(a, 2))
-
-
 def operator_norm_batch(a) -> np.ndarray:
-    """operator_norm of each matrix of a (k, r, c) stack: one stacked svd."""
+    """Induced 2-norm (largest singular value) of each matrix of a (k, r, c)
+    stack, 0 for empty matrices: one stacked svd."""
     a = np.asarray(a, dtype=float)
     if a.shape[-1] == 0 or a.shape[-2] == 0:
         return np.zeros(a.shape[:-2])
     return np.linalg.svd(a, compute_uv=False).max(axis=-1)
 
 
-def spectral_radius(a) -> float:
+def spectral_radius_dense(a) -> float:
     """Spectral radius of a dense entrywise-nonnegative square matrix by its
     eigenvalues; the reference the sparse ``radius_bracket`` is tested
     against."""
-    return spectral_radius_dense(a)
-
-
-def spectral_radius_dense(a) -> float:
     a = _check_nonnegative(a)
     if a.shape[0] == 0:
         return 0.0

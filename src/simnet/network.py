@@ -45,10 +45,10 @@ subsystem outside a spec.  The abstract view reuses the checked abstract
 layer.
 
 Specs are immutable after loading.  On first use a spec compiles into a
-``NetworkEngine`` that evaluates every node at once on flat stacked
-vectors; ``step``, ``step_with_modes`` and ``assemble_internal_input`` are
-per-node list wrappers around it, and the lockstep simulator and the
-composed oracle run on it directly.
+``NetworkEngine`` (``spec.engine``) that evaluates every node at once on
+flat stacked vectors: one ``step`` gives the next states, the outputs, the
+internal inputs and the external outputs.  The lockstep simulator and the
+composed oracle run on it.
 """
 
 from __future__ import annotations
@@ -57,7 +57,7 @@ import gc
 import json
 import operator
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
 
@@ -279,8 +279,12 @@ class _Layer:
         self.subsystems = subsystems
         self.checked = False
         modes = [mode for sub in subsystems for mode in sub.modes]
-        if mats is None:
+        maps = [m for mode in modes for m in (mode.out_blocks, mode.in_blocks)]
+        ranges = list(chain.from_iterable(m.values() for m in maps))
+        if mats is None:  # built from objects; parsed block maps hold integer pairs
             mats = _Matrices([[getattr(mode, f) for mode in modes] for f in _FAMILIES], np.asarray)
+            if not _integer_pairs(ranges):  # raise the first node defect, if any
+                _check_subsystems(subsystems)
         counts = [len(sub.modes) for sub in subsystems]
         self.ids = np.array([sub.id for sub in subsystems], dtype=np.int64)
         self.first = np.concatenate(([0], np.cumsum(counts, dtype=np.intp)))
@@ -289,11 +293,10 @@ class _Layer:
         self.dims = np.stack([dims[:n_rows] for dims in mats.dims], axis=1)
         self.plain = np.stack([plain[:n_rows] for plain in mats.plain], axis=1)
         self.finite = np.stack([finite[:n_rows] for finite in mats.finite], axis=1)
-        maps = [m for mode in modes for m in (mode.out_blocks, mode.in_blocks)]
         seg = np.repeat(np.arange(2 * len(modes)), [len(m) for m in maps])
         self.row, self.kind = seg >> 1, seg & 1
         self.peer = _int64(list(chain.from_iterable(maps)))
-        bounds = _int64(list(chain.from_iterable(chain.from_iterable(m.values() for m in maps))))
+        bounds = _int64(list(chain.from_iterable(ranges)))
         self.lo, self.hi = bounds.reshape(-1, 2).T
         self.owner = self.node[self.row]
 
@@ -591,9 +594,29 @@ def _subsystem_defect(sub: SwitchedLinearSubsystem) -> SimnetError | None:
     return None
 
 
+def _integer_pairs(ranges: list) -> bool:
+    """Whether every range is a pair of integers (booleans are not), judged
+    by one conversion."""
+    try:
+        arr = np.array(ranges)
+        types = set(map(type, chain.from_iterable(ranges)))
+    except (TypeError, ValueError):
+        return False
+    return arr.shape == (len(ranges), 2) and arr.dtype.kind in "iu" and bool not in types
+
+
 def _partition_defect(blocks: BlockMap, width: int, node: int, mode: int, kind: str):
-    """The BlockPartitionError of a block map that does not partition
-    0..width (the first gap or overlap, else the coverage), or None."""
+    """The error of a block map that does not partition 0..width (the
+    first range that is not an integer pair, gap or overlap, else the
+    coverage), or None."""
+    for key, rng in blocks.items():  # booleans are not integers
+        if not (isinstance(rng, (tuple, list)) and len(rng) == 2 and all(
+                isinstance(v, (int, np.integer)) and not isinstance(v, bool) for v in rng)):
+            return SchemaError(
+                f"subsystem {node} mode {mode}: {kind}[{key}] must be an integer pair "
+                f"(start, stop), got {rng!r}",
+                node=node, mode=mode, kind=kind, key=key,
+            )
     cursor = 0
     for lo, hi in sorted((lo, hi) for lo, hi in blocks.values()):
         if lo != cursor or hi < lo:
@@ -775,45 +798,6 @@ class NetworkSpec:
         """The spec compiled for evaluation, on first use: loading and
         validating a spec never pay for it."""
         return NetworkEngine(self)
-
-
-@dataclass(frozen=True)
-class StepResult:
-    next_states: list[np.ndarray]
-    outputs: list[np.ndarray] = field(default_factory=list)
-    external_outputs: list[np.ndarray] = field(default_factory=list)
-
-
-def assemble_internal_input(spec: NetworkSpec, states, modes) -> list[np.ndarray]:
-    """Internal inputs w_i built from neighbor outputs at the same step.
-
-    w_ij equals the output block of subsystem j addressed to i, evaluated at
-    j's current mode; outputs depend on states only, so no algebraic loop.
-    Linear in the states by construction.
-    """
-    engine = spec.engine
-    x = engine.state.stack(states)
-    w = engine.step(x, np.zeros(engine.input.size), engine.slots.select(modes))[2]
-    return engine.internal_input.split(w)
-
-
-def step(spec: NetworkSpec, states, inputs, switching: SwitchingSignal, k: int) -> StepResult:
-    """Advance the whole network one step under the given switching signal.
-
-    Returns next states, full outputs y_i(k) and external blocks y_ii(k);
-    outputs use the same mode sigma_i(k) as the state update.
-    """
-    return step_with_modes(spec, states, inputs, switching.modes_at(k))
-
-
-def step_with_modes(spec: NetworkSpec, states, inputs, modes) -> StepResult:
-    engine = spec.engine
-    x = engine.state.stack(states)
-    u = engine.input.stack(inputs)
-    x_next, y, _, ext = engine.step(x, u, engine.slots.select(modes))
-    return StepResult(
-        engine.state.split(x_next), engine.output.split(y), engine.external.split(ext)
-    )
 
 
 class Layout:

@@ -45,9 +45,6 @@ class SimulationRun:
     error_trace: list[float]
     u_hat_norms: list[float]
 
-    def running_sup_u_hat(self, k: int) -> float:
-        return max(self.u_hat_norms[: k + 1])
-
 
 def simulate_lockstep(
     spec: NetworkSpec,

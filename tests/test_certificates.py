@@ -20,29 +20,27 @@ from simnet import (
     StructuralInfeasibleError,
     SwingParams,
     SwitchedLinearSubsystem,
-    SymMatrix,
     VerificationReport,
     check_dissipation_sampled,
     closed_form_certificate,
     derive_gains,
-    evaluate_V,
     generate_ring_network,
-    interface_input,
     load_certificates,
-    operator_norm,
-    principal_sqrt,
-    psd_margin,
-    psd_order,
     save_certificates,
     solve_structural,
     synthesize_certificate_matrix,
-    verify_decay,
+    verify_certificate,
     verify_network,
-    verify_output_dominance,
-    verify_structure,
 )
+from simnet.certificates import CompiledCertificates
 from simnet.cli import main
-from vehicles import certified_network, heterogeneous_network, tight_subsystem_pair
+from vehicles import (
+    certified_network,
+    evaluate_V,
+    heterogeneous_network,
+    interface_input,
+    tight_subsystem_pair,
+)
 
 M_BENCH = np.array([[11.20, 12.50], [12.50, 17.83]])
 
@@ -78,13 +76,13 @@ def scalar_pair(a=0.1, a_hat=0.1, m_val=1.0, kappa=0.5):
 class TestOutputDominance:
     def test_swing_certificate_passes(self, swing_cert, swing_pair):
         concrete, abstract = swing_pair
-        report = verify_output_dominance(swing_cert, concrete, abstract)
+        report = verify_certificate(swing_cert, concrete, abstract).output_dominance
         assert report
         assert all(m["psd_margin"] > 0 for m in report.margins.values())
 
     def test_self_abstraction_gram_matrix(self):
         concrete, abstract, cert = scalar_pair()
-        assert verify_output_dominance(cert, concrete, abstract)
+        assert verify_certificate(cert, concrete, abstract).output_dominance
 
     def test_halved_matrix_fails(self, swing_cert, swing_pair):
         concrete, abstract = swing_pair
@@ -92,15 +90,15 @@ class TestOutputDominance:
             M=[0.5 * np.eye(2)] * 2, K=swing_cert.K, P=swing_cert.P,
             Q=swing_cert.Q, R=swing_cert.R, T=swing_cert.T, kappa=swing_cert.kappa,
         )
-        report = verify_output_dominance(weak, concrete, abstract)
+        report = verify_certificate(weak, concrete, abstract).output_dominance
         assert not report
         assert report.failures
 
 
 class TestDecay:
     def test_swing_all_four_mode_pairs(self, swing_cert, swing_pair):
-        concrete, _ = swing_pair
-        report = verify_decay(swing_cert, concrete)
+        concrete, abstract = swing_pair
+        report = verify_certificate(swing_cert, concrete, abstract).decay
         assert report
         assert len(report.margins) == 4
         # frozen margin: lambda_min(0.8 M - 3 F'MF) = 0.302325...
@@ -119,14 +117,15 @@ class TestDecay:
             M=[[[1.0]]], K=[[[0.0]]], P=[[1.0]], Q=[[[0.0]]],
             R=[[[1.0]]], T=[np.zeros((1, 0))], kappa=0.2,
         )
-        report = verify_decay(cert, concrete)
+        # a scalar node with P = 1 abstracts itself; the decay report does not read it
+        report = verify_certificate(cert, concrete, concrete).decay
         assert not report
         assert "(0 -> 0)" in report.failures[0]
 
     def test_scalar_decay_arithmetic(self):
         # 3 * 0.01 - 1 = -0.97 <= -0.5, so kappa = 0.5 holds
-        concrete, _, cert = scalar_pair(a=0.1, kappa=0.5)
-        assert verify_decay(cert, concrete)
+        concrete, abstract, cert = scalar_pair(a=0.1, kappa=0.5)
+        assert verify_certificate(cert, concrete, abstract).decay
 
     def test_transition_restriction_respected(self):
         concrete = SwitchedLinearSubsystem(
@@ -143,17 +142,18 @@ class TestDecay:
             R=[[[1.0]]] * 2, T=[np.zeros((1, 0))] * 2, kappa=0.5,
             transitions=[(0, 0), (0, 1)],  # mode 1 never active
         )
-        assert verify_decay(cert, concrete)
+        # a scalar node with P = 1 abstracts itself; the decay report does not read it
+        assert verify_certificate(cert, concrete, concrete).decay
         unrestricted = LocalCertificate(
             M=cert.M, K=cert.K, P=cert.P, Q=cert.Q, R=cert.R, T=cert.T, kappa=0.5
         )
-        assert not verify_decay(unrestricted, concrete)
+        assert not verify_certificate(unrestricted, concrete, concrete).decay
 
 
 class TestStructure:
     def test_swing_closed_forms(self, swing_cert, swing_pair):
         concrete, abstract = swing_pair
-        report = verify_structure(swing_cert, concrete, abstract)
+        report = verify_certificate(swing_cert, concrete, abstract).structure
         assert report
         # the closed form's own quadratic defect: (d / 2m)^2 = 2.5e-11
         assert report.margins[0]["state"] == pytest.approx(2.5e-11, rel=1e-3)
@@ -161,7 +161,7 @@ class TestStructure:
 
     def test_identity_abstraction(self):
         concrete, abstract, cert = scalar_pair(a=0.3, a_hat=0.3)
-        assert verify_structure(cert, concrete, abstract)
+        assert verify_certificate(cert, concrete, abstract).structure
 
     def test_perturbed_abstract_pole_fails(self, swing_cert, swing_pair):
         concrete, abstract = swing_pair
@@ -176,7 +176,7 @@ class TestStructure:
                 for mode in abstract.modes
             ],
         )
-        assert not verify_structure(swing_cert, concrete, bumped)
+        assert not verify_certificate(swing_cert, concrete, bumped).structure
 
 
 class TestDeriveGains:
@@ -213,17 +213,28 @@ class TestDeriveGains:
             derive_gains(bad, concrete, abstract)
 
 
+def psd_reference(a, b, tol):
+    """lambda_min(b - a) and whether a <= b within tol.psd_tol * (1 +
+    max(||a||, ||b||)), from one eigvalsh per matrix."""
+    margin = float(np.linalg.eigvalsh(b - a).min())
+    scale = 1.0 + max(np.abs(np.linalg.eigvalsh(m)).max() for m in (a, b))
+    return margin, margin >= -tol.psd_tol * scale
+
+
 def per_node_reference(cert, concrete, abstract, tol=DEFAULT_TOL):
     """The three obligations and the gains of one node, checked mode by mode
-    and pair by pair with the single-matrix kernels.  Returns the three
-    reports and the gains (None unless every obligation passes)."""
+    and pair by pair with unstacked numpy calls.  Returns the three reports
+    and the gains (None unless every obligation passes)."""
+    def sym(a):
+        return 0.5 * (a + a.T)
+
     failures, margins = [], {}
     for s in range(cert.n_modes):
         c = concrete.modes[s].C
-        gram = SymMatrix(c.T @ c)
+        margin, ordered = psd_reference(sym(c.T @ c), cert.M[s].entries, tol)
         match = float(np.abs(c @ cert.P - abstract.modes[s].C).max())
-        margins[s] = {"psd_margin": psd_margin(gram, cert.M[s]), "output_match": match}
-        if not psd_order(gram, cert.M[s], tol):
+        margins[s] = {"psd_margin": margin, "output_match": match}
+        if not ordered:
             failures.append(f"mode {s}: output Gram matrix is not dominated by M")
         if match > tol.eig_tol:
             failures.append(f"mode {s}: C P differs from the abstract C by {match:.3e}")
@@ -232,10 +243,10 @@ def per_node_reference(cert, concrete, abstract, tol=DEFAULT_TOL):
     failures, margins = [], {}
     for s, s2 in cert.admissible_pairs():
         f = concrete.modes[s].A + concrete.modes[s].B @ cert.K[s]
-        lhs = SymMatrix(3.0 * f.T @ cert.M[s2].entries @ f)
-        rhs = SymMatrix((1.0 - cert.kappa) * cert.M[s].entries)
-        margins[(s, s2)] = psd_margin(lhs, rhs)
-        if not psd_order(lhs, rhs, tol):
+        lhs = sym(3.0 * f.T @ cert.M[s2].entries @ f)
+        rhs = sym((1.0 - cert.kappa) * cert.M[s].entries)
+        margins[(s, s2)], ordered = psd_reference(lhs, rhs, tol)
+        if not ordered:
             failures.append(
                 f"mode pair ({s} -> {s2}): decay inequality fails "
                 f"(lambda_min margin {margins[(s, s2)]:.3e})"
@@ -257,22 +268,26 @@ def per_node_reference(cert, concrete, abstract, tol=DEFAULT_TOL):
             failures.append(f"mode {s}: coupling matching residual {res_coupling:.3e}")
     structure = VerificationReport(not failures, "structure", tuple(failures), margins)
 
+    def norm(a):
+        return float(np.linalg.norm(a, 2)) if a.size else 0.0
+
     gains = None
     if dominance and decay and structure:
         rho_int = rho_ext = 0.0
         for s, s2 in cert.admissible_pairs():
-            sq = principal_sqrt(cert.M[s2], tol).entries
+            w, v = np.linalg.eigh(cert.M[s2].entries)
+            sq = sym((v * np.sqrt(np.clip(w, 0.0, None))) @ v.T)
             cm, am = concrete.modes[s], abstract.modes[s]
-            rho_int = max(rho_int, 3.0 * operator_norm(sq @ cm.D) ** 2)
+            rho_int = max(rho_int, 3.0 * norm(sq @ cm.D) ** 2)
             mismatch = cm.B @ cert.R[s] - cert.P @ am.B
-            rho_ext = max(rho_ext, 3.0 * operator_norm(sq @ mismatch) ** 2)
+            rho_ext = max(rho_ext, 3.0 * norm(sq @ mismatch) ** 2)
         gains = LocalGains(alpha=1.0, lam=cert.kappa, rho_int=rho_int, rho_ext=rho_ext)
     return dominance, decay, structure, gains
 
 
 def assert_matches_reference(spec, certs):
     """verify_network equals the per-node reference exactly: reports,
-    margins, failure strings and gains; so do the batch-of-one calls."""
+    margins, failure strings and gains; so do the one-node calls."""
     verified = verify_network(spec, certs)
     assert list(verified) == [sub.id for sub in spec.subsystems]
     for sub, abstract in zip(spec.subsystems, spec.abstract_subsystems):
@@ -280,9 +295,7 @@ def assert_matches_reference(spec, certs):
         *reports, gains = per_node_reference(cert, sub, abstract)
         assert got.reports == tuple(reports)
         assert got.gains == gains
-        assert verify_output_dominance(cert, sub, abstract) == got.output_dominance
-        assert verify_decay(cert, sub) == got.decay
-        assert verify_structure(cert, sub, abstract) == got.structure
+        assert verify_certificate(cert, sub, abstract) == got
         if gains is not None:
             assert derive_gains(cert, sub, abstract) == gains
     return verified
@@ -322,13 +335,13 @@ class TestVerifyNetwork:
         assert all(verified[i] for i in verified if i != 3)
 
     def test_certificate_dimension_mismatch_rejected(self, swing_pair):
-        concrete, _ = swing_pair
+        concrete, abstract = swing_pair
         one_dim = LocalCertificate(
             M=[[[1.0]]] * 2, K=[[[0.0]]] * 2, P=[[1.0]], Q=[[[0.0]]] * 2,
             R=[[[1.0]]] * 2, T=[[[0.0]]] * 2, kappa=0.2,
         )
         with pytest.raises(DimensionMismatchError):
-            verify_decay(one_dim, concrete)
+            verify_certificate(one_dim, concrete, abstract)
 
     def test_decompositions_independent_of_node_count(self, tmp_path, monkeypatch, capsys):
         counts = {}
@@ -361,20 +374,40 @@ class TestVerifyNetwork:
         assert per_size[10]["eigvalsh"] > 0 and per_size[10]["eigh"] > 0
 
 
+def compiled_interface(cert, x, x_hat, u_hat, w_hat, mode):
+    """CompiledCertificates' refined input for one node, checked against
+    the per-node reference."""
+    compiled = CompiledCertificates([cert])
+    args = [np.asarray(v, dtype=float) for v in (x, x_hat, u_hat, w_hat)]
+    u = compiled.interface_input(compiled.slots.select([mode]), *args)
+    np.testing.assert_allclose(u, interface_input(cert, *args, mode), rtol=1e-12, atol=1e-12)
+    return u
+
+
+def compiled_energy(cert, x, x_hat, mode):
+    """CompiledCertificates' tracking energy of one node, checked against
+    the per-node reference."""
+    compiled = CompiledCertificates([cert])
+    x, x_hat = np.asarray(x, dtype=float), np.asarray(x_hat, dtype=float)
+    v = float(compiled.energies(compiled.slots.select([mode]), x, x_hat)[0])
+    assert v == pytest.approx(evaluate_V(cert, x, x_hat, mode), rel=1e-12, abs=1e-12)
+    return v
+
+
 class TestInterface:
     def test_matched_state_reduces_to_feedforward(self, swing_cert):
         x_hat = np.array([0.7])
         x = swing_cert.P @ x_hat
-        u = interface_input(swing_cert, x, x_hat, np.zeros(1), np.zeros(1), 0)
+        u = compiled_interface(swing_cert, x, x_hat, np.zeros(1), np.zeros(1), 0)
         np.testing.assert_allclose(u, swing_cert.Q[0] @ x_hat)
 
     def test_all_zero(self, swing_cert):
-        u = interface_input(swing_cert, np.zeros(2), np.zeros(1), np.zeros(1), np.zeros(1), 0)
+        u = compiled_interface(swing_cert, np.zeros(2), np.zeros(1), np.zeros(1), np.zeros(1), 0)
         np.testing.assert_allclose(u, [0.0])
 
     def test_swing_unit_inputs(self, swing_cert):
         # x = P, xhat = 1 kills the error term; u = Q + R
-        u = interface_input(
+        u = compiled_interface(
             swing_cert, swing_cert.P[:, 0], np.ones(1), np.ones(1), np.zeros(1), 0
         )
         expected = float(swing_cert.Q[0][0, 0] + swing_cert.R[0][0, 0])
@@ -387,29 +420,29 @@ class TestInterface:
         z1 = [rng.uniform(-1, 1, d) for d in (2, 1, 1, 1)]
         z2 = [rng.uniform(-1, 1, d) for d in (2, 1, 1, 1)]
         a, b = 2.0, -0.5
-        mixed = interface_input(
+        mixed = compiled_interface(
             swing_cert, *[a * p + b * q for p, q in zip(z1, z2)], 0
         )
-        u1 = interface_input(swing_cert, *z1, 0)
-        u2 = interface_input(swing_cert, *z2, 0)
+        u1 = compiled_interface(swing_cert, *z1, 0)
+        u2 = compiled_interface(swing_cert, *z2, 0)
         np.testing.assert_allclose(mixed, a * u1 + b * u2, rtol=1e-9, atol=1e-9)
 
 
 class TestEvaluateV:
     def test_matched_state_is_zero(self, swing_cert):
         x_hat = np.array([-0.4])
-        assert evaluate_V(swing_cert, swing_cert.P @ x_hat, x_hat, 0) == 0.0
+        assert compiled_energy(swing_cert, swing_cert.P @ x_hat, x_hat, 0) == 0.0
 
     def test_unit_error_picks_matrix_entry(self, swing_cert):
         x_hat = np.zeros(1)
         x = np.array([1.0, 0.0])  # error e1
-        assert evaluate_V(swing_cert, x, x_hat, 0) == pytest.approx(11.20)
+        assert compiled_energy(swing_cert, x, x_hat, 0) == pytest.approx(11.20)
 
     def test_quadratic_homogeneity(self, swing_cert):
         x = np.array([0.3, -0.2])
         x_hat = np.array([0.5])
-        v1 = evaluate_V(swing_cert, x, x_hat, 0)
-        v4 = evaluate_V(swing_cert, 2 * x, 2 * x_hat, 0)
+        v1 = compiled_energy(swing_cert, x, x_hat, 0)
+        v4 = compiled_energy(swing_cert, 2 * x, 2 * x_hat, 0)
         assert v4 == pytest.approx(4 * v1, rel=1e-12)
 
     @pytest.mark.parametrize("seed", range(4))
@@ -422,7 +455,7 @@ class TestEvaluateV:
             x_hat = rng.uniform(-1, 1, 1)
             s = int(rng.integers(0, 2))
             err = concrete.modes[s].C @ x - abstract.modes[s].C @ x_hat
-            assert evaluate_V(swing_cert, x, x_hat, s) >= float(err @ err) - 1e-12
+            assert compiled_energy(swing_cert, x, x_hat, s) >= float(err @ err) - 1e-12
 
 
 class TestDissipationSampled:
@@ -503,24 +536,41 @@ class TestSynthesizeCertificateMatrix:
             synthesize_certificate_matrix(concrete, [np.zeros((1, 1))], kappa=0.2)
 
     def test_swing_feedback_converges_and_verifies(self, swing_cert, swing_pair):
-        concrete, _ = swing_pair
+        concrete, abstract = swing_pair
         m = synthesize_certificate_matrix(concrete, list(swing_cert.K), kappa=0.2)
         fresh = LocalCertificate(
             M=[m] * 2, K=swing_cert.K, P=swing_cert.P, Q=swing_cert.Q,
             R=swing_cert.R, T=swing_cert.T, kappa=0.2,
         )
-        assert verify_decay(fresh, concrete)
+        assert verify_certificate(fresh, concrete, abstract).decay
         # output dominance for the synthesized common matrix
         for s in (0, 1):
             c = concrete.modes[s].C
             assert np.linalg.eigvalsh(m.entries - c.T @ c).min() >= -1e-9
 
+    @pytest.mark.parametrize("check, what", [(0, "output dominance"), (1, "the decay condition")])
+    def test_recheck_names_the_failing_mode(self, monkeypatch, swing_cert, swing_pair, check, what):
+        # one psd_margin_batch call per condition, over all modes
+        calls, real = [], simnet.certificates.psd_margin_batch
+
+        def failing_in_mode_1(a, b):
+            lam_min, scale = real(a, b)
+            if len(calls) == check:
+                lam_min = np.where(np.arange(len(lam_min)) == 1, -1.0, lam_min)
+            calls.append(len(lam_min))
+            return lam_min, scale
+
+        monkeypatch.setattr(simnet.certificates, "psd_margin_batch", failing_in_mode_1)
+        concrete, _ = swing_pair
+        with pytest.raises(CertificateError, match=f"synthesized matrix fails {what}") as err:
+            synthesize_certificate_matrix(concrete, list(swing_cert.K), kappa=0.2)
+        assert err.value.details == {"mode": 1} and calls == [2, 2]
+
     @pytest.mark.parametrize("seed", range(4))
     def test_self_consistency_on_random_vehicles(self, seed):
         spec, certs, _, _ = certified_network(seed, max_nodes=3, max_modes=3)
-        for i, cert in enumerate(certs):
-            concrete = spec.subsystems[i]
-            assert verify_decay(cert, concrete)
+        for cert, concrete, abstract in zip(certs, spec.subsystems, spec.abstract_subsystems):
+            assert verify_certificate(cert, concrete, abstract).decay
 
 
 class TestSolveStructural:

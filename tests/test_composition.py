@@ -16,7 +16,6 @@ from simnet import (
     check_composed_dissipation,
     check_small_gain,
     construct_mu,
-    evaluate_V,
     spectral_radius_dense,
     templated_gain_operator,
 )
@@ -29,6 +28,7 @@ from simnet.swing import (
 from vehicles import (
     certified_network,
     decoupled_tight_node,
+    evaluate_V,
     heterogeneous_network,
     tight_two_node_network,
 )

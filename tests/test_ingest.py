@@ -4,12 +4,15 @@ defects, byte-identical round trips, read-only views, counted numpy calls
 and the cases that crashed or were accepted before."""
 
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import simnet
 from simnet import (
+    ComposedCertificate,
+    CompositionError,
     LocalCertificate,
     Mode,
     NetworkSpec,
@@ -18,6 +21,7 @@ from simnet import (
     SwitchedLinearSubsystem,
     SwitchingSignal,
     certificates_to_json,
+    check_composed_dissipation,
     check_dissipation_sampled,
     closed_form_certificate,
     derive_gains,
@@ -29,10 +33,10 @@ from simnet import (
     save_network,
     solve_structural,
     synthesize_certificate_matrix,
-    verify_output_dominance,
-    verify_structure,
+    verify_certificate,
 )
 from simnet.cli import main
+from simnet.swing import compose_ring
 from vehicles import heterogeneous_network
 
 NAN = float("nan")
@@ -307,6 +311,30 @@ def test_object_built_spec_checked_like_a_file(ring_files_json, tmp_path):
     assert (type(err.value).__name__, str(err.value), err.value.details) == from_file
 
 
+@pytest.mark.parametrize("earlier_defect", [False, True])
+@pytest.mark.parametrize("bad_range", [(1,), (0, 1, 2), (False, 1)], ids=["one", "three", "bool"])
+def test_object_built_range_not_a_pair(bad_range, earlier_defect):
+    # raised a bare ValueError from the block table before any node check
+    def node(i, a, **blocks):
+        return SwitchedLinearSubsystem(i, [Mode(A=a, B=[[1.0]], C=[[1.0]], D=np.zeros((1, 0)),
+                                                out_blocks={i: (0, 1)}, **blocks)])
+
+    first = node(0, [[NAN if earlier_defect else 0.5]], in_blocks={})
+    second = node(1, [[0.5]], in_blocks={0: bad_range})
+    with pytest.raises(SchemaError) as err:
+        NetworkSpec([first, second])
+    if earlier_defect:
+        expected = ("subsystem 0 mode 0: matrix A has non-finite entries",
+                    {"node": 0, "mode": 0, "matrix": "A"})
+    else:
+        expected = (f"subsystem 1 mode 0: in_blocks[0] must be an integer pair (start, stop), "
+                    f"got {bad_range!r}", {"node": 1, "mode": 0, "kind": "in_blocks", "key": 0})
+    assert (str(err.value), err.value.details) == expected
+    # a subsystem used on its own is checked alike
+    with pytest.raises(SchemaError, match=r"in_blocks\[0\] must be an integer pair"):
+        synthesize_certificate_matrix(second, [np.zeros((1, 1))], 0.5)
+
+
 def test_standalone_subsystem_checked_when_verified(swing_cert, swing_pair):
     concrete, abstract = swing_pair
     mode = concrete.modes[0]
@@ -359,9 +387,31 @@ def test_structural_nan_residual_fails_closed():
 
 def test_nan_dissipation_slack_is_a_violation(swing_cert, swing_pair):
     concrete, abstract = swing_pair
-    gains = simnet.LocalGains(alpha=1.0, lam=0.5, rho_int=float("nan"), rho_ext=0.0)
+    for gain in ("alpha", "rho_int", "rho_ext"):  # NaN gains used to be accepted
+        with pytest.raises(simnet.CertificateError):
+            simnet.LocalGains(**{"alpha": 1.0, "lam": 0.5, "rho_int": 0.0, "rho_ext": 0.0,
+                                 gain: NAN})
+    # the oracle reads lam, rho_int and rho_ext; here they skip LocalGains' checks
+    gains = SimpleNamespace(lam=0.5, rho_int=NAN, rho_ext=0.0)
     report = check_dissipation_sampled(swing_cert, concrete, abstract, samples=10, gains=gains)
-    assert not report.ok and report.violations == report.samples
+    assert not report.ok and report.violations == report.samples == 40
+    # the report used to carry worst_slack -inf and no witness
+    assert np.isnan(report.worst_slack) and np.isnan(report.witness["slack"])
+
+
+def test_nan_composed_slack_is_a_violation():
+    params = SwingParams(n_nodes=4)
+    spec, composed = generate_ring_network(params), compose_ring(params)[0]
+    fields = {"mu": composed.mu, "lambda_inf": composed.lambda_inf,
+              "alpha_total": composed.alpha_total, "rho_ext_coeff": composed.rho_ext_coeff}
+    for name, bad in (("mu", np.full(4, NAN)), ("alpha_total", NAN), ("rho_ext_coeff", NAN)):
+        with pytest.raises(CompositionError):  # used to be accepted
+            ComposedCertificate(**{**fields, name: bad}, certificates=composed.certificates)
+    composed.rho_ext_coeff = NAN  # past the constructor's checks
+    report = check_composed_dissipation(composed, spec, samples=20, synchronized=True)
+    # the oracle used to return ok with no violation
+    assert not report.ok and report.violations == report.samples == 20
+    assert np.isnan(report.worst_slack) and np.isnan(report.witness["slack"])
 
 
 def test_abstract_view_reuses_the_checked_layer(monkeypatch):
@@ -436,14 +486,14 @@ def test_nan_residuals_fail_closed(monkeypatch, swing_cert, swing_pair):
     cert = LocalCertificate(M=[np.eye(2)], K=[np.zeros((1, 2))], P=[[big], [-big]],
                             Q=[[[0.0]]], R=[[[0.0]]], T=[np.zeros((1, 0))], kappa=0.5)
     with np.errstate(over="ignore", invalid="ignore"):
-        report = verify_structure(cert, concrete, abstract)
+        report = verify_certificate(cert, concrete, abstract).structure
     assert report.failures == ("mode 0: state matching residual nan",)
     # a NaN semidefinite margin and a NaN output mismatch fail as well
     monkeypatch.setattr(simnet.certificates, "psd_margin_batch",
                         lambda a, b: (np.full(len(a), np.nan), np.ones(len(a))))
     monkeypatch.setattr(simnet.certificates, "_max_abs", lambda a: np.full(len(a), np.nan))
     concrete, abstract = swing_pair
-    report = verify_output_dominance(swing_cert, concrete, abstract)
+    report = verify_certificate(swing_cert, concrete, abstract).output_dominance
     assert report.failures == tuple(
         f"mode {s}: {what}" for s in (0, 1) for what in (
             "output Gram matrix is not dominated by M", "C P differs from the abstract C by nan")

@@ -4,17 +4,17 @@ import numpy as np
 import pytest
 
 from simnet import (
+    DEFAULT_TOL,
     ConvergenceError,
     DimensionMismatchError,
     IndefiniteMatrixError,
     SymMatrix,
     ToleranceProfile,
-    psd_order,
-    principal_sqrt,
     edge_pattern,
+    principal_sqrt_batch,
+    psd_margin_batch,
     radius_bracket,
     solve_linear_least_squares,
-    spectral_radius,
     spectral_radius_dense,
 )
 
@@ -26,6 +26,17 @@ M_BENCH = np.array([[11.20, 12.50], [12.50, 17.83]])
 TIGHT = ToleranceProfile(eig_tol=1e-11)
 
 
+def loewner_le(a, b, tol=DEFAULT_TOL):
+    """a <= b in the Loewner order, decided by psd_margin_batch on stacks
+    of one."""
+    lam_min, scale = psd_margin_batch(np.asarray(a)[None], np.asarray(b)[None])
+    return lam_min[0] >= -tol.psd_tol * scale[0]
+
+
+def sqrt_of(a):
+    return principal_sqrt_batch(np.asarray(a, dtype=float)[None])[0]
+
+
 def bracket(mat, tol=TIGHT, **kwargs):
     """radius_bracket on the positive entries of a dense matrix."""
     rows, cols = np.nonzero(mat)
@@ -34,24 +45,23 @@ def bracket(mat, tol=TIGHT, **kwargs):
 
 class TestPsdOrder:
     def test_zero_below_identity(self):
-        assert psd_order(np.zeros((2, 2)), np.eye(2))
+        assert loewner_le(np.zeros((2, 2)), np.eye(2))
 
     def test_identity_below_benchmark_matrix(self):
         # C stacks [0 1] and [1 0], so C'C is the identity
         c = np.array([[0.0, 1.0], [1.0, 0.0]])
-        assert psd_order(c.T @ c, M_BENCH)
+        assert loewner_le(c.T @ c, M_BENCH)
 
     def test_diag_two_not_below_identity(self):
-        assert not psd_order(np.diag([2.0, 0.0]), np.eye(2))
+        assert not loewner_le(np.diag([2.0, 0.0]), np.eye(2))
 
     def test_dimension_mismatch_names_both_dims(self):
-        with pytest.raises(DimensionMismatchError) as err:
-            psd_order(np.eye(2), np.eye(3))
-        assert err.value.details == {"dim_a": 2, "dim_b": 3}
+        with pytest.raises(ValueError, match=r"\(1,3,3\) \(1,2,2\)"):
+            loewner_le(np.eye(2), np.eye(3))
 
     def test_not_antisymmetric_strictness(self):
         # borderline equality counts as ordered (relative tolerance)
-        assert psd_order(np.eye(2), np.eye(2))
+        assert loewner_le(np.eye(2), np.eye(2))
 
     @pytest.mark.parametrize("seed", range(8))
     def test_transitivity_with_summed_tolerances(self, seed):
@@ -63,18 +73,18 @@ class TestPsdOrder:
         inc2 = rng.standard_normal((n, n))
         b = SymMatrix(a.entries + inc1 @ inc1.T)
         c = SymMatrix(b.entries + inc2 @ inc2.T)
-        assert psd_order(a, b) and psd_order(b, c)
+        assert loewner_le(a, b) and loewner_le(b, c)
         doubled = ToleranceProfile(psd_tol=2e-8, eig_tol=1e-8)
-        assert psd_order(a, c, doubled)
+        assert loewner_le(a, c, doubled)
 
 
 class TestPrincipalSqrt:
     def test_identity(self):
-        np.testing.assert_allclose(principal_sqrt(np.eye(3)).entries, np.eye(3))
+        np.testing.assert_allclose(sqrt_of(np.eye(3)), np.eye(3))
 
     def test_diagonal(self):
-        s = principal_sqrt(np.diag([4.0, 9.0]))
-        np.testing.assert_allclose(s.entries, np.diag([2.0, 3.0]))
+        s = sqrt_of(np.diag([4.0, 9.0]))
+        np.testing.assert_allclose(s, np.diag([2.0, 3.0]))
 
     @pytest.mark.parametrize("seed", range(8))
     def test_reconstruction(self, seed):
@@ -83,42 +93,48 @@ class TestPrincipalSqrt:
         n = int(rng.integers(2, 8))
         x = rng.standard_normal((n, n))
         a = x @ x.T
-        s = principal_sqrt(a).entries
+        s = sqrt_of(a)
         assert np.abs(s @ s - a).max() <= 1e-10 * (1.0 + np.abs(a).max())
 
     @pytest.mark.parametrize("seed", range(8))
     def test_idempotence(self, seed):
         rng = np.random.default_rng(100 + seed)
         x = rng.standard_normal((4, 4))
-        s = principal_sqrt(x @ x.T).entries
-        again = principal_sqrt(s @ s).entries
+        s = sqrt_of(x @ x.T)
+        again = sqrt_of(s @ s)
         assert np.abs(again - s).max() <= 1e-8 * (1.0 + np.abs(s).max())
 
     def test_output_symmetric_psd(self):
         rng = np.random.default_rng(5)
         x = rng.standard_normal((5, 5))
-        s = principal_sqrt(x @ x.T).entries
+        s = sqrt_of(x @ x.T)
         assert np.array_equal(s, s.T)
         assert np.linalg.eigvalsh(s).min() >= -1e-12
 
     def test_indefinite_reports_lambda_min(self):
         with pytest.raises(IndefiniteMatrixError) as err:
-            principal_sqrt(np.diag([1.0, -0.5]))
+            sqrt_of(np.diag([1.0, -0.5]))
         assert err.value.details["lambda_min"] == pytest.approx(-0.5)
 
     def test_small_negative_eigenvalue_clamped(self):
-        s = principal_sqrt(np.diag([1.0, -1e-12]))
-        np.testing.assert_allclose(s.entries, np.diag([1.0, 0.0]), atol=1e-9)
+        s = sqrt_of(np.diag([1.0, -1e-12]))
+        np.testing.assert_allclose(s, np.diag([1.0, 0.0]), atol=1e-9)
+
+    def test_stack_raises_for_first_indefinite(self):
+        stack = np.array([np.eye(2), np.diag([1.0, -0.25]), np.diag([1.0, -0.5])])
+        with pytest.raises(IndefiniteMatrixError) as err:
+            principal_sqrt_batch(stack)
+        assert err.value.details["lambda_min"] == -0.25
 
 
 class TestSpectralRadius:
     def test_nilpotent(self):
-        assert spectral_radius(np.array([[0.0, 1.0], [0.0, 0.0]])) == 0.0
+        assert spectral_radius_dense(np.array([[0.0, 1.0], [0.0, 0.0]])) == 0.0
 
     def test_antidiagonal_closed_form(self):
         # sqrt(a b) for the two-cycle with weights a, b
         a, b = 0.4, 0.9
-        r = spectral_radius(np.array([[0.0, a], [b, 0.0]]))
+        r = spectral_radius_dense(np.array([[0.0, a], [b, 0.0]]))
         assert r == pytest.approx(np.sqrt(a * b), abs=1e-12)
         assert r == pytest.approx(0.6, abs=1e-12)
 
@@ -129,14 +145,14 @@ class TestSpectralRadius:
         mat = np.zeros((n, n))
         for i in range(n):
             mat[i, (i - 1) % n] = psi
-        r = spectral_radius(mat)
+        r = spectral_radius_dense(mat)
         assert r < 1.0
         assert r <= mat.sum(axis=0).max() + 1e-9
         assert r == pytest.approx(0.7275, abs=1e-9)
 
     def test_rejects_negative_entries(self):
         with pytest.raises(ValueError):
-            spectral_radius(np.array([[0.0, -1.0], [0.0, 0.0]]))
+            spectral_radius_dense(np.array([[0.0, -1.0], [0.0, 0.0]]))
 
     def test_straddling_bracket_raises_with_bounds(self):
         rng = np.random.default_rng(3)
@@ -153,8 +169,8 @@ class TestSpectralRadius:
         n = int(rng.integers(2, 30))
         mat = rng.uniform(0.0, 1.0, (n, n))
         alpha = float(rng.uniform(0.1, 10.0))
-        r1 = spectral_radius(alpha * mat)
-        r2 = alpha * spectral_radius(mat)
+        r1 = spectral_radius_dense(alpha * mat)
+        r2 = alpha * spectral_radius_dense(mat)
         assert abs(r1 - r2) <= 1e-10 * max(1.0, r2)
 
     def test_homogeneity_bracket(self):
@@ -169,7 +185,7 @@ class TestSpectralRadius:
         rng = np.random.default_rng(200 + seed)
         n = int(rng.integers(2, 20))
         mat = rng.uniform(0.0, 1.0, (n, n)) * (rng.random((n, n)) < 0.5)
-        assert spectral_radius(mat) <= mat.sum(axis=0).max() + 1e-9
+        assert spectral_radius_dense(mat) <= mat.sum(axis=0).max() + 1e-9
 
     @pytest.mark.parametrize("seed", range(6))
     def test_dense_and_power_agree(self, seed):

@@ -13,14 +13,11 @@ from simnet import (
     SwitchedLinearSubsystem,
     SwitchingSignal,
     WiringError,
-    assemble_internal_input,
     generate_ring_network,
     load_network,
     network_to_json,
     parse_network,
     save_network,
-    step,
-    step_with_modes,
 )
 from vehicles import heterogeneous_network, random_network, stacked_step_oracle
 
@@ -33,6 +30,22 @@ def step_case_network(case) -> NetworkSpec:
     if isinstance(case, int):
         return random_network(case)
     return heterogeneous_network(int(case.rsplit("-", 1)[1]))[0]
+
+
+def engine_step(spec, states, inputs, modes):
+    """spec.engine.step on per-node lists: per node the next states, the
+    outputs, the internal inputs and the external outputs."""
+    engine = spec.engine
+    x_next, y, w, ext = engine.step(
+        engine.state.stack(states), engine.input.stack(inputs), engine.slots.select(modes)
+    )
+    return (engine.state.split(x_next), engine.output.split(y),
+            engine.internal_input.split(w), engine.external.split(ext))
+
+
+def internal_input(spec, states, modes):
+    """The internal inputs w_ij = y_ji of one engine step."""
+    return engine_step(spec, states, [np.zeros(sub.m) for sub in spec.subsystems], modes)[2]
 
 
 def single_node_json():
@@ -200,8 +213,8 @@ class TestLoadNetwork:
         assert sub.out_neighbors(0) == ()
         spec = NetworkSpec([sub])
         assert spec.graph.edges == ()
-        res = step_with_modes(spec, [np.array([2.0])], [np.zeros(1)], [0])
-        np.testing.assert_array_equal(res.next_states[0], [1.0])
+        next_states = engine_step(spec, [np.array([2.0])], [np.zeros(1)], [0])[0]
+        np.testing.assert_array_equal(next_states[0], [1.0])
 
     def test_round_trip_identity(self, tmp_path):
         spec = generate_ring_network(SwingParams(n_nodes=4))
@@ -219,22 +232,22 @@ class TestAssembleInternalInput:
     def test_two_node_chain_identity_block(self):
         spec = two_node_chain()
         states = [np.zeros(2), np.array([1.0, 0.0])]
-        w = assemble_internal_input(spec, states, [0, 0])
+        w = internal_input(spec, states, [0, 0])
         np.testing.assert_allclose(w[0], [1.0, 0.0])
         assert w[1].shape == (0,)
 
     def test_ring_mode0_receives_predecessor_phase(self):
         spec = generate_ring_network(SwingParams(n_nodes=3))
         states = [np.array([float(i + 1), 10.0 * (i + 1)]) for i in range(3)]
-        w = assemble_internal_input(spec, states, [0, 0, 0])
+        w = internal_input(spec, states, [0, 0, 0])
         # phase is the first state component of the predecessor
         np.testing.assert_allclose([float(x[0]) for x in w], [3.0, 1.0, 2.0])
-        w2 = assemble_internal_input(spec, states, [1, 1, 1])
+        w2 = internal_input(spec, states, [1, 1, 1])
         np.testing.assert_allclose([float(x[0]) for x in w2], [2.0, 3.0, 1.0])
 
     def test_zero_states_zero_inputs(self):
         spec = generate_ring_network(SwingParams(n_nodes=3))
-        w = assemble_internal_input(spec, [np.zeros(2)] * 3, [0, 0, 0])
+        w = internal_input(spec, [np.zeros(2)] * 3, [0, 0, 0])
         assert all(float(np.abs(x).max()) == 0.0 for x in w)
 
     @pytest.mark.parametrize("seed", range(5))
@@ -245,16 +258,16 @@ class TestAssembleInternalInput:
         xs = [rng.uniform(-1, 1, s.n) for s in spec.subsystems]
         ys = [rng.uniform(-1, 1, s.n) for s in spec.subsystems]
         # homogeneity is bitwise for power-of-two scales
-        doubled = assemble_internal_input(spec, [2.0 * x for x in xs], modes)
-        wx = assemble_internal_input(spec, xs, modes)
+        doubled = internal_input(spec, [2.0 * x for x in xs], modes)
+        wx = internal_input(spec, xs, modes)
         for wd, w1 in zip(doubled, wx):
             np.testing.assert_array_equal(wd, 2.0 * w1)
         # superposition up to rounding of the state sum
         a, b = 0.5, -2.0
-        mixed = assemble_internal_input(
+        mixed = internal_input(
             spec, [a * x + b * y for x, y in zip(xs, ys)], modes
         )
-        wy = assemble_internal_input(spec, ys, modes)
+        wy = internal_input(spec, ys, modes)
         for wm, w1, w2 in zip(mixed, wx, wy):
             np.testing.assert_allclose(wm, a * w1 + b * w2, atol=1e-13, rtol=1e-13)
 
@@ -263,22 +276,22 @@ class TestStep:
     def test_identity_dynamics_keeps_states(self):
         spec = two_node_chain()
         states = [np.array([0.3, -0.7]), np.array([0.0, 0.0])]
-        res = step_with_modes(spec, states, [np.zeros(1), np.zeros(1)], [0, 0])
-        np.testing.assert_allclose(res.next_states[0], states[0])
+        next_states = engine_step(spec, states, [np.zeros(1), np.zeros(1)], [0, 0])[0]
+        np.testing.assert_allclose(next_states[0], states[0])
 
     def test_swing_node_zero_coupling_step(self):
         # x = (0, 1) maps to (1, 1 - d/m) when the neighbor phase is zero
         spec = generate_ring_network(SwingParams(n_nodes=3))
         states = [np.array([0.0, 1.0]), np.zeros(2), np.zeros(2)]
-        res = step_with_modes(spec, states, [np.zeros(1)] * 3, [0, 0, 0])
-        np.testing.assert_allclose(res.next_states[0], [1.0, 0.99999], atol=1e-15)
+        next_states = engine_step(spec, states, [np.zeros(1)] * 3, [0, 0, 0])[0]
+        np.testing.assert_allclose(next_states[0], [1.0, 0.99999], atol=1e-15)
 
     def test_outputs_use_current_mode(self):
         spec = generate_ring_network(SwingParams(n_nodes=3))
         states = [np.array([2.0, 5.0]), np.zeros(2), np.zeros(2)]
-        res = step_with_modes(spec, states, [np.zeros(1)] * 3, [0, 0, 0])
-        np.testing.assert_allclose(res.outputs[0], [5.0, 2.0])  # freq then phase
-        np.testing.assert_allclose(res.external_outputs[0], [5.0])
+        _, outputs, _, external = engine_step(spec, states, [np.zeros(1)] * 3, [0, 0, 0])
+        np.testing.assert_allclose(outputs[0], [5.0, 2.0])  # freq then phase
+        np.testing.assert_allclose(external[0], [5.0])
 
     def test_ring_step_matches_stacked_oracle(self):
         spec = generate_ring_network(SwingParams(n_nodes=3))
@@ -286,7 +299,7 @@ class TestStep:
         states = [rng.uniform(-1, 1, 2) for _ in range(3)]
         inputs = [rng.uniform(-1, 1, 1) for _ in range(3)]
         for modes in ([0, 0, 0], [1, 1, 1]):
-            blockwise = step_with_modes(spec, states, inputs, modes).next_states
+            blockwise = engine_step(spec, states, inputs, modes)[0]
             stacked = stacked_step_oracle(spec, states, inputs, modes)
             for a, b in zip(blockwise, stacked):
                 np.testing.assert_allclose(a, b, atol=1e-12)
@@ -298,7 +311,7 @@ class TestStep:
         spec = generate_ring_network(SwingParams(n_nodes=3))
         states = [np.zeros(2)] * 3
         with pytest.raises(WiringError):
-            assemble_internal_input(spec, states, [0, 1, 0])
+            internal_input(spec, states, [0, 1, 0])
 
     @pytest.mark.parametrize("seed", STEP_CASES)
     def test_random_network_matches_stacked_oracle(self, seed):
@@ -307,7 +320,7 @@ class TestStep:
         modes = [int(rng.integers(0, s.n_modes)) for s in spec.subsystems]
         states = [rng.uniform(-1, 1, s.n) for s in spec.subsystems]
         inputs = [rng.uniform(-1, 1, s.m) for s in spec.subsystems]
-        blockwise = step_with_modes(spec, states, inputs, modes).next_states
+        blockwise = engine_step(spec, states, inputs, modes)[0]
         stacked = stacked_step_oracle(spec, states, inputs, modes)
         for a, b in zip(blockwise, stacked):
             assert float(np.abs(a - b).max()) <= 1e-12
@@ -318,8 +331,8 @@ class TestStep:
         spec = generate_ring_network(SwingParams(n_nodes=3))
         states, inputs = [np.zeros(2)] * 3, [np.zeros(1)] * 3
         for call in (
-            lambda: step_with_modes(spec, states, inputs, [0, mode, 0]),
-            lambda: assemble_internal_input(spec, states, [mode] * 3),
+            lambda: engine_step(spec, states, inputs, [0, mode, 0]),
+            lambda: internal_input(spec, states, [mode] * 3),
         ):
             with pytest.raises(DimensionMismatchError, match=f"subsystem [01]: mode {mode} "):
                 call()
@@ -328,18 +341,18 @@ class TestStep:
     def test_switching_signal_must_cover_every_node(self, n_nodes):
         spec = generate_ring_network(SwingParams(n_nodes=3))
         with pytest.raises(DimensionMismatchError):
-            step(spec, [np.zeros(2)] * 3, [np.zeros(1)] * 3,
-                 SwitchingSignal.constant(n_nodes, 0), 0)
+            engine_step(spec, [np.zeros(2)] * 3, [np.zeros(1)] * 3,
+                        SwitchingSignal.constant(n_nodes, 0).modes_at(0))
 
     def test_step_respects_switching_signal(self):
         spec = generate_ring_network(SwingParams(n_nodes=3))
         sig = SwitchingSignal.synchronized(3, [0, 1], period=2)
         states = [np.zeros(2)] * 3
-        res = step(spec, states, [np.zeros(1)] * 3, sig, k=0)
-        assert len(res.next_states) == 3
+        next_states = engine_step(spec, states, [np.zeros(1)] * 3, sig.modes_at(0))[0]
+        assert len(next_states) == 3
         with pytest.raises(DimensionMismatchError):
             bad = SwitchingSignal.from_table([[0], [0], [0]])
-            step(spec, states, [np.zeros(1)] * 3, bad, k=5)
+            engine_step(spec, states, [np.zeros(1)] * 3, bad.modes_at(5))
 
 
 class TestSwitchingSignal:

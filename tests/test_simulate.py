@@ -16,9 +16,7 @@ from simnet import (
     check_trajectory_bound,
     check_V_decrease,
     derive_gains,
-    evaluate_V,
     export_run,
-    interface_input,
     run_ring_experiment,
     simulate_lockstep,
 )
@@ -34,7 +32,9 @@ from simnet.simulate import BoundConstants
 from vehicles import (
     blockwise_internal_input,
     certified_network,
+    evaluate_V,
     heterogeneous_network,
+    interface_input,
     stacked_step_oracle,
     tight_two_node_network,
 )

@@ -14,9 +14,7 @@ from simnet import (
     load_network,
     run_ring_experiment,
     save_network,
-    verify_decay,
-    verify_output_dominance,
-    verify_structure,
+    verify_certificate,
 )
 from simnet.composition import build_gain_operator
 from simnet.swing import (
@@ -93,9 +91,7 @@ class TestClosedFormCertificate:
 
     def test_all_verifications_pass_with_margin(self, swing_cert, swing_pair):
         concrete, abstract = swing_pair
-        dom = verify_output_dominance(swing_cert, concrete, abstract)
-        dec = verify_decay(swing_cert, concrete)
-        struct = verify_structure(swing_cert, concrete, abstract)
+        dom, dec, struct = verify_certificate(swing_cert, concrete, abstract).reports
         assert dom and dec and struct
         assert min(m["psd_margin"] for m in dom.margins.values()) > 0.5
         assert min(dec.margins.values()) > 0.3

@@ -5,6 +5,8 @@
   cross-check the blockwise network step.
 - blockwise_internal_input: the internal inputs w_ij = y_ji assembled node
   by node, the reference for the compiled wiring.
+- interface_input / evaluate_V: one node's refined input and tracking
+  energy, the references for the compiled certificates.
 - random_network / certified_network: seeded generators; the certified
   variant builds exact structural data (B invertible, contraction targets)
   so every generated certificate passes all verifications and the coupling
@@ -23,6 +25,7 @@ from __future__ import annotations
 import numpy as np
 
 from simnet import (
+    DimensionMismatchError,
     LocalCertificate,
     Mode,
     NetworkSpec,
@@ -79,6 +82,35 @@ def blockwise_internal_input(spec: NetworkSpec, states, modes):
                 w[lo:hi] = src_mode.C[r0:r1] @ np.asarray(states[jpos], dtype=float)
         ws.append(w)
     return ws
+
+
+def error_vector(cert: LocalCertificate, x, x_hat) -> np.ndarray:
+    return np.asarray(x, dtype=float) - cert.P @ np.asarray(x_hat, dtype=float)
+
+
+def interface_input(cert: LocalCertificate, x, x_hat, u_hat, w_hat, mode: int) -> np.ndarray:
+    """Refined input u = K (x - P xhat) + Q xhat + R uhat + T what."""
+    x = np.asarray(x, dtype=float)
+    x_hat = np.asarray(x_hat, dtype=float)
+    u_hat = np.asarray(u_hat, dtype=float)
+    w_hat = np.asarray(w_hat, dtype=float)
+    if x.shape != (cert.n,) or x_hat.shape != (cert.n_abstract,):
+        raise DimensionMismatchError(
+            f"interface expects state dims ({cert.n},)/({cert.n_abstract},), "
+            f"got {x.shape}/{x_hat.shape}"
+        )
+    return (
+        cert.K[mode] @ error_vector(cert, x, x_hat)
+        + cert.Q[mode] @ x_hat
+        + cert.R[mode] @ u_hat
+        + cert.T[mode] @ w_hat
+    )
+
+
+def evaluate_V(cert: LocalCertificate, x, x_hat, mode: int) -> float:
+    """Tracking energy (x - P xhat)' M_mode (x - P xhat); nonnegative."""
+    e = error_vector(cert, x, x_hat)
+    return max(float(e @ cert.M[mode].entries @ e), 0.0)
 
 
 def random_network(seed: int, max_nodes: int = 4, max_modes: int = 3) -> NetworkSpec:
