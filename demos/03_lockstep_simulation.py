@@ -1,9 +1,10 @@
 """Refine an abstract controller to the ring and validate the error bound.
 
 The abstract layer is a chain of scalar systems stabilized by the unit
-state feedback (closed loop contracts by 0.4 per step); each bus's
-interface refines that input to the full dynamics.  The lockstep run
-records the output error against the closed-form envelope
+state feedback uhat = xhat, one stacked vector for the whole ring (closed
+loop contracts by 0.4 per step); each bus's interface refines that input
+to the full dynamics.  The lockstep run keeps one row per step of every
+trace and records the output error against the closed-form envelope
 
     error(k) <= theta beta^k sqrt(V(0)) + gamma_ext(sup |uhat|)
 

@@ -328,11 +328,11 @@ def _cmd_simulate(args) -> int:
     abstract = spec.abstract_view().subsystems
     xhat0 = [rng.uniform(-1, 1, sub.n) for sub in abstract]
 
-    def controller(hat_states, k):
-        return [np.zeros(sub.m) for sub in abstract]
-
+    u_hat = np.zeros(sum(sub.m for sub in abstract))
     ordered = [certs[i] for i in spec.graph.nodes]
-    run = simulate_lockstep(spec, ordered, composed, x0, xhat0, controller, switching, args.horizon)
+    run = simulate_lockstep(
+        spec, ordered, composed, x0, xhat0, lambda x_hat, k: u_hat, switching, args.horizon
+    )
     bound = check_trajectory_bound(run, composed)
     decrease = check_V_decrease(run, composed)
     if args.out:
@@ -351,8 +351,8 @@ def _cmd_simulate(args) -> int:
             "v_decrease_ok": decrease.ok,
             "worst_bound_margin": bound.worst_margin,
             "worst_decrease_slack": decrease.worst_margin,
-            "error_initial": run.error_trace[0],
-            "error_final": run.error_trace[-1],
+            "error_initial": float(run.error_trace[0]),
+            "error_final": float(run.error_trace[-1]),
             "csv": args.out,
         }
     )
@@ -407,7 +407,7 @@ def _cmd_swing_run(args) -> int:
     decrease = check_V_decrease(exp.run, exp.composed)
     if args.out:
         export_run(exp.run, args.out)
-    err0, err_end = exp.run.error_trace[0], exp.run.error_trace[-1]
+    err0, err_end = exp.run.error_trace[[0, -1]].tolist()
     ok = report.satisfied and bound.ok and decrease.ok
     print(
         f"{params.n_nodes} nodes, horizon {args.horizon}: error {err0:.3e} -> {err_end:.3e}",

@@ -353,8 +353,6 @@ def _verify_weighted_decay(core: MuCertificate) -> None:
 class ComposedCertificate:
     """Network certificate: weighted sum of local tracking energies."""
 
-    p_exp = 2
-    q_exp = 2
     b_exp = 2
 
     def __init__(self, mu, lambda_inf, alpha_total, rho_ext_coeff, certificates):
@@ -381,9 +379,6 @@ class ComposedCertificate:
     @property
     def mu_max(self) -> float:
         return float(self.mu.max())
-
-    def rho_ext(self, t: float) -> float:
-        return self.rho_ext_coeff * t**self.q_exp
 
     @cached_property
     def engine(self) -> CompiledCertificates:

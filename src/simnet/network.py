@@ -280,10 +280,11 @@ class _Layer:
         self.checked = False
         modes = [mode for sub in subsystems for mode in sub.modes]
         maps = [m for mode in modes for m in (mode.out_blocks, mode.in_blocks)]
+        peers = list(chain.from_iterable(maps))
         ranges = list(chain.from_iterable(m.values() for m in maps))
-        if mats is None:  # built from objects; parsed block maps hold integer pairs
+        if mats is None:  # built from objects; parsed block maps hold integer keys and pairs
             mats = _Matrices([[getattr(mode, f) for mode in modes] for f in _FAMILIES], np.asarray)
-            if not _integer_pairs(ranges):  # raise the first node defect, if any
+            if not _integer_blocks(peers, ranges):  # raise the first node defect, if any
                 _check_subsystems(subsystems)
         counts = [len(sub.modes) for sub in subsystems]
         self.ids = np.array([sub.id for sub in subsystems], dtype=np.int64)
@@ -295,7 +296,7 @@ class _Layer:
         self.finite = np.stack([finite[:n_rows] for finite in mats.finite], axis=1)
         seg = np.repeat(np.arange(2 * len(modes)), [len(m) for m in maps])
         self.row, self.kind = seg >> 1, seg & 1
-        self.peer = _int64(list(chain.from_iterable(maps)))
+        self.peer = _int64(peers)
         bounds = _int64(list(chain.from_iterable(ranges)))
         self.lo, self.hi = bounds.reshape(-1, 2).T
         self.owner = self.node[self.row]
@@ -594,24 +595,33 @@ def _subsystem_defect(sub: SwitchedLinearSubsystem) -> SimnetError | None:
     return None
 
 
-def _integer_pairs(ranges: list) -> bool:
-    """Whether every range is a pair of integers (booleans are not), judged
-    by one conversion."""
+def _is_integer(v) -> bool:
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
+def _integer_blocks(ids: list, ranges: list) -> bool:
+    """Whether every block id is an integer and every range a pair of
+    integers (booleans are not), judged by one conversion each."""
     try:
         arr = np.array(ranges)
-        types = set(map(type, chain.from_iterable(ranges)))
+        types = set(map(type, chain(ids, chain.from_iterable(ranges))))
     except (TypeError, ValueError):
         return False
-    return arr.shape == (len(ranges), 2) and arr.dtype.kind in "iu" and bool not in types
+    return (arr.shape == (len(ranges), 2) and arr.dtype.kind in "iu" and bool not in types
+            and np.array(ids).dtype.kind in "iu")
 
 
 def _partition_defect(blocks: BlockMap, width: int, node: int, mode: int, kind: str):
     """The error of a block map that does not partition 0..width (the
-    first range that is not an integer pair, gap or overlap, else the
-    coverage), or None."""
-    for key, rng in blocks.items():  # booleans are not integers
-        if not (isinstance(rng, (tuple, list)) and len(rng) == 2 and all(
-                isinstance(v, (int, np.integer)) and not isinstance(v, bool) for v in rng)):
+    first key that is not an integer or range that is not an integer pair,
+    gap or overlap, else the coverage), or None."""
+    for key, rng in blocks.items():
+        if not _is_integer(key):
+            return SchemaError(
+                f"subsystem {node} mode {mode}: {kind} key {key!r} must be an integer node id",
+                node=node, mode=mode, kind=kind, key=key,
+            )
+        if not (isinstance(rng, (tuple, list)) and len(rng) == 2 and all(map(_is_integer, rng))):
             return SchemaError(
                 f"subsystem {node} mode {mode}: {kind}[{key}] must be an integer pair "
                 f"(start, stop), got {rng!r}",
@@ -673,62 +683,47 @@ class InterconnectionGraph:
 class SwitchingSignal:
     """Per-subsystem mode schedules sigma_i : k -> mode index.
 
-    Either an explicit table over a horizon or a periodic rule; switching may
-    be asynchronous across subsystems.  The built-in schedules are one
-    integer array each, read for every node at once by ``modes_at``; a
-    signal built from a callable calls it per node.
+    ``at(k)`` gives every node's mode at step k as one integer array, for
+    the steps 0 <= k < horizon (any k >= 0 if horizon is None); switching
+    may be asynchronous across subsystems.  The built-in schedules are an
+    explicit table over a horizon and periodic rules, read-only arrays.
     """
 
-    def __init__(self, n_nodes: int, fn, horizon: int | None):
-        self._n = n_nodes
-        self._fn = fn
+    def __init__(self, n_nodes: int, at, horizon: int | None):
+        self.n_nodes = n_nodes
+        self._at = at
         self.horizon = horizon
-        self._at = None  # k -> every node's mode as an int array, for the built-in schedules
 
-    @property
-    def n_nodes(self) -> int:
-        return self._n
-
-    def _check(self, k: int) -> None:
+    def modes_at(self, k: int) -> np.ndarray:
+        """Every node's mode at step k, as an int64 array."""
+        if k < 0:
+            raise DimensionMismatchError(f"switching step must be nonnegative, got {k}", step=k)
         if self.horizon is not None and k >= self.horizon:
             raise DimensionMismatchError(
                 f"switching horizon {self.horizon} does not cover step {k}",
                 step=k, horizon=self.horizon,
             )
-
-    def mode(self, node_pos: int, k: int) -> int:
-        self._check(k)
-        return self._fn(node_pos, k)
-
-    def modes_at(self, k: int) -> list[int]:
-        self._check(k)
-        if self._at is not None:
-            return self._at(k).tolist()
-        return [self._fn(i, k) for i in range(self._n)]
+        return np.asarray(self._at(k), dtype=np.int64)
 
     @classmethod
     def from_table(cls, table: list[list[int]]) -> "SwitchingSignal":
         rows = [list(map(int, row)) for row in table]
         if not rows or any(len(r) != len(rows[0]) for r in rows):
             raise SchemaError("switching table rows must be nonempty and equal length")
-        columns = np.array(rows, dtype=np.int64).reshape(len(rows), -1)
-        sig = cls(len(rows), lambda i, k: int(columns[i, k]), columns.shape[1])
-        sig._at = lambda k: columns[:, k]
-        return sig
+        columns = _frozen(np.array(rows, dtype=np.int64).reshape(len(rows), -1))
+        return cls(len(rows), lambda k: columns[:, k], columns.shape[1])
 
     @classmethod
     def periodic(cls, schedules: list[list[int]], period: int) -> "SwitchingSignal":
-        if period < 1:
-            raise SchemaError("switching period must be >= 1")
+        if not (_is_integer(period) and period >= 1):
+            raise SchemaError(f"switching period must be an integer >= 1, got {period!r}")
         rows = [list(map(int, row)) for row in schedules]
         if not rows or any(not r for r in rows):
             raise SchemaError("each periodic schedule must be nonempty")
         lengths = np.array([len(r) for r in rows], dtype=np.int64)
         start = np.cumsum(lengths) - lengths
-        flat = np.array(list(chain.from_iterable(rows)), dtype=np.int64)
-        sig = cls(len(rows), lambda i, k: int(flat[start[i] + (k // period) % lengths[i]]), None)
-        sig._at = lambda k: flat[start + (k // period) % lengths]
-        return sig
+        flat = _frozen(np.array(list(chain.from_iterable(rows)), dtype=np.int64))
+        return cls(len(rows), lambda k: flat[start + (k // period) % lengths], None)
 
     @classmethod
     def synchronized(cls, n_nodes: int, schedule: list[int], period: int) -> "SwitchingSignal":
@@ -737,10 +732,8 @@ class SwitchingSignal:
 
     @classmethod
     def constant(cls, n_nodes: int, mode: int = 0) -> "SwitchingSignal":
-        modes = np.full(n_nodes, mode, dtype=np.int64)
-        sig = cls(n_nodes, lambda i, k: int(modes[i]), None)
-        sig._at = lambda k: modes
-        return sig
+        modes = _frozen(np.full(n_nodes, mode, dtype=np.int64))
+        return cls(n_nodes, lambda k: modes, None)
 
 
 class NetworkSpec:
@@ -766,9 +759,6 @@ class NetworkSpec:
     @property
     def n_nodes(self) -> int:
         return len(self.subsystems)
-
-    def subsystem(self, node_id: int) -> SwitchedLinearSubsystem:
-        return self.subsystems[self.index[node_id]]
 
     def abstract_view(self) -> "NetworkSpec":
         """The abstract network as a spec in its own right (same wiring).
@@ -808,8 +798,6 @@ class Layout:
         self.ids, self.sizes, self.what = tuple(ids), [int(n) for n in sizes], what
         self.off = np.concatenate(([0], np.cumsum(self.sizes, dtype=np.intp)))
         self.size = int(self.off[-1])
-        bounds = self.off.tolist()
-        self._slices = [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
 
     def stack(self, parts) -> np.ndarray:
         arrays = [np.asarray(p, dtype=float) for p in parts]
@@ -825,10 +813,6 @@ class Layout:
                     node=node,
                 )
         return np.concatenate(arrays) if arrays else np.zeros(0)
-
-    def split(self, flat: np.ndarray) -> list[np.ndarray]:
-        """The per-node views of a flat vector."""
-        return [flat[s] for s in self._slices]
 
     def select(self, index) -> np.ndarray:
         """Mask of one element per node, at the given position in the node's

@@ -1,12 +1,12 @@
 """Lockstep simulation of a concrete network against its abstraction.
 
 Both layers advance under a shared switching signal.  At every step the
-abstract controller picks uhat, each node's interface refines it into the
-concrete input u_i (wiring what from abstract neighbor outputs and w from
-concrete neighbor outputs), and the run records output errors, the composed
-certificate value and input norms.  Two trajectory checks make the run an
-oracle for the certificate: the one-step decrease of V and the closed-form
-error envelope
+abstract controller maps the stacked abstract state to the stacked uhat,
+each node's interface refines it into the concrete input u_i (wiring what
+from abstract and w from concrete neighbor outputs), and the run fills row
+k of its output, error, V and input-norm traces.  Two trajectory checks
+make the run an oracle for the certificate: the one-step decrease of V and
+the closed-form error envelope
 
     |y(k) - yhat(k)|_2 <= theta beta^k V(0)^(1/b) + gamma_ext(sup_{j<=k} |uhat(j)|_2)
 
@@ -33,17 +33,21 @@ from .network import NetworkSpec, SwitchingSignal
 
 @dataclass
 class SimulationRun:
-    """Trajectories and traces of one lockstep run (indices are time steps)."""
+    """Trajectories and traces of one lockstep run: row k of every array is
+    step k = 0..horizon.  State and output rows are flat vectors in the
+    engines' layouts (node i's part is ``off[i]:off[i + 1]``), ``modes`` is
+    int64 and ``external_widths`` are the nodes' external block widths."""
 
     horizon: int
     node_ids: tuple[int, ...]
-    abstract_states: list[list[np.ndarray]]
-    external_outputs: list[list[np.ndarray]]
-    abstract_external_outputs: list[list[np.ndarray]]
-    modes: list[list[int]]
-    v_trace: list[float]
-    error_trace: list[float]
-    u_hat_norms: list[float]
+    external_widths: tuple[int, ...]
+    abstract_states: np.ndarray
+    external_outputs: np.ndarray
+    abstract_external_outputs: np.ndarray
+    modes: np.ndarray
+    v_trace: np.ndarray
+    error_trace: np.ndarray
+    u_hat_norms: np.ndarray
 
 
 def simulate_lockstep(
@@ -58,9 +62,10 @@ def simulate_lockstep(
 ) -> SimulationRun:
     """Run both networks for ``horizon`` steps, refining inputs per node.
 
-    ``abstract_controller(abstract_states, k)`` returns the per-node uhat.
-    Traces cover k = 0..horizon inclusive; inputs at the final step are
-    evaluated but not applied.
+    ``x0`` and ``xhat0`` are per-node initial states;
+    ``abstract_controller(x_hat, k)`` maps the stacked abstract state to the
+    stacked uhat (abstract engine layouts).  Traces cover k = 0..horizon
+    inclusive; inputs at the final step are evaluated but not applied.
     """
     certs = list(local_certs)
     if len(certs) != spec.n_nodes:
@@ -78,26 +83,35 @@ def simulate_lockstep(
     concrete, abstract = lockstep.concrete, lockstep.abstract
     x = concrete.state.stack(x0)
     x_hat = abstract.state.stack(xhat0)
-
+    n_inputs, steps = abstract.input.size, horizon + 1
     run = SimulationRun(
         horizon=horizon,
         node_ids=spec.graph.nodes,
-        abstract_states=[],
-        external_outputs=[], abstract_external_outputs=[],
-        modes=[], v_trace=[], error_trace=[], u_hat_norms=[],
+        external_widths=tuple(concrete.external.sizes),
+        abstract_states=np.empty((steps, abstract.state.size)),
+        external_outputs=np.empty((steps, concrete.external.size)),
+        abstract_external_outputs=np.empty((steps, abstract.external.size)),
+        modes=np.empty((steps, spec.n_nodes), dtype=np.int64),
+        v_trace=np.empty(steps),
+        error_trace=np.empty(steps),
+        u_hat_norms=np.empty(steps),
     )
-    for k in range(horizon + 1):
+    for k in range(steps):
         modes = switching.modes_at(k)
-        hat_states = abstract.state.split(x_hat)
-        u_hat = abstract.input.stack(abstract_controller(hat_states, k))
+        u_hat = np.asarray(abstract_controller(x_hat, k), dtype=float)
+        if u_hat.shape != (n_inputs,):
+            raise DimensionMismatchError(
+                f"abstract controller gave shape {u_hat.shape}, expected length {n_inputs}",
+                expected=n_inputs, step=k,
+            )
         x_next, x_hat_next, y, y_hat, v = lockstep.step(x, x_hat, u_hat, modes)
-        run.abstract_states.append(hat_states)
-        run.external_outputs.append(concrete.external.split(y))
-        run.abstract_external_outputs.append(abstract.external.split(y_hat))
-        run.modes.append(list(modes))
-        run.v_trace.append(v)
-        run.error_trace.append(float(np.sqrt(np.sum((y - y_hat) ** 2))))
-        run.u_hat_norms.append(float(np.sqrt(np.sum(u_hat**2))))
+        run.abstract_states[k] = x_hat
+        run.external_outputs[k] = y
+        run.abstract_external_outputs[k] = y_hat
+        run.modes[k] = modes
+        run.v_trace[k] = v
+        run.error_trace[k] = np.sqrt(np.sum((y - y_hat) ** 2))
+        run.u_hat_norms[k] = np.sqrt(np.sum(u_hat**2))
         x, x_hat = x_next, x_hat_next
     return run
 
@@ -149,7 +163,7 @@ class TrajectoryReport:
     """Per-run check outcome; worst margin/slack aggregates order-free."""
 
     ok: bool
-    worst_margin: float
+    worst_margin: float | None
     witness_step: int | None = None
 
     def __bool__(self) -> bool:
@@ -169,11 +183,11 @@ def check_trajectory_bound(
     """
     if bound is None:
         bound = BoundConstants.from_composed(composed)
-    v0 = run.v_trace[0]
-    sup = np.maximum.accumulate(run.u_hat_norms[: run.horizon + 1]).tolist()
+    v0 = float(run.v_trace[0])
+    sup = np.maximum.accumulate(run.u_hat_norms).tolist()
     margins = [
         bound.envelope(k, v0, s) + 1e-9 - err
-        for k, (s, err) in enumerate(zip(sup, run.error_trace))
+        for k, (s, err) in enumerate(zip(sup, run.error_trace.tolist()))
     ]
     worst = min(margins)
     witness = margins.index(worst) if worst < 0 else None
@@ -186,14 +200,14 @@ def check_V_decrease(
     """One-step decrease of the composed value along the realized trajectory.
 
     V(k+1) - V(k) <= -lambda_inf V(k) + rho_ext(|uhat(k)|) with slack
-    1e-9 (1 + V(k)); worst slack reported (negative means satisfied), the
-    witness is the first step with the largest positive slack.
+    1e-9 (1 + V(k)); worst slack reported (negative means satisfied, None
+    for a run of one step), the witness is the first step with the largest
+    positive slack.
     """
     lam = composed.lambda_inf if lambda_inf is None else lambda_inf
     if run.horizon == 0:
-        return TrajectoryReport(ok=True, worst_margin=-np.inf)
-    v = np.asarray(run.v_trace[: run.horizon + 1])
-    u = np.asarray(run.u_hat_norms[: run.horizon])
+        return TrajectoryReport(ok=True, worst_margin=None)
+    v, u = run.v_trace, run.u_hat_norms[:-1]
     allowed = -lam * v[:-1] + composed.rho_ext_coeff * u**2 + 1e-9 * (1.0 + v[:-1])
     slack = v[1:] - v[:-1] - allowed
     k = int(np.argmax(slack))
@@ -210,25 +224,14 @@ def export_run(run: SimulationRun, path) -> None:
     components of every node (y<i> or y<i>_<c> for multi-component blocks).
     """
     header = ["k", "error_norm", "V", "u_hat_norm"]
-    widths = [y.shape[0] for y in run.external_outputs[0]] if run.external_outputs else []
-    for node, width in zip(run.node_ids, widths):
+    for node, width in zip(run.node_ids, run.external_widths):
         if width == 1:
             header.append(f"y{node}")
         else:
             header.extend(f"y{node}_{c}" for c in range(width))
+    table = np.column_stack((run.error_trace, run.v_trace, run.u_hat_norms, run.external_outputs))
+    fmt = "{:.17g}".format
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(header) + "\n")
-        for k in range(len(run.error_trace)):
-            cells = [
-                str(k),
-                _fmt(run.error_trace[k]),
-                _fmt(run.v_trace[k]),
-                _fmt(run.u_hat_norms[k]),
-            ]
-            for y in run.external_outputs[k]:
-                cells.extend(_fmt(v) for v in y)
-            fh.write(",".join(cells) + "\n")
-
-
-def _fmt(v: float) -> str:
-    return f"{float(v):.17g}"
+        for k, row in enumerate(table):
+            fh.write(f"{k},{','.join(map(fmt, row.tolist()))}\n")

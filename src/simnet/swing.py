@@ -312,9 +312,7 @@ def run_ring_experiment(
     rng = np.random.default_rng(seed)
     x0 = [rng.uniform(-1.0, 1.0, 2) for _ in range(params.n_nodes)]
     xhat0 = [rng.uniform(-1.0, 1.0, 1) for _ in range(params.n_nodes)]
-
-    def controller(hat_states, k):
-        return [h.copy() for h in hat_states]
-
-    run = simulate_lockstep(spec, certs, composed, x0, xhat0, controller, switching, horizon)
+    run = simulate_lockstep(
+        spec, certs, composed, x0, xhat0, lambda x_hat, k: x_hat, switching, horizon
+    )
     return RingExperiment(params, spec, composed, gains, certs, run)

@@ -43,6 +43,7 @@ from simnet.simulate import BoundConstants
 from simnet.swing import compose_ring, templated_ring_operator, topology_graph
 from vehicles import (
     certified_network,
+    per_node,
     random_network,
     stacked_step_oracle,
     tight_subsystem_pair,
@@ -191,8 +192,9 @@ def _experiment_clauses(n_nodes, failures):
     ratio = exp.run.error_trace[100] / exp.run.error_trace[0]
     if not ratio < 1e-3:
         failures.append(f"n={n_nodes}: error ratio {ratio:.3e} not < 1e-3")
-    y0 = max(abs(float(y[0])) for y in exp.run.external_outputs[0])
-    y_end = max(abs(float(y[0])) for y in exp.run.external_outputs[100])
+    freq = per_node(exp.spec.engine.external, exp.run.external_outputs)
+    y0 = max(abs(float(y[0, 0])) for y in freq)
+    y_end = max(abs(float(y[100, 0])) for y in freq)
     if not y_end < 1e-3 * y0:
         failures.append(f"n={n_nodes}: final frequency magnitude {y_end:.3e} too large")
     return exp
@@ -231,19 +233,12 @@ def test_criterion_6_exact_matching():
             abstract = spec.abstract_view()
             xhat0 = [rng.uniform(-1, 1, sub.n) for sub in abstract.subsystems]
             x0 = [certs[i].P @ xhat0[i] for i in range(spec.n_nodes)]
-            dims = [sub.m for sub in abstract.subsystems]
+            u_hat = np.zeros(abstract.engine.input.size)
             run = simulate_lockstep(
-                spec, certs, composed, x0, xhat0,
-                lambda hs, k: [np.zeros(m) for m in dims],
+                spec, certs, composed, x0, xhat0, lambda x_hat, k: u_hat,
                 SwitchingSignal.constant(spec.n_nodes, 0), 50,
             )
-            worst = max(
-                float(np.abs(y - yh).max()) if y.size else 0.0
-                for k in range(51)
-                for y, yh in zip(
-                    run.external_outputs[k], run.abstract_external_outputs[k]
-                )
-            )
+            worst = float(np.abs(run.external_outputs - run.abstract_external_outputs).max())
             if worst > 1e-12:
                 failures.append(f"seed {seed}: output mismatch {worst:.3e}")
     if sw.elapsed >= 10.0:
@@ -323,7 +318,7 @@ def test_criterion_8_falsification_sensitivity():
         corrupted = LocalCertificate(
             M=c0.M, K=k_bad, P=c0.P, Q=c0.Q, R=c0.R, T=c0.T, kappa=c0.kappa
         )
-        controller = lambda hs, k: [np.zeros(1), np.zeros(1)]
+        controller = lambda x_hat, k: np.zeros(2)
         switching = SwitchingSignal.constant(2, 0)
         bad_run = simulate_lockstep(
             spec, [corrupted, certs[1]], composed, x0, xhat0, controller, switching, 10

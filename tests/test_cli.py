@@ -151,6 +151,42 @@ class TestPipeline:
         assert out.exists()
 
 
+def strict_json(text):
+    """json.loads that refuses the NaN/Infinity extensions json.dumps emits."""
+    def refuse(constant):
+        raise ValueError(f"not JSON: {constant}")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+class TestStrictJson:
+    # simulate --horizon 0 printed "worst_decrease_slack": -Infinity
+    @pytest.mark.parametrize("argv", [
+        ["validate", "{net}"],
+        ["verify", "{net}", "{certs}"],
+        ["compose", "{net}", "{certs}"],
+        ["simulate", "{net}", "{certs}", "--horizon", "0"],
+        ["simulate", "{net}", "{certs}", "--horizon", "3"],
+        ["swing-gen", "--nodes", "3", "-o", "{tmp}/gen.json"],
+        ["swing-run", "--nodes", "3", "--horizon", "0"],
+        ["swing-run", "--nodes", "3", "--horizon", "3"],
+    ], ids=lambda argv: "-".join(a for a in argv if "{" not in a))
+    def test_stdout_is_strict_json(self, capsys, ring_files, tmp_path, argv):
+        net, certs = ring_files
+        capsys.readouterr()
+        argv = [a.format(net=net, certs=certs, tmp=tmp_path) for a in argv]
+        assert main(argv) == 0
+        report = strict_json(capsys.readouterr().out)
+        assert report["command"] == argv[0]
+
+    def test_horizon_zero_has_no_decrease_slack(self, capsys, ring_files):
+        net, certs = ring_files
+        capsys.readouterr()
+        assert main(["simulate", str(net), str(certs), "--horizon", "0"]) == 0
+        report = strict_json(capsys.readouterr().out)
+        assert report["worst_decrease_slack"] is None and report["v_decrease_ok"] is True
+
+
 class TestErrorPaths:
     def test_missing_file_exit_two(self, capsys):
         code, report, err = run_cli(capsys, ["validate", "does-not-exist.json"])

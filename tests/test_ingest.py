@@ -4,6 +4,7 @@ defects, byte-identical round trips, read-only views, counted numpy calls
 and the cases that crashed or were accepted before."""
 
 import json
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -312,26 +313,38 @@ def test_object_built_spec_checked_like_a_file(ring_files_json, tmp_path):
 
 
 @pytest.mark.parametrize("earlier_defect", [False, True])
-@pytest.mark.parametrize("bad_range", [(1,), (0, 1, 2), (False, 1)], ids=["one", "three", "bool"])
-def test_object_built_range_not_a_pair(bad_range, earlier_defect):
-    # raised a bare ValueError from the block table before any node check
-    def node(i, a, **blocks):
+@pytest.mark.parametrize("bad", [
+    {"in_blocks": {0: (1,)}}, {"in_blocks": {0: (0, 1, 2)}}, {"in_blocks": {0: (False, 1)}},
+    {"out_blocks": {"1": (0, 1)}}, {"out_blocks": {1.0: (0, 1)}}, {"out_blocks": {True: (0, 1)}},
+], ids=["one", "three", "bool", "key-str", "key-float", "key-bool"])
+def test_object_built_range_not_a_pair(bad, earlier_defect):
+    # a range raised a bare ValueError, a key a bare SchemaError, from the
+    # block table before any node check
+    def node(i, a, out_blocks=None, in_blocks=None):
         return SwitchedLinearSubsystem(i, [Mode(A=a, B=[[1.0]], C=[[1.0]], D=np.zeros((1, 0)),
-                                                out_blocks={i: (0, 1)}, **blocks)])
+                                                out_blocks=out_blocks or {i: (0, 1)},
+                                                in_blocks=in_blocks or {})])
 
-    first = node(0, [[NAN if earlier_defect else 0.5]], in_blocks={})
-    second = node(1, [[0.5]], in_blocks={0: bad_range})
+    first = node(0, [[NAN if earlier_defect else 0.5]])
+    second = node(1, [[0.5]], **bad)
+    ((kind, blocks),) = bad.items()
+    ((key, rng),) = blocks.items()
+    if kind == "in_blocks":
+        message = f"in_blocks[{key}] must be an integer pair (start, stop), got {rng!r}"
+    else:
+        message = f"out_blocks key {key!r} must be an integer node id"
+    message = f"subsystem 1 mode 0: {message}"
     with pytest.raises(SchemaError) as err:
         NetworkSpec([first, second])
     if earlier_defect:
         expected = ("subsystem 0 mode 0: matrix A has non-finite entries",
                     {"node": 0, "mode": 0, "matrix": "A"})
     else:
-        expected = (f"subsystem 1 mode 0: in_blocks[0] must be an integer pair (start, stop), "
-                    f"got {bad_range!r}", {"node": 1, "mode": 0, "kind": "in_blocks", "key": 0})
+        expected = (message, {"node": 1, "mode": 0, "kind": kind, "key": key})
+        assert type(err.value.details["key"]) is type(key)
     assert (str(err.value), err.value.details) == expected
     # a subsystem used on its own is checked alike
-    with pytest.raises(SchemaError, match=r"in_blocks\[0\] must be an integer pair"):
+    with pytest.raises(SchemaError, match=re.escape(message)):
         synthesize_certificate_matrix(second, [np.zeros((1, 1))], 0.5)
 
 
@@ -558,25 +571,45 @@ def test_views_are_read_only(tmp_path):
 
 
 class TestSwitchingSignalModes:
+    # (signal, every node's mode at step k computed node by node)
     SIGNALS = {
-        "table": lambda: SwitchingSignal.from_table([[0, 1, 1, 0], [1, 0, 0, 1], [2, 2, 0, 1]]),
-        "periodic": lambda: SwitchingSignal.periodic([[0, 1], [1], [2, 0, 1]], period=2),
-        "synchronized": lambda: SwitchingSignal.synchronized(3, [0, 1], period=3),
-        "constant": lambda: SwitchingSignal.constant(3, 1),
-        "callable": lambda: SwitchingSignal(3, lambda i, k: (i + k) % 2, None),
+        "table": (lambda: SwitchingSignal.from_table([[0, 1, 1, 0], [1, 0, 0, 1], [2, 2, 0, 1]]),
+                  lambda i, k: [[0, 1, 1, 0], [1, 0, 0, 1], [2, 2, 0, 1]][i][k]),
+        "periodic": (lambda: SwitchingSignal.periodic([[0, 1], [1], [2, 0, 1]], period=2),
+                     lambda i, k: [[0, 1], [1], [2, 0, 1]][i][(k // 2) % (2, 1, 3)[i]]),
+        "synchronized": (lambda: SwitchingSignal.synchronized(3, [0, 1], period=3),
+                         lambda i, k: (k // 3) % 2),
+        "constant": (lambda: SwitchingSignal.constant(3, 1), lambda i, k: 1),
+        "callable": (lambda: SwitchingSignal(3, lambda k: [(i + k) % 2 for i in range(3)], None),
+                     lambda i, k: (i + k) % 2),
     }
 
     @pytest.mark.parametrize("kind", sorted(SIGNALS))
     def test_modes_at_matches_mode(self, kind):
-        sig = self.SIGNALS[kind]()
+        make, mode = self.SIGNALS[kind]
+        sig = make()
         for k in range(4):
             modes = sig.modes_at(k)
-            assert type(modes) is list and all(type(s) is int for s in modes)
-            assert modes == [sig.mode(i, k) for i in range(sig.n_nodes)]
+            assert type(modes) is np.ndarray and modes.dtype == np.int64
+            assert modes.tolist() == [mode(i, k) for i in range(sig.n_nodes)]
 
     def test_horizon_checked_once_per_step(self):
         sig = SwitchingSignal.from_table([[0, 1], [1, 0]])
         with pytest.raises(simnet.DimensionMismatchError, match="does not cover step 2"):
             sig.modes_at(2)
-        with pytest.raises(simnet.DimensionMismatchError, match="does not cover step 2"):
-            sig.mode(0, 2)
+
+    @pytest.mark.parametrize("kind", sorted(SIGNALS))
+    def test_negative_step_rejected(self, kind):
+        # the table used to return its last column at k = -1
+        with pytest.raises(simnet.DimensionMismatchError, match="must be nonnegative, got -1"):
+            self.SIGNALS[kind][0]().modes_at(-1)
+
+    @pytest.mark.parametrize("period", [1.5, 0, True, 2.0])
+    def test_period_must_be_an_integer(self, period):
+        # a period of 1.5 used to raise a bare IndexError at modes_at(3)
+        with pytest.raises(SchemaError, match="switching period must be an integer >= 1"):
+            SwitchingSignal.periodic([[0]], period)
+
+    def test_ring_experiment_rejects_fractional_period(self):
+        with pytest.raises(SchemaError, match=r"an integer >= 1, got 1\.5"):
+            simnet.run_ring_experiment(SwingParams(n_nodes=3, switch_period=1.5), 10)

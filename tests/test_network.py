@@ -19,7 +19,7 @@ from simnet import (
     parse_network,
     save_network,
 )
-from vehicles import heterogeneous_network, random_network, stacked_step_oracle
+from vehicles import heterogeneous_network, per_node, random_network, stacked_step_oracle
 
 # random_network seeds, then heterogeneous_network seeds 0 and 1 (dims 1-4,
 # three modes, zero-width D, an isolated node)
@@ -39,8 +39,8 @@ def engine_step(spec, states, inputs, modes):
     x_next, y, w, ext = engine.step(
         engine.state.stack(states), engine.input.stack(inputs), engine.slots.select(modes)
     )
-    return (engine.state.split(x_next), engine.output.split(y),
-            engine.internal_input.split(w), engine.external.split(ext))
+    return (per_node(engine.state, x_next), per_node(engine.output, y),
+            per_node(engine.internal_input, w), per_node(engine.external, ext))
 
 
 def internal_input(spec, states, modes):
@@ -358,13 +358,13 @@ class TestStep:
 class TestSwitchingSignal:
     def test_periodic_schedule(self):
         sig = SwitchingSignal.synchronized(2, [0, 1], period=5)
-        assert [sig.mode(0, k) for k in (0, 4, 5, 9, 10)] == [0, 0, 1, 1, 0]
+        assert [sig.modes_at(k)[0] for k in (0, 4, 5, 9, 10)] == [0, 0, 1, 1, 0]
 
     def test_table_horizon(self):
         sig = SwitchingSignal.from_table([[0, 1, 1], [1, 0, 0]])
         assert sig.horizon == 3
-        assert sig.mode(1, 2) == 0
+        assert sig.modes_at(2)[1] == 0
 
     def test_asynchronous_per_node(self):
         sig = SwitchingSignal.periodic([[0], [1]], period=1)
-        assert sig.modes_at(7) == [0, 1]
+        assert sig.modes_at(7).tolist() == [0, 1]

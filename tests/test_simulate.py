@@ -28,11 +28,12 @@ from simnet.composition import (
     compose_certificate,
     construct_mu,
 )
-from simnet.simulate import BoundConstants
+from simnet.simulate import BoundConstants, SimulationRun
 from vehicles import (
     blockwise_internal_input,
     certified_network,
     evaluate_V,
+    export_run_reference,
     heterogeneous_network,
     interface_input,
     stacked_step_oracle,
@@ -41,12 +42,8 @@ from vehicles import (
 
 
 def zero_controller(spec):
-    dims = [sub.m for sub in spec.abstract_view().subsystems]
-
-    def controller(hat_states, k):
-        return [np.zeros(m) for m in dims]
-
-    return controller
+    u_hat = np.zeros(spec.abstract_view().engine.input.size)
+    return lambda x_hat, k: u_hat
 
 
 def constant_switching(spec):
@@ -95,15 +92,15 @@ class TestSimulateLockstep:
         )
         assert max(run.error_trace) <= 1e-12
         for k in (0, 10, 50):
-            for y, yh in zip(run.external_outputs[k], run.abstract_external_outputs[k]):
-                assert float(np.abs(y - yh).max()) <= 1e-12
+            gap = run.external_outputs[k] - run.abstract_external_outputs[k]
+            assert float(np.abs(gap).max()) <= 1e-12
 
     def test_deadbeat_error_vanishes_from_step_one(self):
         spec, certs, composed = deadbeat_network()
         rng = np.random.default_rng(0)
 
-        def controller(hat_states, k):
-            return [rng.uniform(-1, 1, 1)]  # arbitrary abstract input
+        def controller(x_hat, k):
+            return rng.uniform(-1, 1, 1)  # arbitrary abstract input
 
         run = simulate_lockstep(
             spec, certs, composed, [np.array([0.8])], [np.array([-0.3])],
@@ -118,8 +115,7 @@ class TestSimulateLockstep:
         assert err[100] < 1e-3 * err[0]
         assert max(err[40:]) < err[0]
         # frequency outputs settle at zero
-        finals = [abs(float(y[0])) for y in exp.run.external_outputs[100]]
-        assert max(finals) < 1e-6
+        assert float(np.abs(exp.run.external_outputs[100]).max()) < 1e-6
 
     def test_traces_dominate_output_error(self):
         # pointwise realization of the output lower bound
@@ -149,8 +145,8 @@ class TestSimulateLockstep:
             )
             for _ in range(2)
         ]
-        assert runs[0].error_trace == runs[1].error_trace
-        assert runs[0].v_trace == runs[1].v_trace
+        assert runs[0].error_trace.tolist() == runs[1].error_trace.tolist()
+        assert runs[0].v_trace.tolist() == runs[1].v_trace.tolist()
 
     def test_prefix_property(self):
         spec, certs, gains, composed = tight_two_node_network()
@@ -164,7 +160,7 @@ class TestSimulateLockstep:
         long = simulate_lockstep(
             spec, certs, composed, x0, xhat0, ctrl, constant_switching(spec), 40
         )
-        assert long.error_trace[:21] == short.error_trace
+        assert long.error_trace[:21].tolist() == short.error_trace.tolist()
         assert check_trajectory_bound(short, composed).ok
         assert check_trajectory_bound(long, composed).ok
 
@@ -177,6 +173,44 @@ class TestSimulateLockstep:
                 spec, certs, composed, [np.zeros(2)] * 2, [np.zeros(1)] * 2,
                 zero_controller(spec), SwitchingSignal.constant(signal_nodes, 0), 5,
             )
+
+    @pytest.mark.parametrize(
+        "u_hat", [np.zeros(1), np.zeros(3), np.zeros((2, 1)), [np.zeros(1)] * 2],
+        ids=["short", "long", "column", "per-node"],
+    )
+    def test_controller_must_return_the_stacked_input(self, u_hat):
+        spec, certs, gains, composed = tight_two_node_network()
+        match = r"abstract controller gave shape .*, expected length 2"
+        with pytest.raises(DimensionMismatchError, match=match) as err:
+            simulate_lockstep(
+                spec, certs, composed, [np.zeros(2)] * 2, [np.zeros(1)] * 2,
+                lambda x_hat, k: u_hat, constant_switching(spec), 5,
+            )
+        assert err.value.details == {"expected": 2, "step": 0}
+
+    @pytest.mark.parametrize("horizon", [0, 7])
+    def test_run_arrays_have_one_row_per_step(self, horizon):
+        spec, by_id = heterogeneous_network(0)
+        certs = [by_id[i] for i in spec.graph.nodes]
+        composed = ComposedCertificate(np.ones(spec.n_nodes), 0.1, 1.0, 1.0, certs)
+        engine, abstract = spec.engine, spec.abstract_view().engine
+        rng = np.random.default_rng(5)
+        run = simulate_lockstep(
+            spec, certs, composed,
+            [rng.uniform(-1, 1, sub.n) for sub in spec.subsystems],
+            [rng.uniform(-1, 1, sub.n) for sub in spec.abstract_view().subsystems],
+            zero_controller(spec), SwitchingSignal.synchronized(spec.n_nodes, [0, 1, 2], 2),
+            horizon,
+        )
+        rows = horizon + 1
+        assert run.abstract_states.shape == (rows, abstract.state.size)
+        assert run.external_outputs.shape == (rows, engine.external.size)
+        assert run.abstract_external_outputs.shape == (rows, abstract.external.size)
+        assert run.modes.shape == (rows, spec.n_nodes) and run.modes.dtype == np.int64
+        for trace in (run.v_trace, run.error_trace, run.u_hat_norms):
+            assert trace.shape == (rows,) and trace.dtype == np.float64
+        assert run.external_widths == tuple(engine.external.sizes)
+        assert run.modes[:, 0].tolist() == [(k // 2) % 3 for k in range(rows)]
 
     def test_ten_thousand_node_ring(self):
         exp = run_ring_experiment(SwingParams(n_nodes=10_000), horizon=10)
@@ -271,11 +305,11 @@ class TestTrajectoryBound:
         rng = np.random.default_rng(40 + seed)
         x0 = [rng.uniform(-1, 1, sub.n) for sub in spec.subsystems]
         xhat0 = [rng.uniform(-1, 1, sub.n) for sub in spec.abstract_view().subsystems]
-        dims = [sub.m for sub in spec.abstract_view().subsystems]
+        n_inputs = spec.abstract_view().engine.input.size
         ctrl_rng = np.random.default_rng(99 + seed)
 
-        def controller(hat_states, k):
-            return [ctrl_rng.uniform(-1, 1, m) for m in dims]
+        def controller(x_hat, k):
+            return ctrl_rng.uniform(-1, 1, n_inputs)
 
         run = simulate_lockstep(
             spec, certs, composed, x0, xhat0, controller,
@@ -381,7 +415,35 @@ class TestExportRun:
         with open(path, newline="") as fh:
             reader = csv.DictReader(fh)
             errors = [float(row["error_norm"]) for row in reader]
-        assert errors == run.error_trace
+        assert errors == run.error_trace.tolist()
+
+    def test_matches_per_cell_reference_on_ring(self, tmp_path):
+        run = self._small_run(12)
+        export_run(run, tmp_path / "rows.csv")
+        export_run_reference(run, tmp_path / "cells.csv")
+        assert (tmp_path / "rows.csv").read_bytes() == (tmp_path / "cells.csv").read_bytes()
+
+    def test_matches_per_cell_reference_on_wide_blocks(self, tmp_path):
+        # external blocks 1 to 3 wide, non-contiguous ids, awkward floats
+        rng = np.random.default_rng(8)
+        widths = (1, 2, 3, 2, 1)
+        steps = 6
+        scales = 10.0 ** rng.integers(-300, 300, (steps, sum(widths)))
+        outputs = rng.standard_normal((steps, sum(widths))) * scales
+        outputs[0, :4] = [0.0, -0.0, 0.1, 1e16]
+        run = SimulationRun(
+            horizon=steps - 1, node_ids=(0, 3, 4, 9, 12), external_widths=widths,
+            abstract_states=np.zeros((steps, 5)), external_outputs=outputs,
+            abstract_external_outputs=np.zeros_like(outputs),
+            modes=np.zeros((steps, 5), dtype=np.int64), v_trace=rng.uniform(0, 1e6, steps),
+            error_trace=rng.uniform(0, 1, steps), u_hat_norms=np.linspace(0.0, 1.0, steps),
+        )
+        export_run(run, tmp_path / "rows.csv")
+        export_run_reference(run, tmp_path / "cells.csv")
+        rows = (tmp_path / "rows.csv").read_bytes()
+        assert rows == (tmp_path / "cells.csv").read_bytes()
+        header = b"k,error_norm,V,u_hat_norm,y0,y3_0,y3_1,y4_0,y4_1,y4_2,y9_0,y9_1,y12"
+        assert rows.split(b"\n")[0] == header
 
     def test_deterministic_bytes(self, tmp_path):
         run = self._small_run(5)

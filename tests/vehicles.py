@@ -7,6 +7,9 @@
   by node, the reference for the compiled wiring.
 - interface_input / evaluate_V: one node's refined input and tracking
   energy, the references for the compiled certificates.
+- per_node: a flat vector cut into per-node parts by a layout's offsets.
+- export_run_reference: the run CSV written one float at a time, the
+  reference for the row-at-a-time export_run.
 - random_network / certified_network: seeded generators; the certified
   variant builds exact structural data (B invertible, contraction targets)
   so every generated certificate passes all verifications and the coupling
@@ -111,6 +114,37 @@ def evaluate_V(cert: LocalCertificate, x, x_hat, mode: int) -> float:
     """Tracking energy (x - P xhat)' M_mode (x - P xhat); nonnegative."""
     e = error_vector(cert, x, x_hat)
     return max(float(e @ cert.M[mode].entries @ e), 0.0)
+
+
+def per_node(layout, flat) -> list[np.ndarray]:
+    """The parts of a flat vector (or of each row of a stack of them) that
+    belong to each node of ``layout``: ``[..., off[i]:off[i + 1]]``."""
+    off = layout.off.tolist()
+    return [flat[..., lo:hi] for lo, hi in zip(off, off[1:])]
+
+
+def export_run_reference(run, path) -> None:
+    """The run CSV as export_run writes it, built one cell at a time: per
+    step k, error_norm, V, u_hat_norm, then every node's external output
+    components, each formatted on its own with 17 significant digits."""
+
+    def fmt(v) -> str:
+        return f"{float(v):.17g}"
+
+    header = ["k", "error_norm", "V", "u_hat_norm"]
+    for node, width in zip(run.node_ids, run.external_widths):
+        if width == 1:
+            header.append(f"y{node}")
+        else:
+            header.extend(f"y{node}_{c}" for c in range(width))
+    off = np.concatenate(([0], np.cumsum(run.external_widths, dtype=int)))
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(",".join(header) + "\n")
+        for k in range(len(run.error_trace)):
+            cells = [str(k), fmt(run.error_trace[k]), fmt(run.v_trace[k]), fmt(run.u_hat_norms[k])]
+            for lo, hi in zip(off[:-1], off[1:]):
+                cells.extend(fmt(v) for v in run.external_outputs[k][lo:hi])
+            fh.write(",".join(cells) + "\n")
 
 
 def random_network(seed: int, max_nodes: int = 4, max_modes: int = 3) -> NetworkSpec:
