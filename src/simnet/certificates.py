@@ -33,6 +33,15 @@ one certificate; loaded certificates are read-only views into the stacks.
 The obligations, the structural solve and the sampled oracle decide with
 comparisons that fail when a residual, margin or slack is NaN.
 
+Verification checks first that each certificate fits its node: as many
+modes, K with the node's input count as rows, P with the abstract state
+dimension as columns, R and T as wide as the abstraction's external and
+internal inputs (and the abstraction as many modes, outputs and internal
+inputs as the node); a misfit raises DimensionMismatchError naming the
+node.  Nodes are then grouped by the dimensions that fix their operands'
+shapes, each group stacks every matrix family once, and each obligation is
+one array expression over the stacks, the mode pairs gathered by index.
+
 All functions are pure; mode pairs and samples may be checked in parallel
 and reports aggregate order-independently (worst slack is a max).
 """
@@ -402,12 +411,13 @@ def verify_network(
 ) -> dict[int, VerifiedCertificate]:
     """Verify every node's certificate against its abstraction in one pass.
 
-    Returns the outcome per node id, in the spec's node order.  The
-    obligations of all nodes are checked together: operands of equal shape
-    are stacked and decided with one numpy call per shape and operand, so
-    the number of eigen-decompositions depends on the number of distinct
-    node shapes, not on the node count.  Reports, margins and gains equal
-    the per-node checks' bit for bit.
+    Returns the outcome per node id, in the spec's node order.  A
+    certificate that does not fit its node raises DimensionMismatchError
+    naming the node (see ``_FIT``).  The nodes are verified group by group
+    (equal mode count, n, m, nhat, mhat and internal width), so the number
+    of eigen-decompositions depends on the number of groups, not on the
+    node count.  Reports, margins and gains equal the per-node checks' bit
+    for bit.
     """
     if spec.abstract_subsystems is None:
         raise SchemaError("network declares no abstract subsystems; nothing to verify against")
@@ -418,108 +428,195 @@ def verify_network(
     return dict(zip((sub.id for sub in spec.subsystems), _verify(items, tol)))
 
 
+def _dims(cert, concrete, abstract) -> tuple:
+    """The dimensions of one (certificate, concrete, abstract) item, in the
+    order of ``_DIMS``."""
+    mode, abstract_mode = concrete.modes[0], abstract.modes[0]
+    return (
+        len(concrete.modes), *mode.B.shape, mode.D.shape[1], mode.C.shape[0],
+        len(abstract.modes), *abstract_mode.B.shape, abstract_mode.D.shape[1],
+        abstract_mode.C.shape[0],
+        len(cert.M), *cert.P.shape, cert.K[0].shape[0], cert.R[0].shape[1], cert.T[0].shape[1],
+    )
+
+
+_DIMS = (  # w is the internal input width, q the output width
+    "modes", "n", "m", "w", "q",
+    "abstract modes", "abstract n", "abstract m", "abstract w", "abstract q",
+    "certificate modes", "P rows", "P columns", "K rows", "R columns", "T columns",
+)
+_FIT = (  # (dimension, the dimension it must equal, message), checked in this order
+    ("abstract modes", "modes", "abstract mode count {} differs from concrete {}"),
+    ("abstract q", "q", "abstract output width {} differs from concrete {}"),
+    ("abstract w", "w", "abstract internal input width {} differs from concrete {}"),
+    ("certificate modes", "modes", "certificate mode count {} differs from the subsystem's {}"),
+    ("P rows", "n", "certificate matrices are {0}x{0} but the state has dimension {1}"),
+    ("K rows", "m", "certificate K row count {} differs from the input count {}"),
+    ("P columns", "abstract n",
+     "certificate P column count {} differs from the abstract state dimension {}"),
+    ("R columns", "abstract m",
+     "certificate R column count {} differs from the abstract input count {}"),
+    ("T columns", "abstract w",
+     "certificate T column count {} differs from the abstract internal input width {}"),
+)
+# items that agree on these stack every operand but C and Chat, whose rows are q
+_GROUP = [_DIMS.index(name) for name in ("modes", "n", "m", "w", "abstract n", "abstract m")]
+
+
+def _fitted(items) -> np.ndarray:
+    """The dimensions of (cert, concrete, abstract) items, one row each (see
+    ``_DIMS``), once both subsystems are checked; DimensionMismatchError at
+    the first item whose certificate or abstraction misfits its node."""
+    _check_subsystems(sub for item in items for sub in item[1:])
+    dims = np.array([_dims(*item) for item in items], dtype=np.int64).reshape(-1, len(_DIMS))
+    got, want = (dims[:, [_DIMS.index(rule[i]) for rule in _FIT]] for i in (0, 1))
+    misfit = np.flatnonzero((got != want).any(axis=1))
+    if misfit.size:  # the first item's first misfit, in _FIT's order
+        pos = int(misfit[0])
+        rule = int(np.argmax(got[pos] != want[pos]))
+        node, values = items[pos][1].id, (int(got[pos, rule]), int(want[pos, rule]))
+        raise DimensionMismatchError(
+            f"subsystem {node}: " + _FIT[rule][2].format(*values),
+            node=node, got=values[0], expected=values[1],
+        )
+    return dims
+
+
 def _verify(items, tol: ToleranceProfile) -> list[VerifiedCertificate]:
     """All three obligations and the gains for (cert, concrete, abstract)
-    items; gains only for items that pass every obligation."""
-    batch = _Batch(items)
-    reports = list(
-        zip(_output_dominance(batch, tol), _decay(batch, tol), _structure(batch, tol))
-    )
-    passed = [all(r) for r in reports]
-    gains = iter(_gains(_Batch([it for it, ok in zip(items, passed) if ok]), tol))
+    items, group by group; gains only for items that pass every
+    obligation."""
+    dims = _fitted(items)
+    out = [None] * len(items)
+    keys, group = np.unique(dims[:, _GROUP], axis=0, return_inverse=True)
+    for g, key in enumerate(keys.tolist()):
+        idx = np.flatnonzero(group == g).tolist()
+        verified = _verify_group(
+            [items[i] for i in idx], key[0], dims[idx, _DIMS.index("q")], tol
+        )
+        for i, v in zip(idx, verified):
+            out[i] = v
+    return out
+
+
+def _verify_group(items, r: int, widths: np.ndarray, tol: ToleranceProfile):
+    """``_verify`` for items that share every dimension but the output
+    width (``widths``, per item).  Rows are the (item, mode) pairs, item by
+    item; each family is one stack over them, and the admissible mode pairs
+    index into it."""
+    certs = [item[0] for item in items]
+    modes = [mode for item in items for mode in item[1].modes]
+    abstract = [mode for item in items for mode in item[2].modes]
+    a, b, d = (np.array([getattr(mode, f) for mode in modes]) for f in "ABD")
+    a_hat, b_hat, d_hat = (np.array([getattr(mode, f) for mode in abstract]) for f in "ABD")
+    ms = np.array([m.entries for cert in certs for m in cert.M])
+    ks, qs, rs, ts = (np.array([x for cert in certs for x in getattr(cert, f)]) for f in "KQRT")
+    row_item = np.repeat(np.arange(len(items)), r)
+    p = np.array([cert.P for cert in certs])[row_item]
+    full = np.array(list(itertools.product(range(r), repeat=2)))
+    listed = [full if cert.transitions is None else cert.transitions for cert in certs]
+    pairs = np.concatenate(listed).reshape(-1, 2)
+    pair_bounds = np.concatenate(([0], np.cumsum([len(x) for x in listed])))
+    pair_item = np.repeat(np.arange(len(items)), np.diff(pair_bounds))
+    now, nxt = pair_item * r + pairs[:, 0], pair_item * r + pairs[:, 1]
+
+    # output dominance; C and Chat stack per output width
+    gram, match = np.empty_like(ms), np.zeros(len(ms))
+    row_width = widths[row_item]
+    for width in np.unique(widths).tolist():
+        rows = np.flatnonzero(row_width == width)
+        c = np.array([modes[i].C for i in rows.tolist()])
+        c_hat = np.array([abstract[i].C for i in rows.tolist()])
+        gram[rows] = _sym(np.swapaxes(c, -1, -2) @ c)
+        if c_hat.size:
+            match[rows] = _max_abs(c @ p[rows] - c_hat)
+    psd, psd_scale = psd_margin_batch(gram, ms)
+
+    # decay over the admissible pairs (s, s2)
+    loops = (a + b @ ks)[now]
+    lhs = _sym(3.0 * np.swapaxes(loops, -1, -2) @ ms[nxt] @ loops)
+    rate = 1.0 - np.array([cert.kappa for cert in certs])[pair_item]
+    decay, decay_scale = psd_margin_batch(lhs, _sym(rate[:, None, None] * ms[now]))
+
+    # structure
+    state = _max_abs(a @ p - p @ a_hat + b @ qs)
+    coupling = _max_abs(d - p @ d_hat + b @ ts) if d.size else np.zeros(len(a))
+    limit = tol.eig_tol * (1.0 + _max_abs(a))
+
+    mode_bounds = np.arange(len(items) + 1) * r
+    labels = list(range(r)) * len(items)
+    pair_labels = list(map(tuple, pairs.tolist()))
+    checks = [
+        _reports("output_dominance", mode_bounds, labels, [
+            {"psd_margin": x, "output_match": y} for x, y in zip(psd.tolist(), match.tolist())
+        ], [
+            (psd >= -tol.psd_tol * psd_scale, psd,
+             "mode {}: output Gram matrix is not dominated by M"),
+            (match <= tol.eig_tol, match, "mode {}: C P differs from the abstract C by {:.3e}"),
+        ]),
+        _reports("decay", pair_bounds, pair_labels, decay.tolist(), [
+            (decay >= -tol.psd_tol * decay_scale, decay,
+             "mode pair ({0[0]} -> {0[1]}): decay inequality fails (lambda_min margin {1:.3e})"),
+        ]),
+        _reports("structure", mode_bounds, labels, [
+            {"state": x, "coupling": y} for x, y in zip(state.tolist(), coupling.tolist())
+        ], [
+            (state <= limit, state, "mode {}: state matching residual {:.3e}"),
+            (coupling <= limit, coupling, "mode {}: coupling matching residual {:.3e}"),
+        ]),
+    ]
+    passed = np.array([all(reports) for reports in zip(*checks)], dtype=bool)
+    chosen = passed[pair_item]
+    gains = iter(_gains(
+        [cert for cert, ok in zip(certs, passed) if ok], pair_item[chosen], now[chosen],
+        nxt[chosen], ms, d, b @ rs - p @ b_hat, tol,
+    ))
     return [
-        VerifiedCertificate(*r, next(gains) if ok else None)
-        for r, ok in zip(reports, passed)
+        VerifiedCertificate(*reports, next(gains) if ok else None)
+        for reports, ok in zip(zip(*checks), passed)
     ]
 
 
-class _Batch:
-    """The (node, mode) and (node, mode pair) items of a list of
-    (certificate, concrete, abstract) triples, with their grouping keys.
-
-    ``*_shape`` keys are a node's full shape signature, under which every
-    operand of an item stacks; ``*_dim`` keys are the state dimension, under
-    which the n x n operands of the eigen-decompositions stack.
-    """
-
-    def __init__(self, items):
-        self.items = items
-        _check_subsystems(sub for item in items for sub in item[1:])
-        for cert, concrete, _ in items:
-            if cert.n != concrete.n:
-                raise DimensionMismatchError(
-                    f"subsystem {concrete.id}: certificate matrices are {cert.n}x{cert.n} "
-                    f"but the state has dimension {concrete.n}",
-                    node=concrete.id, n=concrete.n, n_certificate=cert.n,
-                )
-        codes: dict[tuple, int] = {}  # small ints hash faster than signatures
-        signature = [codes.setdefault(_shape_signature(item), len(codes)) for item in items]
-        dim = [cert.n for cert, _, _ in items]
-        self.modes = [(k, s) for k, (cert, _, _) in enumerate(items) for s in range(cert.n_modes)]
-        self.pairs = [
-            (k, s, s2) for k, (cert, _, _) in enumerate(items) for s, s2 in cert.admissible_pairs()
-        ]
-        self.row = {mode: i for i, mode in enumerate(self.modes)}
-        self.mode_shape = [signature[k] for k, _ in self.modes]
-        self.pair_shape = [signature[k] for k, _, _ in self.pairs]
-        self.mode_dim = [dim[k] for k, _ in self.modes]
-        self.pair_dim = [dim[k] for k, _, _ in self.pairs]
-
-    def cert(self, field: str, pairs: bool = False, next_mode: bool = False) -> list:
-        """Certificate matrix ``field`` per (node, mode) item, or per
-        (node, pair) item at the pair's current or next mode."""
-        keys = self.pairs if pairs else self.modes
-        pos = 2 if next_mode else 1
-        items = self.items
-        if field == "M":
-            return [items[key[0]][0].M[key[pos]].entries for key in keys]
-        if field == "P":
-            return [items[key[0]][0].P for key in keys]
-        return [getattr(items[key[0]][0], field)[key[pos]] for key in keys]
-
-    def system(self, layer: str, field: str, pairs: bool = False) -> list:
-        """Mode matrix ``field`` of the concrete or abstract subsystem per
-        item, at the item's current mode."""
-        keys = self.pairs if pairs else self.modes
-        pos = 1 if layer == "concrete" else 2
-        items = self.items
-        return [getattr(items[key[0]][pos].modes[key[1]], field) for key in keys]
+def _reports(check: str, bounds, labels, margins, tests) -> list[VerificationReport]:
+    """Per item its ``check`` report.  Item i owns rows bounds[i]:bounds[i+1];
+    each row has a label (its mode or mode pair) and an entry of
+    ``margins``.  ``tests`` are (passed, value, message) over the rows: a
+    row that fails a test adds ``message.format(label, value)`` to its
+    item's failures, row by row and test by test."""
+    passed = np.logical_and.reduce([test[0] for test in tests])
+    bounds = bounds.tolist()
+    fine = np.logical_and.reduceat(passed, bounds[:-1]).tolist()
+    rows = zip(labels, margins)
+    reports = []
+    for lo, hi, item_passed in zip(bounds, bounds[1:], fine):
+        failures = () if item_passed else tuple(
+            message.format(labels[row], value[row])
+            for row in range(lo, hi) for ok, value, message in tests if not ok[row]
+        )
+        margin = dict(itertools.islice(rows, hi - lo))
+        reports.append(VerificationReport(not failures, check, failures, margin))
+    return reports
 
 
-def _shape_signature(item) -> tuple:
-    cert, concrete, abstract = item
-    shapes = [cert.P.shape]
-    for mode in (concrete.modes[0], abstract.modes[0]):
-        shapes += [mode.A.shape, mode.B.shape, mode.C.shape, mode.D.shape]
-    for family in (cert.K, cert.Q, cert.R, cert.T):
-        shapes += [x.shape for x in family]
-    return tuple(shapes)
-
-
-def _batched(fn, keys, *operands) -> list:
-    """Apply ``fn`` to stacks of items that share a key.
-
-    ``operands`` are per-item sequences of arrays whose shapes depend only
-    on the item's key.  The operands of each key are stacked along a new
-    leading axis and passed to ``fn`` in one call; ``fn`` returns one
-    array, or a tuple of arrays, with that leading axis.  Returns the
-    per-item results in item order, 1-d results as Python floats.
-    """
-    groups: dict = {}
-    for i, key in enumerate(keys):
-        groups.setdefault(key, []).append(i)
-    out = [None] * len(keys)
-    for idx in groups.values():
-        if len(groups) == 1:
-            stacks = [np.array(seq) for seq in operands]
-        else:
-            stacks = [np.array([seq[i] for i in idx]) for seq in operands]
-        result = fn(*stacks)
-        single = not isinstance(result, tuple)
-        columns = [r.tolist() if r.ndim == 1 else r for r in ((result,) if single else result)]
-        for i, r in zip(idx, columns[0] if single else zip(*columns)):
-            out[i] = r
-    return out
+def _gains(certs, pair_item, now, nxt, ms, d, mismatch, tol) -> list[LocalGains]:
+    """Gains of the certificates that passed all three obligations, from
+    their admissible pairs (item, rows ``now`` and ``nxt`` of the stacks
+    ``ms``, ``d`` and ``mismatch`` = B R - P Bhat); see derive_gains for
+    the formulas.  3 |.|^2 grows with |.|, so each item's worst pair is the
+    one of largest norm."""
+    if not certs:
+        return []
+    entered, at = np.unique(nxt, return_inverse=True)
+    roots = principal_sqrt_batch(ms[entered], tol)[at]  # sqrt(M_s2) per pair
+    starts = np.flatnonzero(np.diff(pair_item, prepend=-1))
+    internal, external = (
+        np.maximum.reduceat(operator_norm_batch(roots @ x[now]), starts).tolist()
+        for x in (d, mismatch)
+    )
+    return [
+        LocalGains(alpha=1.0, lam=cert.kappa, rho_int=3.0 * n_int**2, rho_ext=3.0 * n_ext**2)
+        for cert, n_int, n_ext in zip(certs, internal, external)
+    ]
 
 
 def _sym(a: np.ndarray) -> np.ndarray:
@@ -529,132 +626,6 @@ def _sym(a: np.ndarray) -> np.ndarray:
 
 def _max_abs(a: np.ndarray) -> np.ndarray:
     return np.abs(a).max(axis=(-2, -1))
-
-
-def _report(check: str, failures: list, margins: dict) -> VerificationReport:
-    return VerificationReport(not failures, check, tuple(failures), margins)
-
-
-def _output_dominance(batch: _Batch, tol: ToleranceProfile) -> list[VerificationReport]:
-    c = batch.system("concrete", "C")
-    grams = _batched(lambda c: _sym(np.swapaxes(c, -1, -2) @ c), batch.mode_shape, c)
-    psd = _batched(psd_margin_batch, batch.mode_dim, grams, batch.cert("M"))
-
-    def output_match(c, p, c_hat):
-        return _max_abs(c @ p - c_hat) if c_hat[0].size else np.zeros(len(c))
-
-    match = _batched(
-        output_match, batch.mode_shape, c, batch.cert("P"), batch.system("abstract", "C")
-    )
-    out = [([], {}) for _ in batch.items]
-    for (k, s), (margin, scale), mt in zip(batch.modes, psd, match):
-        failures, margins = out[k]
-        margins[s] = {"psd_margin": margin, "output_match": mt}
-        if not margin >= -tol.psd_tol * scale:
-            failures.append(f"mode {s}: output Gram matrix is not dominated by M")
-        if not mt <= tol.eig_tol:
-            failures.append(f"mode {s}: C P differs from the abstract C by {mt:.3e}")
-    return [_report("output_dominance", *o) for o in out]
-
-
-def _decay(batch: _Batch, tol: ToleranceProfile) -> list[VerificationReport]:
-    loops = _batched(
-        lambda a, b, k: a + b @ k,
-        batch.mode_shape,
-        batch.system("concrete", "A"),
-        batch.system("concrete", "B"),
-        batch.cert("K"),
-    )
-    lhs = _batched(
-        lambda f, m_next: _sym(3.0 * np.swapaxes(f, -1, -2) @ m_next @ f),
-        batch.pair_dim,
-        [loops[batch.row[k, s]] for k, s, _ in batch.pairs],
-        batch.cert("M", pairs=True, next_mode=True),
-    )
-    rhs = _batched(
-        lambda rate, m: _sym(rate[:, None, None] * m),
-        batch.pair_dim,
-        [1.0 - batch.items[k][0].kappa for k, _, _ in batch.pairs],
-        batch.cert("M", pairs=True),
-    )
-    psd = _batched(psd_margin_batch, batch.pair_dim, lhs, rhs)
-    out = [([], {}) for _ in batch.items]
-    for (k, s, s2), (margin, scale) in zip(batch.pairs, psd):
-        failures, margins = out[k]
-        margins[(s, s2)] = margin
-        if not margin >= -tol.psd_tol * scale:
-            failures.append(
-                f"mode pair ({s} -> {s2}): decay inequality fails "
-                f"(lambda_min margin {margin:.3e})"
-            )
-    return [_report("decay", *o) for o in out]
-
-
-def _structure(batch: _Batch, tol: ToleranceProfile) -> list[VerificationReport]:
-    a = batch.system("concrete", "A")
-    b = batch.system("concrete", "B")
-    p = batch.cert("P")
-    state = _batched(
-        lambda a, p, a_hat, b, q: _max_abs(a @ p - p @ a_hat + b @ q),
-        batch.mode_shape, a, p, batch.system("abstract", "A"), b, batch.cert("Q"),
-    )
-
-    def coupling(d, p, d_hat, b, t):
-        if d[0].size or d_hat[0].size or t[0].size:
-            return _max_abs(d - p @ d_hat + b @ t)
-        return np.zeros(len(d))
-
-    coupled = _batched(
-        coupling, batch.mode_shape,
-        batch.system("concrete", "D"), p, batch.system("abstract", "D"), b, batch.cert("T"),
-    )
-    a_max = _batched(_max_abs, batch.mode_shape, a)
-    out = [([], {}) for _ in batch.items]
-    for (k, s), res_state, res_coupling, amax in zip(batch.modes, state, coupled, a_max):
-        failures, margins = out[k]
-        margins[s] = {"state": res_state, "coupling": res_coupling}
-        limit = tol.eig_tol * (1.0 + amax)
-        if not res_state <= limit:
-            failures.append(f"mode {s}: state matching residual {res_state:.3e}")
-        if not res_coupling <= limit:
-            failures.append(f"mode {s}: coupling matching residual {res_coupling:.3e}")
-    return [_report("structure", *o) for o in out]
-
-
-def _gains(batch: _Batch, tol: ToleranceProfile) -> list[LocalGains]:
-    """Gains of certificates that passed all three obligations; see
-    derive_gains for the formulas."""
-    items = batch.items
-    # square roots of the M_s2 that some admissible pair enters
-    entered = list(dict.fromkeys((k, s2) for k, _, s2 in batch.pairs))
-    roots = dict(zip(entered, _batched(
-        lambda m: principal_sqrt_batch(m, tol),
-        [items[k][0].n for k, _ in entered],
-        [items[k][0].M[s2].entries for k, s2 in entered],
-    )))
-    mismatch = _batched(
-        lambda b, r, p, b_hat: b @ r - p @ b_hat,
-        batch.mode_shape, batch.system("concrete", "B"), batch.cert("R"), batch.cert("P"),
-        batch.system("abstract", "B"),
-    )
-    root = [roots[k, s2] for k, _, s2 in batch.pairs]
-
-    def norms(sq, x):
-        return operator_norm_batch(sq @ x)
-
-    internal = _batched(norms, batch.pair_shape, root, batch.system("concrete", "D", pairs=True))
-    external = _batched(
-        norms, batch.pair_shape, root, [mismatch[batch.row[k, s]] for k, s, _ in batch.pairs]
-    )
-    rho = [[0.0, 0.0] for _ in items]
-    for (k, _, _), n_int, n_ext in zip(batch.pairs, internal, external):
-        acc = rho[k]
-        acc[0] = max(acc[0], 3.0 * n_int**2)
-        acc[1] = max(acc[1], 3.0 * n_ext**2)
-    return [
-        LocalGains(alpha=1.0, lam=cert.kappa, rho_int=r_int, rho_ext=r_ext)
-        for (cert, _, _), (r_int, r_ext) in zip(items, rho)
-    ]
 
 
 def verify_certificate(
@@ -778,9 +749,9 @@ def check_dissipation_sampled(
     violation.  Slack is reported so that negative means satisfied; the
     worst case is the max over samples, where a NaN slack ranks above every
     number, and the witness is the worst violating sample.  Both subsystems
-    are checked first (see ``_check_subsystems``).
+    and the certificate's fit are checked first (see ``_fitted``).
     """
-    _check_subsystems((concrete, abstract_sub))
+    _fitted([(cert, concrete, abstract_sub)])
     if gains is None:
         gains = derive_gains(cert, concrete, abstract_sub, tol)
     rng = np.random.default_rng(seed)

@@ -23,6 +23,10 @@ def main(argv) -> int:
     _apply_thread_cap()
     parser = _build_parser()
     args = parser.parse_args(argv)
+    try:
+        args.tol = _tolerances(args)
+    except ValueError as exc:  # exits 2 with the usage message
+        parser.error(f"invalid tolerance: {exc}")
     from .errors import SimnetError
 
     try:
@@ -204,7 +208,7 @@ def _verify_nodes(spec, certs, tol):
 
 
 def _cmd_verify(args) -> int:
-    tol = _tolerances(args)
+    tol = args.tol
     spec, certs = _load_pair(args, tol)
     rows, gains = _verify_nodes(spec, certs, tol)
     ok = all(not r["failures"] and "gains" in r for r in rows)
@@ -264,7 +268,7 @@ def _compose(spec, certs, gains, tol):
 
 
 def _cmd_compose(args) -> int:
-    tol = _tolerances(args)
+    tol = args.tol
     spec, certs = _load_pair(args, tol)
     rows, gains = _verify_nodes(spec, certs, tol)
     if len(gains) != spec.n_nodes:
@@ -313,7 +317,7 @@ def _cmd_simulate(args) -> int:
     from .network import SwitchingSignal
     from .simulate import check_trajectory_bound, check_V_decrease, export_run, simulate_lockstep
 
-    tol = _tolerances(args)
+    tol = args.tol
     spec, certs, composed = _composed_from_files(args, tol)
     mode_counts = {sub.n_modes for sub in spec.subsystems}
     if len(mode_counts) != 1:
@@ -379,7 +383,7 @@ def _cmd_swing_gen(args) -> int:
 
     params = _swing_params(args)
     spec = generate_ring_network(params)
-    cert = closed_form_certificate(params, _tolerances(args))
+    cert = closed_form_certificate(params, args.tol)
     save_network(spec, args.out)
     certs_path = args.certs_out or os.path.join(os.path.dirname(args.out) or ".", "certs.json")
     save_certificates({i: cert for i in range(params.n_nodes)}, certs_path)
@@ -400,7 +404,7 @@ def _cmd_swing_run(args) -> int:
     from .swing import benchmark_report, run_ring_experiment
 
     params = _swing_params(args)
-    tol = _tolerances(args)
+    tol = args.tol
     exp = run_ring_experiment(params, args.horizon, seed=args.seed, tol=tol)
     report = benchmark_report(params, tol, gains=exp.gains)
     bound = check_trajectory_bound(exp.run, exp.composed)

@@ -387,8 +387,11 @@ class ComposedCertificate:
 
     def value(self, x: np.ndarray, x_hat: np.ndarray, modes) -> float:
         """V at flat stacked states and abstract states (``engine`` layouts)."""
-        engine = self.engine
-        return float(np.sum(self.mu * engine.energies(engine.slots.select(modes), x, x_hat)))
+        return self._value(self.engine.slots.select(modes), x, x_hat)
+
+    def _value(self, active: np.ndarray, x: np.ndarray, x_hat: np.ndarray) -> float:
+        """V at the active (node, mode) slots of ``engine``."""
+        return float(np.sum(self.mu * self.engine.energies(active, x, x_hat)))
 
     def evaluate_V(self, states, abstract_states, modes) -> float:
         """V = sum_i mu_i V_i at the given per-node modes."""
@@ -444,12 +447,13 @@ class Lockstep:
         self.interface = (
             composed.engine if certs == composed.certificates else CompiledCertificates(certs)
         )
+        # equal slot layouts let one mode selection serve every engine
         ours = [self.concrete.input, self.abstract.input, self.abstract.internal_input]
-        ours += [self.concrete.state, self.abstract.state] * 2
+        ours += [self.concrete.state, self.abstract.state, self.concrete.slots] * 2
         theirs = [self.interface.input, self.interface.abstract_input,
                   self.interface.abstract_internal]
         for compiled in (self.interface, composed.engine):
-            theirs += [compiled.state, compiled.abstract_state]
+            theirs += [compiled.state, compiled.abstract_state, compiled.slots]
         if [a.sizes for a in ours] != [b.sizes for b in theirs]:
             raise DimensionMismatchError("certificate dimensions do not match the network")
 
@@ -458,10 +462,9 @@ class Lockstep:
         outputs of both layers and V, all at ``modes``."""
         active = self.concrete.slots.select(modes)
         x_hat_next, _, w_hat, y_hat = self.abstract.step(x_hat, u_hat, active)
-        refine = self.interface.slots.select(modes)
-        u = self.interface.interface_input(refine, x, x_hat, u_hat, w_hat)
+        u = self.interface.interface_input(active, x, x_hat, u_hat, w_hat)
         x_next, _, _, y = self.concrete.step(x, u, active)
-        return x_next, x_hat_next, y, y_hat, self.composed.value(x, x_hat, modes)
+        return x_next, x_hat_next, y, y_hat, self.composed._value(active, x, x_hat)
 
 
 def check_composed_dissipation(

@@ -301,6 +301,18 @@ def assert_matches_reference(spec, certs):
     return verified
 
 
+MISFITS = [  # how a certificate or abstraction misfits its node, and the message
+    ("state", "certificate matrices are 1x1 but the state has dimension 2"),
+    ("fewer_modes", "certificate mode count 1 differs from the subsystem's 2"),
+    ("more_modes", "certificate mode count 3 differs from the subsystem's 2"),
+    ("K_rows", "certificate K row count 2 differs from the input count 1"),
+    ("P_columns", "certificate P column count 2 differs from the abstract state dimension 1"),
+    ("R_columns", "certificate R column count 2 differs from the abstract input count 1"),
+    ("T_columns", "certificate T column count 2 differs from the abstract internal input width 1"),
+    ("abstract_output_width", "abstract output width 1 differs from concrete 2"),
+]
+
+
 class TestVerifyNetwork:
     def test_swing_ring_matches_reference(self):
         params = SwingParams(n_nodes=8)
@@ -334,14 +346,51 @@ class TestVerifyNetwork:
         assert bad.failures == sum((r.failures for r in bad.reports), ())
         assert all(verified[i] for i in verified if i != 3)
 
-    def test_certificate_dimension_mismatch_rejected(self, swing_pair):
+    @pytest.mark.parametrize("case, what", MISFITS, ids=[case for case, _ in MISFITS])
+    def test_certificate_dimension_mismatch_rejected(self, swing_pair, swing_cert, case, what):
+        # a certificate or abstraction that does not fit the node is named,
+        # neither certified nor left to numpy broadcasting
         concrete, abstract = swing_pair
-        one_dim = LocalCertificate(
-            M=[[[1.0]]] * 2, K=[[[0.0]]] * 2, P=[[1.0]], Q=[[[0.0]]] * 2,
-            R=[[[1.0]]] * 2, T=[[[0.0]]] * 2, kappa=0.2,
-        )
-        with pytest.raises(DimensionMismatchError):
-            verify_certificate(one_dim, concrete, abstract)
+        fields = {f: getattr(swing_cert, f) for f in ("M", "K", "P", "Q", "R", "T")}
+
+        def padded(family, rows=0, cols=0):
+            return [np.pad(x, ((0, rows), (0, cols))) for x in family]
+
+        if case == "state":
+            fields = dict(M=[[[1.0]]] * 2, K=[[[0.0]]] * 2, P=[[1.0]], Q=[[[0.0]]] * 2,
+                          R=[[[1.0]]] * 2, T=[[[0.0]]] * 2)
+        elif case == "fewer_modes":
+            fields = {f: v if f == "P" else v[:1] for f, v in fields.items()}
+        elif case == "more_modes":
+            fields = {f: v if f == "P" else [*v, v[0]] for f, v in fields.items()}
+        elif case == "K_rows":
+            fields.update({f: padded(fields[f], rows=1) for f in "KQRT"})
+        elif case == "P_columns":
+            fields.update(P=np.pad(fields["P"], ((0, 0), (0, 1))), Q=padded(fields["Q"], cols=1))
+        elif case in ("R_columns", "T_columns"):
+            fields[case[0]] = padded(fields[case[0]], cols=1)
+        else:
+            abstract = SwitchedLinearSubsystem(abstract.id, [
+                Mode(A=m.A, B=m.B, C=m.C[:1], D=m.D, out_blocks={0: (0, 1)},
+                     in_blocks=dict(m.in_blocks))
+                for m in abstract.modes
+            ])
+        cert = LocalCertificate(**fields, kappa=swing_cert.kappa)
+        with pytest.raises(DimensionMismatchError, match=f"^subsystem 0: {what}$") as err:
+            verify_certificate(cert, concrete, abstract)
+        assert err.value.details["node"] == 0
+
+    @pytest.mark.parametrize("modes", [1, 3])
+    def test_mode_count_mismatch_names_the_node(self, modes):
+        # every mode and every pair entering it is checked, or the node is named
+        params = SwingParams(n_nodes=8)
+        good = closed_form_certificate(params)
+        fields = {f: [*getattr(good, f), getattr(good, f)[0]][:modes] for f in "MKQRT"}
+        certs = {i: good for i in range(8)}
+        certs[5] = LocalCertificate(**fields, P=good.P, kappa=good.kappa, node_id=5)
+        with pytest.raises(DimensionMismatchError, match="^subsystem 5: certificate mode") as err:
+            verify_network(generate_ring_network(params), certs)
+        assert err.value.details == {"node": 5, "got": modes, "expected": 2}
 
     def test_decompositions_independent_of_node_count(self, tmp_path, monkeypatch, capsys):
         counts = {}
@@ -497,6 +546,18 @@ class TestDissipationSampled:
         concrete, abstract, cert = scalar_pair(a=0.1, kappa=0.5)
         report = check_dissipation_sampled(cert, concrete, abstract, samples=500, seed=1)
         assert report.ok
+
+    @pytest.mark.parametrize("modes", [1, 3])
+    def test_misfit_certificate_rejected_with_given_gains(self, swing_pair, swing_cert,
+                                                          swing_gains, modes):
+        # with the gains given nothing else checks the certificate: one mode
+        # short sampled only (0, 0) and passed, one mode more raised IndexError
+        concrete, abstract = swing_pair
+        fields = {f: [*getattr(swing_cert, f), getattr(swing_cert, f)[0]][:modes]
+                  for f in "MKQRT"}
+        cert = LocalCertificate(**fields, P=swing_cert.P, kappa=swing_cert.kappa)
+        with pytest.raises(DimensionMismatchError, match="certificate mode count"):
+            check_dissipation_sampled(cert, concrete, abstract, samples=10, gains=swing_gains)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_certified_vehicles_pass_any_seed(self, seed):

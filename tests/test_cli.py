@@ -223,6 +223,32 @@ class TestErrorPaths:
         assert code == 2
         assert report["error"] == "SchemaError"
 
+    @pytest.mark.parametrize("modes", [["0"], ["0", "1", "2"]])
+    def test_certificate_mode_count_mismatch_exit_two(self, capsys, ring_files, tmp_path, modes):
+        # a certificate without mode 1 was certified; one with a mode 2 crashed
+        net, certs = ring_files
+        data = json.loads(certs.read_text())
+        for entry in data["certificates"]:
+            for family in ("M", "K", "Q", "R", "T"):
+                entry[family] = {s: entry[family].get(s, entry[family]["0"]) for s in modes}
+        bad = tmp_path / "bad_certs.json"
+        bad.write_text(json.dumps(data))
+        code, report, _ = run_cli(capsys, ["verify", str(net), str(bad)])
+        assert code == 2
+        assert report["error"] == "DimensionMismatchError"
+        assert report["details"] == {"node": 0, "got": len(modes), "expected": 2}
+
+    @pytest.mark.parametrize("option", ["--tol-psd", "--tol-eig"])
+    @pytest.mark.parametrize("value", ["0.5", "-1e-9", "nan"])
+    def test_out_of_range_tolerance_is_usage_error(self, capsys, ring_files, option, value):
+        net, certs = ring_files
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", str(net), str(certs), f"{option}={value}"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid tolerance" in err and "Traceback" not in err
+
     def test_usage_error_exit_two(self):
         with pytest.raises(SystemExit) as exc:
             main(["no-such-command"])

@@ -15,8 +15,10 @@ from simnet import (
     SwitchingSignal,
     check_trajectory_bound,
     check_V_decrease,
+    closed_form_certificate,
     derive_gains,
     export_run,
+    generate_ring_network,
     run_ring_experiment,
     simulate_lockstep,
 )
@@ -258,6 +260,23 @@ class TestLockstepStep:
             np.testing.assert_allclose(x_next, ref, rtol=1e-12, atol=1e-12)
             ref = np.concatenate(stacked_step_oracle(abstract, hats, u_hats, modes))
             np.testing.assert_allclose(x_hat_next, ref, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("short", ["interface", "composed"])
+    def test_certificates_of_another_mode_count_rejected(self, short):
+        # one mode selection per step serves every engine, so the slot
+        # layouts must agree when the lockstep is built
+        params = SwingParams(n_nodes=3)
+        spec = generate_ring_network(params)
+        good = closed_form_certificate(params)
+        one_mode = LocalCertificate(
+            M=good.M[:1], K=good.K[:1], P=good.P, Q=good.Q[:1], R=good.R[:1], T=good.T[:1],
+            kappa=good.kappa,
+        )
+        certs = [one_mode if short == "interface" else good] * 3
+        composed_certs = [one_mode if short == "composed" else good] * 3
+        composed = ComposedCertificate(np.ones(3), 0.1, 1.0, 1.0, composed_certs)
+        with pytest.raises(DimensionMismatchError, match="certificate dimensions"):
+            Lockstep(spec, certs, composed)
 
 
 class TestTrajectoryBound:
