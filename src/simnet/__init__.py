@@ -19,6 +19,7 @@ _EXPORTS = {
         "DissipationReport",
         "LocalCertificate",
         "LocalGains",
+        "NetworkVerification",
         "StructuralSolution",
         "VerificationReport",
         "VerifiedCertificate",

@@ -41,15 +41,14 @@ inputs as the node); a misfit raises DimensionMismatchError naming the
 node.  Nodes are then grouped by the dimensions that fix their operands'
 shapes, each group stacks every matrix family once, and each obligation is
 one array expression over the stacks, the mode pairs gathered by index.
-
-All functions are pure; mode pairs and samples may be checked in parallel
-and reports aggregate order-independently (worst slack is a max).
+``verify_network`` returns columns (a NetworkVerification: verdicts and
+gains per node, failure strings of the failing nodes only); reports with
+their margins are built only by the one-node ``verify_certificate``.
 """
 
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -82,6 +81,7 @@ from .network import (
     _paused_gc,
     _read_json,
     _view,
+    _write_json,
 )
 
 SCHEMA_CERTS = "simnet-certs-v1"
@@ -357,8 +357,6 @@ class LocalGains:
     lam: float
     rho_int: float
     rho_ext: float
-    p_exp: int = 2
-    q_exp: int = 2
 
     def __post_init__(self):  # each comparison fails on NaN
         if not self.alpha > 0:
@@ -396,36 +394,64 @@ class VerifiedCertificate:
     def reports(self) -> tuple[VerificationReport, ...]:
         return (self.output_dominance, self.decay, self.structure)
 
-    @property
-    def failures(self) -> tuple[str, ...]:
-        return sum((r.failures for r in self.reports), ())
-
     def __bool__(self) -> bool:
         return self.gains is not None
+
+
+@dataclass(frozen=True)
+class NetworkVerification:
+    """Every node's verification outcome as columns in the spec's node
+    order.  Row i of ``passed`` holds node_ids[i]'s verdicts on output
+    dominance, decay and structure; its gains ``lam``, ``rho_int`` and
+    ``rho_ext`` (alpha is 1) are NaN unless all three pass.  ``failures``
+    maps each failing node, and only those, to its failure strings."""
+
+    node_ids: tuple[int, ...]
+    passed: np.ndarray
+    lam: np.ndarray
+    rho_int: np.ndarray
+    rho_ext: np.ndarray
+    failures: dict[int, tuple[str, ...]]
 
 
 def verify_network(
     spec: NetworkSpec,
     certs: dict[int, LocalCertificate],
     tol: ToleranceProfile = DEFAULT_TOL,
-) -> dict[int, VerifiedCertificate]:
+) -> NetworkVerification:
     """Verify every node's certificate against its abstraction in one pass.
 
-    Returns the outcome per node id, in the spec's node order.  A
-    certificate that does not fit its node raises DimensionMismatchError
-    naming the node (see ``_FIT``).  The nodes are verified group by group
-    (equal mode count, n, m, nhat, mhat and internal width), so the number
-    of eigen-decompositions depends on the number of groups, not on the
-    node count.  Reports, margins and gains equal the per-node checks' bit
-    for bit.
+    A node without a certificate, or a network without abstraction, raises
+    SchemaError; a certificate that does not fit its node raises
+    DimensionMismatchError naming the node (see ``_FIT``).  The nodes are
+    verified group by group (equal mode count, n, m, nhat, mhat and
+    internal width), so the number of eigen-decompositions depends on the
+    number of groups, not on the node count.  Verdicts, failure strings and
+    gains equal the per-node checks' bit for bit; no margins are kept.
     """
+    missing = [sub.id for sub in spec.subsystems if sub.id not in certs]
+    if missing:
+        raise SchemaError(f"certificate file lacks nodes {missing}", nodes=missing)
     if spec.abstract_subsystems is None:
         raise SchemaError("network declares no abstract subsystems; nothing to verify against")
     items = [
         (certs[sub.id], sub, abstract)
         for sub, abstract in zip(spec.subsystems, spec.abstract_subsystems)
     ]
-    return dict(zip((sub.id for sub in spec.subsystems), _verify(items, tol)))
+    node_ids = tuple(sub.id for sub in spec.subsystems)
+    passed = np.empty((len(items), 3), dtype=bool)
+    gains = np.empty((3, len(items)))
+    failures = {}
+    dims = _fitted(items)
+    keys, group = np.unique(dims[:, _GROUP], axis=0, return_inverse=True)
+    for g, key in enumerate(keys.tolist()):
+        idx = np.flatnonzero(group == g)
+        checks, passed[idx], gains[:, idx] = _verify_group(
+            [items[i] for i in idx.tolist()], key[0], dims[idx, _DIMS.index("q")], tol
+        )
+        for item in np.flatnonzero(~passed[idx].all(axis=1)).tolist():
+            failures[node_ids[idx[item]]] = sum((_failures(c, item) for c in checks), ())
+    return NetworkVerification(node_ids, passed, *gains, failures)
 
 
 def _dims(cert, concrete, abstract) -> tuple:
@@ -461,6 +487,7 @@ _FIT = (  # (dimension, the dimension it must equal, message), checked in this o
 )
 # items that agree on these stack every operand but C and Chat, whose rows are q
 _GROUP = [_DIMS.index(name) for name in ("modes", "n", "m", "w", "abstract n", "abstract m")]
+_CHECKS = ("output_dominance", "decay", "structure")
 
 
 def _fitted(items) -> np.ndarray:
@@ -482,28 +509,16 @@ def _fitted(items) -> np.ndarray:
     return dims
 
 
-def _verify(items, tol: ToleranceProfile) -> list[VerifiedCertificate]:
-    """All three obligations and the gains for (cert, concrete, abstract)
-    items, group by group; gains only for items that pass every
-    obligation."""
-    dims = _fitted(items)
-    out = [None] * len(items)
-    keys, group = np.unique(dims[:, _GROUP], axis=0, return_inverse=True)
-    for g, key in enumerate(keys.tolist()):
-        idx = np.flatnonzero(group == g).tolist()
-        verified = _verify_group(
-            [items[i] for i in idx], key[0], dims[idx, _DIMS.index("q")], tol
-        )
-        for i, v in zip(idx, verified):
-            out[i] = v
-    return out
-
-
 def _verify_group(items, r: int, widths: np.ndarray, tol: ToleranceProfile):
-    """``_verify`` for items that share every dimension but the output
-    width (``widths``, per item).  Rows are the (item, mode) pairs, item by
-    item; each family is one stack over them, and the admissible mode pairs
-    index into it."""
+    """The obligations and gains of items that share every dimension but
+    the output width (``widths``, per item): the three checks, the (items,
+    3) pass flags and the gain rows lam, rho_int and rho_ext (NaN unless an
+    item passes all three).  Rows are the (item, mode) pairs, item by item;
+    each family is one stack over them, and the admissible mode pairs index
+    into it.  A check is (bounds, pairs, tests): item i owns its rows
+    bounds[i]:bounds[i+1], labelled by mode, or by mode pair when ``pairs``
+    (one per row) is given; ``tests`` are (margin key, passed, value,
+    message) over the rows, and a single test's margin is its bare value."""
     certs = [item[0] for item in items]
     modes = [mode for item in items for mode in item[1].modes]
     abstract = [mode for item in items for mode in item[2].modes]
@@ -511,6 +526,7 @@ def _verify_group(items, r: int, widths: np.ndarray, tol: ToleranceProfile):
     a_hat, b_hat, d_hat = (np.array([getattr(mode, f) for mode in abstract]) for f in "ABD")
     ms = np.array([m.entries for cert in certs for m in cert.M])
     ks, qs, rs, ts = (np.array([x for cert in certs for x in getattr(cert, f)]) for f in "KQRT")
+    kappa = np.array([cert.kappa for cert in certs])
     row_item = np.repeat(np.arange(len(items)), r)
     p = np.array([cert.P for cert in certs])[row_item]
     full = np.array(list(itertools.product(range(r), repeat=2)))
@@ -535,7 +551,7 @@ def _verify_group(items, r: int, widths: np.ndarray, tol: ToleranceProfile):
     # decay over the admissible pairs (s, s2)
     loops = (a + b @ ks)[now]
     lhs = _sym(3.0 * np.swapaxes(loops, -1, -2) @ ms[nxt] @ loops)
-    rate = 1.0 - np.array([cert.kappa for cert in certs])[pair_item]
+    rate = 1.0 - kappa[pair_item]
     decay, decay_scale = psd_margin_batch(lhs, _sym(rate[:, None, None] * ms[now]))
 
     # structure
@@ -544,79 +560,72 @@ def _verify_group(items, r: int, widths: np.ndarray, tol: ToleranceProfile):
     limit = tol.eig_tol * (1.0 + _max_abs(a))
 
     mode_bounds = np.arange(len(items) + 1) * r
-    labels = list(range(r)) * len(items)
-    pair_labels = list(map(tuple, pairs.tolist()))
-    checks = [
-        _reports("output_dominance", mode_bounds, labels, [
-            {"psd_margin": x, "output_match": y} for x, y in zip(psd.tolist(), match.tolist())
-        ], [
-            (psd >= -tol.psd_tol * psd_scale, psd,
+    checks = (
+        (mode_bounds, None, [
+            ("psd_margin", psd >= -tol.psd_tol * psd_scale, psd,
              "mode {}: output Gram matrix is not dominated by M"),
-            (match <= tol.eig_tol, match, "mode {}: C P differs from the abstract C by {:.3e}"),
+            ("output_match", match <= tol.eig_tol, match,
+             "mode {}: C P differs from the abstract C by {:.3e}"),
         ]),
-        _reports("decay", pair_bounds, pair_labels, decay.tolist(), [
-            (decay >= -tol.psd_tol * decay_scale, decay,
+        (pair_bounds, pairs, [
+            (None, decay >= -tol.psd_tol * decay_scale, decay,
              "mode pair ({0[0]} -> {0[1]}): decay inequality fails (lambda_min margin {1:.3e})"),
         ]),
-        _reports("structure", mode_bounds, labels, [
-            {"state": x, "coupling": y} for x, y in zip(state.tolist(), coupling.tolist())
-        ], [
-            (state <= limit, state, "mode {}: state matching residual {:.3e}"),
-            (coupling <= limit, coupling, "mode {}: coupling matching residual {:.3e}"),
+        (mode_bounds, None, [
+            ("state", state <= limit, state, "mode {}: state matching residual {:.3e}"),
+            ("coupling", coupling <= limit, coupling,
+             "mode {}: coupling matching residual {:.3e}"),
         ]),
-    ]
-    passed = np.array([all(reports) for reports in zip(*checks)], dtype=bool)
-    chosen = passed[pair_item]
-    gains = iter(_gains(
-        [cert for cert, ok in zip(certs, passed) if ok], pair_item[chosen], now[chosen],
-        nxt[chosen], ms, d, b @ rs - p @ b_hat, tol,
-    ))
-    return [
-        VerifiedCertificate(*reports, next(gains) if ok else None)
-        for reports, ok in zip(zip(*checks), passed)
-    ]
-
-
-def _reports(check: str, bounds, labels, margins, tests) -> list[VerificationReport]:
-    """Per item its ``check`` report.  Item i owns rows bounds[i]:bounds[i+1];
-    each row has a label (its mode or mode pair) and an entry of
-    ``margins``.  ``tests`` are (passed, value, message) over the rows: a
-    row that fails a test adds ``message.format(label, value)`` to its
-    item's failures, row by row and test by test."""
-    passed = np.logical_and.reduce([test[0] for test in tests])
-    bounds = bounds.tolist()
-    fine = np.logical_and.reduceat(passed, bounds[:-1]).tolist()
-    rows = zip(labels, margins)
-    reports = []
-    for lo, hi, item_passed in zip(bounds, bounds[1:], fine):
-        failures = () if item_passed else tuple(
-            message.format(labels[row], value[row])
-            for row in range(lo, hi) for ok, value, message in tests if not ok[row]
-        )
-        margin = dict(itertools.islice(rows, hi - lo))
-        reports.append(VerificationReport(not failures, check, failures, margin))
-    return reports
-
-
-def _gains(certs, pair_item, now, nxt, ms, d, mismatch, tol) -> list[LocalGains]:
-    """Gains of the certificates that passed all three obligations, from
-    their admissible pairs (item, rows ``now`` and ``nxt`` of the stacks
-    ``ms``, ``d`` and ``mismatch`` = B R - P Bhat); see derive_gains for
-    the formulas.  3 |.|^2 grows with |.|, so each item's worst pair is the
-    one of largest norm."""
-    if not certs:
-        return []
-    entered, at = np.unique(nxt, return_inverse=True)
-    roots = principal_sqrt_batch(ms[entered], tol)[at]  # sqrt(M_s2) per pair
-    starts = np.flatnonzero(np.diff(pair_item, prepend=-1))
-    internal, external = (
-        np.maximum.reduceat(operator_norm_batch(roots @ x[now]), starts).tolist()
-        for x in (d, mismatch)
     )
-    return [
-        LocalGains(alpha=1.0, lam=cert.kappa, rho_int=3.0 * n_int**2, rho_ext=3.0 * n_ext**2)
-        for cert, n_int, n_ext in zip(certs, internal, external)
-    ]
+    passed = np.column_stack([
+        np.logical_and.reduceat(np.logical_and.reduce([t[1] for t in tests]), bounds[:-1])
+        for bounds, _, tests in checks
+    ])
+    # gains of the items that pass all three, over their admissible pairs
+    # (see derive_gains); 3 |.|^2 grows with |.|, so an item's worst pair is
+    # the one of largest norm, squared on Python floats (numpy's square, a
+    # multiply, can be an ulp off)
+    ok = passed.all(axis=1)
+    gains = np.full((3, len(items)), np.nan)
+    if ok.any():
+        chosen = ok[pair_item]
+        entered, at = np.unique(nxt[chosen], return_inverse=True)
+        roots = principal_sqrt_batch(ms[entered], tol)[at]  # sqrt(M_s2) per pair
+        starts = np.flatnonzero(np.diff(pair_item[chosen], prepend=-1))
+        norms = (np.maximum.reduceat(operator_norm_batch(roots @ x[now[chosen]]), starts)
+                 for x in (d, b @ rs - p @ b_hat))
+        gains[:, ok] = kappa[ok], *([3.0 * x**2 for x in y.tolist()] for y in norms)
+    return checks, passed, gains
+
+
+def _rows(check, item: int):
+    """(row, label) for the rows of ``item`` in ``check``: its modes, or its
+    mode pairs as tuples."""
+    bounds, pairs, _ = check
+    lo, hi = bounds[item], bounds[item + 1]
+    if pairs is None:
+        return zip(range(lo, hi), range(hi - lo))
+    return ((row, tuple(pairs[row].tolist())) for row in range(lo, hi))
+
+
+def _failures(check, item: int) -> tuple[str, ...]:
+    """The failure strings of ``item``: ``message.format(label, value)``
+    for each row and test it fails, row by row and test by test."""
+    return tuple(
+        message.format(label, value[row])
+        for row, label in _rows(check, item)
+        for _, ok, value, message in check[2] if not ok[row]
+    )
+
+
+def _report(name: str, check) -> VerificationReport:
+    """The report of a one-item check, with its margins by label."""
+    failures = _failures(check, 0)
+    margins = {}
+    for row, label in _rows(check, 0):
+        margin = {key: float(value[row]) for key, _, value, _ in check[2]}
+        margins[label] = margin.get(None, margin)
+    return VerificationReport(not failures, name, failures, margins)
 
 
 def _sym(a: np.ndarray) -> np.ndarray:
@@ -636,9 +645,18 @@ def verify_certificate(
 ) -> VerifiedCertificate:
     """The three obligations of one node (see the module docstring: the
     semidefinite orders within psd_tol, C P = Chat entrywise within eig_tol,
-    the structure within eig_tol * (1 + max|A|)) and, when all pass, its
-    gains: the one-node case of ``verify_network``."""
-    return _verify([(cert, concrete, abstract_sub)], tol)[0]
+    the structure within eig_tol * (1 + max|A|)) with their margins per mode
+    or mode pair and, when all pass, its gains: the one-node case of
+    ``verify_network``."""
+    item = (cert, concrete, abstract_sub)
+    dims = _fitted([item])
+    checks, passed, gains = _verify_group([item], dims[0, 0], dims[:, _DIMS.index("q")], tol)
+    lam, rho_int, rho_ext = gains[:, 0].tolist()
+    return VerifiedCertificate(
+        *map(_report, _CHECKS, checks),
+        LocalGains(alpha=1.0, lam=lam, rho_int=rho_int, rho_ext=rho_ext)
+        if passed.all() else None,
+    )
 
 
 def derive_gains(
@@ -1009,9 +1027,7 @@ def certificates_to_json(certs: dict[int, LocalCertificate]) -> dict:
 
 
 def save_certificates(certs: dict[int, LocalCertificate], path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(certificates_to_json(certs), fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    _write_json(certificates_to_json(certs), path)
 
 
 def load_certificates(path) -> dict[int, LocalCertificate]:

@@ -77,8 +77,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate", help="validate a network file")
     p.add_argument("network")
-    add_tols(p)
-    p.set_defaults(handler=_cmd_validate)
+    p.set_defaults(handler=_cmd_validate, tol_psd=None, tol_eig=None)
 
     p = sub.add_parser("verify", help="verify per-node certificates and derive gains")
     p.add_argument("network")
@@ -107,7 +106,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nodes", type=int, default=3)
     p.add_argument("--coupling", type=float, default=4e3, help="line coupling coefficient")
     p.add_argument("--kappa", type=float, default=0.2)
-    p.add_argument("--period", type=int, default=5)
     p.add_argument("-o", "--out", default="net.json")
     p.add_argument("--certs-out", default=None, help="default: certs.json next to the network")
     add_tols(p)
@@ -147,19 +145,14 @@ def _plain(obj):
         return {k: repr(v) for k, v in obj.items()}
 
 
-def _load_pair(args, tol):
-    from .certificates import load_certificates
-    from .errors import SchemaError
+def _verified_pair(args):
+    """The network, its certificates and their NetworkVerification."""
+    from .certificates import load_certificates, verify_network
     from .network import load_network
 
     spec = load_network(args.network)
     certs = load_certificates(args.certificates)
-    missing = [s.id for s in spec.subsystems if s.id not in certs]
-    if missing:
-        raise SchemaError(f"certificate file lacks nodes {missing}", nodes=missing)
-    if spec.abstract_subsystems is None:
-        raise SchemaError("network declares no abstract subsystems; nothing to verify against")
-    return spec, certs
+    return spec, certs, verify_network(spec, certs, args.tol)
 
 
 def _cmd_validate(args) -> int:
@@ -179,47 +172,34 @@ def _cmd_validate(args) -> int:
     return 0
 
 
-def _verify_nodes(spec, certs, tol):
-    """Verify every certificate once; JSON rows and the gains of the nodes
-    that passed."""
-    from .certificates import verify_network
+def _node_rows(verified) -> list[dict]:
+    """The JSON row of every node of a NetworkVerification."""
+    from .certificates import _CHECKS
 
+    gains = zip(verified.lam.tolist(), verified.rho_int.tolist(), verified.rho_ext.tolist())
     rows = []
-    gains = {}
-    for node_id, verified in verify_network(spec, certs, tol).items():
-        row = {
-            "id": node_id,
-            "output_dominance": verified.output_dominance.ok,
-            "decay": verified.decay.ok,
-            "structure": verified.structure.ok,
-            "failures": list(verified.failures),
-        }
-        g = verified.gains
-        if g is not None:
-            gains[node_id] = g
-            row["gains"] = {
-                "alpha": g.alpha,
-                "lambda": g.lam,
-                "rho_int": g.rho_int,
-                "rho_ext": g.rho_ext,
-            }
+    for node_id, flags, (lam, rho_int, rho_ext) in zip(
+        verified.node_ids, verified.passed.tolist(), gains
+    ):
+        row = {"id": node_id, **dict(zip(_CHECKS, flags))}
+        row["failures"] = list(verified.failures.get(node_id, ()))
+        if all(flags):
+            row["gains"] = {"alpha": 1.0, "lambda": lam, "rho_int": rho_int, "rho_ext": rho_ext}
         rows.append(row)
-    return rows, gains
+    return rows
 
 
 def _cmd_verify(args) -> int:
-    tol = args.tol
-    spec, certs = _load_pair(args, tol)
-    rows, gains = _verify_nodes(spec, certs, tol)
-    ok = all(not r["failures"] and "gains" in r for r in rows)
-    for r in rows:
-        status = "ok" if not r["failures"] else "FAILED"
-        print(f"node {r['id']}: {status}", file=sys.stderr)
-    _emit({"command": "verify", "ok": ok, "nodes": rows})
+    _, _, verified = _verified_pair(args)
+    failed = verified.failures
+    for node_id in verified.node_ids:
+        print(f"node {node_id}: {'FAILED' if node_id in failed else 'ok'}", file=sys.stderr)
+    ok = not failed
+    _emit({"command": "verify", "ok": ok, "nodes": _node_rows(verified)})
     return 0 if ok else 1
 
 
-def _compose(spec, certs, gains, tol):
+def _compose(spec, certs, verified, tol):
     """The compose pipeline on verified gains: the mode-robust gain operator,
     the small-gain check (decided once; construct_mu reuses it and warm
     starts from its vector), the weights mu and the composed certificate.
@@ -236,7 +216,7 @@ def _compose(spec, certs, gains, tol):
     )
     from .errors import CompositionError
 
-    op = build_gain_operator_from_network(spec, gains)
+    op = build_gain_operator_from_network(spec, verified)
     sg = check_small_gain(op, tol)
     report = {
         "command": "compose",
@@ -252,9 +232,7 @@ def _compose(spec, certs, gains, tol):
         report["satisfied"] = False
         report["degenerate"] = str(exc)
         return report, None, exc
-    composed = compose_certificate(
-        core, [gains[i] for i in spec.graph.nodes], [certs[i] for i in spec.graph.nodes]
-    )
+    composed = compose_certificate(core, verified, [certs[i] for i in spec.graph.nodes])
     report.update(
         {
             "lambda_inf": composed.lambda_inf,
@@ -268,14 +246,12 @@ def _compose(spec, certs, gains, tol):
 
 
 def _cmd_compose(args) -> int:
-    tol = args.tol
-    spec, certs = _load_pair(args, tol)
-    rows, gains = _verify_nodes(spec, certs, tol)
-    if len(gains) != spec.n_nodes:
-        _emit({"command": "compose", "ok": False, "nodes": rows})
+    spec, certs, verified = _verified_pair(args)
+    if verified.failures:
+        _emit({"command": "compose", "ok": False, "nodes": _node_rows(verified)})
         print("verification failed; not composing", file=sys.stderr)
         return 1
-    report, _, degenerate = _compose(spec, certs, gains, tol)
+    report, _, degenerate = _compose(spec, certs, verified, args.tol)
     if degenerate is not None:
         _emit(report)
         return 1
@@ -295,11 +271,10 @@ def _cmd_compose(args) -> int:
 def _composed_from_files(args, tol):
     from .errors import CompositionError
 
-    spec, certs = _load_pair(args, tol)
-    _, gains = _verify_nodes(spec, certs, tol)
-    if len(gains) != spec.n_nodes:
+    spec, certs, verified = _verified_pair(args)
+    if verified.failures:
         raise CompositionError("certificate verification failed; cannot compose")
-    report, composed, degenerate = _compose(spec, certs, gains, tol)
+    report, composed, degenerate = _compose(spec, certs, verified, tol)
     if degenerate is not None:
         raise degenerate
     if composed is None:
@@ -363,7 +338,7 @@ def _cmd_simulate(args) -> int:
     return 0 if ok else 1
 
 
-def _swing_params(args):
+def _swing_params(args, **fields):
     from .swing import SwingParams
 
     return SwingParams(
@@ -371,8 +346,7 @@ def _swing_params(args):
         l_self=args.coupling,
         l_prev=args.coupling,
         l_next=args.coupling,
-        kappa=getattr(args, "kappa", 0.2),
-        switch_period=args.period,
+        **fields,
     )
 
 
@@ -381,7 +355,7 @@ def _cmd_swing_gen(args) -> int:
     from .network import save_network
     from .swing import closed_form_certificate, generate_ring_network
 
-    params = _swing_params(args)
+    params = _swing_params(args, kappa=args.kappa)
     spec = generate_ring_network(params)
     cert = closed_form_certificate(params, args.tol)
     save_network(spec, args.out)
@@ -403,7 +377,7 @@ def _cmd_swing_run(args) -> int:
     from .simulate import check_trajectory_bound, check_V_decrease, export_run
     from .swing import benchmark_report, run_ring_experiment
 
-    params = _swing_params(args)
+    params = _swing_params(args, switch_period=args.period)
     tol = args.tol
     exp = run_ring_experiment(params, args.horizon, seed=args.seed, tol=tol)
     report = benchmark_report(params, tol, gains=exp.gains)

@@ -1,6 +1,7 @@
 """Network-level gain composition.
 
-From verified per-node gains this module assembles the coupling-gain
+From verified per-node gains, read as columns (a NetworkVerification's,
+or those of LocalGains per node), this module assembles the coupling-gain
 operator as an edge list, certifies the small-gain condition (a certified
 upper bound on the spectral radius of the normalized operator below one,
 from a Collatz-Wielandt bracket, or a column-sum bound for templated
@@ -24,7 +25,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .certificates import CompiledCertificates, DissipationReport, LocalGains
+from .certificates import CompiledCertificates, DissipationReport, NetworkVerification
 from .errors import CompositionError, ConvergenceError, DimensionMismatchError
 from .linalg import DEFAULT_TOL, EdgePattern, ToleranceProfile, edge_pattern, radius_bracket
 from .network import InterconnectionGraph, NetworkSpec
@@ -66,8 +67,6 @@ class GainOperator:
     cols: np.ndarray
     gamma: np.ndarray
     lam: np.ndarray
-    alphas: np.ndarray
-    rho_exts: np.ndarray
 
     @property
     def n(self) -> int:
@@ -115,8 +114,9 @@ def build_gain_operator(gains, graph: InterconnectionGraph) -> GainOperator:
     build_gain_operator_from_network.
 
     gamma[i, j] = rho_int_i * N_i * (1 / alpha_j) for j feeding i, with N_i
-    the in-degree of i in this graph.  ``gains`` is a dict keyed by node id
-    or a sequence aligned with graph.nodes.
+    the in-degree of i in this graph.  ``gains`` is a NetworkVerification
+    or a sequence of LocalGains aligned with graph.nodes, or a dict of
+    LocalGains keyed by node id.
     """
     return _edge_operator(
         graph.nodes, gains, [(i, graph.in_neighbors.get(i, ())) for i in graph.nodes]
@@ -139,18 +139,13 @@ def build_gain_operator_from_network(spec: NetworkSpec, gains) -> GainOperator:
 def _edge_operator(node_ids, gains, fan_ins) -> GainOperator:
     """Edge-list operator with gamma[i, j] the largest rho_int_i * len(F) /
     alpha_j over the (i, F) in ``fan_ins`` with j in F."""
-    table = _gains_by_id(gains, node_ids)
+    lam, alpha, rho_int, _ = _gain_columns(gains, node_ids)
     pos = {node: p for p, node in enumerate(node_ids)}
     n = len(node_ids)
-
-    def column(field):
-        return np.array([getattr(table[i], field) for i in node_ids], dtype=float)
-
-    rho_int, alphas = column("rho_int"), column("alpha")
     degree = np.array([len(fan_in) for _, fan_in in fan_ins], dtype=np.intp)
     rows = np.repeat(np.array([pos[i] for i, _ in fan_ins], dtype=np.intp), degree)
     cols = np.array([pos[j] for _, fan_in in fan_ins for j in fan_in], dtype=np.intp)
-    cand = rho_int[rows] * np.repeat(degree.astype(float), degree) / alphas[cols]
+    cand = rho_int[rows] * np.repeat(degree.astype(float), degree) / alpha[cols]
     keys, slot = np.unique(rows * n + cols, return_inverse=True)
     gamma = np.zeros(keys.size)
     np.maximum.at(gamma, slot, cand)
@@ -161,9 +156,7 @@ def _edge_operator(node_ids, gains, fan_ins) -> GainOperator:
         rows=rows,
         cols=cols,
         gamma=gamma[keep],
-        lam=column("lam"),
-        alphas=alphas,
-        rho_exts=column("rho_ext"),
+        lam=lam,
     )
 
 
@@ -171,20 +164,30 @@ def templated_gain_operator(templates) -> TemplatedGainOperator:
     return TemplatedGainOperator(templates=tuple(templates))
 
 
-def _gains_by_id(gains, node_ids) -> dict[int, LocalGains]:
-    if isinstance(gains, dict):
-        table = dict(gains)
+def _gain_columns(gains, node_ids) -> tuple[np.ndarray, ...]:
+    """lam, alpha, rho_int and rho_ext in ``node_ids`` order: ``gains`` is
+    a dict of LocalGains keyed by node id, or a NetworkVerification or a
+    sequence of LocalGains aligned with node_ids.  A node without gains
+    raises CompositionError naming it."""
+    verified = isinstance(gains, NetworkVerification)
+    if verified:
+        missing = [i for i, ok in zip(node_ids, gains.passed.all(axis=1)) if not ok]
+    elif isinstance(gains, dict):
+        missing = [i for i in node_ids if i not in gains]
+        gains = [gains.get(i) for i in node_ids]
     else:
-        seq = list(gains)
-        if len(seq) != len(node_ids):
-            raise DimensionMismatchError(
-                f"need gains for {len(node_ids)} nodes, got {len(seq)}"
-            )
-        table = dict(zip(node_ids, seq))
-    missing = [i for i in node_ids if i not in table]
+        gains, missing = list(gains), []
+    count = len(gains.node_ids if verified else gains)
+    if count != len(node_ids):
+        raise DimensionMismatchError(f"need gains for {len(node_ids)} nodes, got {count}")
     if missing:
         raise CompositionError(f"missing gains for nodes {missing}", nodes=missing)
-    return table
+    if verified:
+        return gains.lam, np.ones(count), gains.rho_int, gains.rho_ext
+    return tuple(
+        np.array([getattr(g, f) for g in gains], dtype=float)
+        for f in ("lam", "alpha", "rho_int", "rho_ext")
+    )
 
 
 @dataclass(frozen=True)
@@ -404,16 +407,13 @@ class ComposedCertificate:
 def compose_certificate(core: MuCertificate, gains, local_certs) -> ComposedCertificate:
     """Materialize the composed certificate for a finite node list.
 
-    For templated cores the uniform weights are instantiated at the length
-    of ``local_certs``.  alpha = mu_min * min alpha_i and the external-input
-    term is rho_ext(t) = mu_max * max rho_ext_i * t^2.
+    ``gains`` (a NetworkVerification or LocalGains per node) aligns with
+    ``local_certs``; for templated cores the uniform weights are
+    instantiated at its length.  alpha = mu_min * min alpha_i and the
+    external-input term is rho_ext(t) = mu_max * max rho_ext_i * t^2.
     """
     certs = list(local_certs)
-    gains = list(gains)
-    if len(gains) != len(certs):
-        raise DimensionMismatchError(
-            f"gains ({len(gains)}) and certificates ({len(certs)}) must align"
-        )
+    _, alpha, _, rho_ext = _gain_columns(gains, range(len(certs)))
     if core.mu is None:
         mu = np.ones(len(certs))
     else:
@@ -422,8 +422,8 @@ def compose_certificate(core: MuCertificate, gains, local_certs) -> ComposedCert
                 f"mu has {len(core.mu)} entries but {len(certs)} certificates given"
             )
         mu = core.mu
-    alpha_total = float(mu.min()) * min(g.alpha for g in gains)
-    rho_ext_coeff = float(mu.max()) * max(g.rho_ext for g in gains)
+    alpha_total = float(mu.min()) * float(alpha.min())
+    rho_ext_coeff = float(mu.max()) * float(rho_ext.max())
     return ComposedCertificate(mu, core.lambda_inf, alpha_total, rho_ext_coeff, certs)
 
 

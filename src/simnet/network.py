@@ -1239,6 +1239,10 @@ def network_to_json(spec: NetworkSpec) -> dict:
 
 
 def save_network(spec: NetworkSpec, path) -> None:
+    _write_json(network_to_json(spec), path)
+
+
+def _write_json(data, path) -> None:
+    """Compact JSON with sorted keys, through CPython's C encoder (not with ``indent``)."""
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(network_to_json(spec), fh, indent=1, sort_keys=True)
-        fh.write("\n")
+        fh.write(json.dumps(data, sort_keys=True, separators=(",", ":")) + "\n")

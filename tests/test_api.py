@@ -13,7 +13,8 @@ PUBLIC = (
     "CompositionError", "ConvergenceError", "DEFAULT_TOL", "DimensionMismatchError",
     "DissipationReport", "EdgePattern", "GainOperator", "IndefiniteMatrixError",
     "InterconnectionGraph", "LocalCertificate", "LocalGains", "Mode", "MuCertificate",
-    "NetworkSpec", "RadiusBracket", "RingExperiment", "SchemaError", "SimnetError",
+    "NetworkSpec", "NetworkVerification", "RadiusBracket", "RingExperiment", "SchemaError",
+    "SimnetError",
     "SimulationRun", "SmallGainResult", "StructuralInfeasibleError", "StructuralSolution",
     "SwingParams", "SwingReport", "SwitchedLinearSubsystem", "SwitchingSignal", "SymMatrix",
     "TemplateGains", "TemplatedGainOperator", "ToleranceProfile", "TrajectoryReport",
@@ -43,7 +44,7 @@ REMOVED = {
 
 
 def test_all_is_pinned():
-    assert len(PUBLIC) == 78
+    assert len(PUBLIC) == 79
     assert simnet.__all__ == sorted(PUBLIC)
 
 

@@ -17,10 +17,12 @@ from simnet import (
     LocalCertificate,
     LocalGains,
     Mode,
+    SchemaError,
     StructuralInfeasibleError,
     SwingParams,
     SwitchedLinearSubsystem,
     VerificationReport,
+    VerifiedCertificate,
     check_dissipation_sampled,
     closed_form_certificate,
     derive_gains,
@@ -183,7 +185,6 @@ class TestDeriveGains:
     def test_swing_lambda_alpha_exact(self, swing_gains):
         assert swing_gains.lam == 0.2
         assert swing_gains.alpha == 1.0
-        assert swing_gains.p_exp == 2 and swing_gains.q_exp == 2
 
     def test_swing_rho_int_matches_projection_oracle(self, swing_gains):
         assert swing_gains.rho_int == pytest.approx(RHO_INT_ORACLE, rel=1e-12)
@@ -286,18 +287,26 @@ def per_node_reference(cert, concrete, abstract, tol=DEFAULT_TOL):
 
 
 def assert_matches_reference(spec, certs):
-    """verify_network equals the per-node reference exactly: reports,
-    margins, failure strings and gains; so do the one-node calls."""
+    """The one-node calls equal the per-node reference exactly (reports,
+    margins, failure strings and gains), and verify_network's columns equal
+    its verdicts, failure strings and gains."""
     verified = verify_network(spec, certs)
-    assert list(verified) == [sub.id for sub in spec.subsystems]
-    for sub, abstract in zip(spec.subsystems, spec.abstract_subsystems):
-        cert, got = certs[sub.id], verified[sub.id]
+    assert verified.node_ids == tuple(sub.id for sub in spec.subsystems)
+    assert verified.passed.shape == (spec.n_nodes, 3)
+    for pos, (sub, abstract) in enumerate(zip(spec.subsystems, spec.abstract_subsystems)):
+        cert = certs[sub.id]
         *reports, gains = per_node_reference(cert, sub, abstract)
-        assert got.reports == tuple(reports)
-        assert got.gains == gains
-        assert verify_certificate(cert, sub, abstract) == got
-        if gains is not None:
+        assert verify_certificate(cert, sub, abstract) == VerifiedCertificate(*reports, gains)
+        assert verified.passed[pos].tolist() == [r.ok for r in reports]
+        failures = sum((r.failures for r in reports), ())
+        assert verified.failures.get(sub.id, ()) == failures
+        assert (sub.id in verified.failures) == bool(failures)
+        got = [verified.lam[pos], verified.rho_int[pos], verified.rho_ext[pos]]
+        if gains is None:
+            assert np.isnan(got).all()
+        else:
             assert derive_gains(cert, sub, abstract) == gains
+            assert got == [gains.lam, gains.rho_int, gains.rho_ext]
     return verified
 
 
@@ -320,7 +329,7 @@ class TestVerifyNetwork:
         verified = assert_matches_reference(
             generate_ring_network(params), {i: cert for i in range(8)}
         )
-        assert all(verified.values())
+        assert verified.passed.all() and not verified.failures
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_heterogeneous_network_matches_reference(self, seed):
@@ -330,7 +339,7 @@ class TestVerifyNetwork:
         assert {cert.n for cert in certs.values()} == {1, 2, 3, 4}
         assert any(sub.internal_width == 0 for sub in spec.subsystems)
         assert any(cert.transitions is not None for cert in certs.values())
-        assert all(assert_matches_reference(spec, certs).values())
+        assert assert_matches_reference(spec, certs).passed.all()
 
     def test_corrupted_certificate_failure_strings(self):
         spec, certs = heterogeneous_network(0)
@@ -340,11 +349,17 @@ class TestVerifyNetwork:
             R=good.R, T=good.T, kappa=good.kappa, node_id=3,
         )
         verified = assert_matches_reference(spec, certs)
-        bad = verified[3]
-        assert bad.gains is None and not bad
-        assert not bad.decay and not bad.structure
-        assert bad.failures == sum((r.failures for r in bad.reports), ())
-        assert all(verified[i] for i in verified if i != 3)
+        pos = verified.node_ids.index(3)
+        assert np.isnan(verified.lam[pos]) and list(verified.failures) == [3]
+        assert not verified.passed[pos, 1] and not verified.passed[pos, 2]
+        assert np.delete(verified.passed, pos, axis=0).all()
+
+    def test_missing_certificate_names_the_nodes(self):
+        params = SwingParams(n_nodes=3)
+        cert = closed_form_certificate(params)
+        with pytest.raises(SchemaError, match=r"^certificate file lacks nodes \[2\]$") as err:
+            verify_network(generate_ring_network(params), {0: cert, 1: cert})
+        assert err.value.details == {"nodes": [2]}
 
     @pytest.mark.parametrize("case, what", MISFITS, ids=[case for case, _ in MISFITS])
     def test_certificate_dimension_mismatch_rejected(self, swing_pair, swing_cert, case, what):

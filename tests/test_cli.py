@@ -249,6 +249,19 @@ class TestErrorPaths:
         err = capsys.readouterr().err
         assert "invalid tolerance" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("argv", [
+        ["validate", "NET", "--tol-psd", "1e-9"],
+        ["validate", "NET", "--tol-eig", "1e-9"],
+        ["swing-gen", "--period", "3", "-o", "OUT"],
+    ])
+    def test_options_without_effect_are_rejected(self, ring_files, tmp_path, argv):
+        # validate reads no tolerance, and the generated files do not
+        # depend on a switching period
+        paths = {"NET": str(ring_files[0]), "OUT": str(tmp_path / "net.json")}
+        with pytest.raises(SystemExit) as exc:
+            main([paths.get(arg, arg) for arg in argv])
+        assert exc.value.code == 2
+
     def test_usage_error_exit_two(self):
         with pytest.raises(SystemExit) as exc:
             main(["no-such-command"])

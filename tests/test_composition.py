@@ -63,7 +63,7 @@ def operator_from_dense(gamma, lam):
     rows, cols = np.nonzero(gamma)
     return GainOperator(
         node_ids=tuple(range(n)), rows=rows, cols=cols, gamma=gamma[rows, cols],
-        lam=np.asarray(lam, dtype=float), alphas=np.ones(n), rho_exts=np.zeros(n),
+        lam=np.asarray(lam, dtype=float),
     )
 
 

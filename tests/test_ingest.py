@@ -529,6 +529,24 @@ def test_round_trip_byte_identical(source, tmp_path):
     assert again.read_bytes() == certs.read_bytes()
 
 
+@pytest.mark.parametrize("kind", ["network", "certificates"])
+def test_indented_file_loads_and_saves_compact(kind, tmp_path):
+    # a file written with indent=1 still loads; saving it again gives the
+    # bytes of a direct save, which are compact
+    spec, by_id = heterogeneous_network(0)
+    obj, to_json, save, load = {
+        "network": (spec, simnet.network_to_json, save_network, load_network),
+        "certificates": (by_id, simnet.certificates_to_json, save_certificates,
+                         load_certificates),
+    }[kind]
+    old, direct, again = (tmp_path / f"{name}.json" for name in ("old", "direct", "again"))
+    old.write_text(json.dumps(to_json(obj), indent=1, sort_keys=True) + "\n")
+    save(obj, direct)
+    save(load(old), again)
+    assert again.read_bytes() == direct.read_bytes()
+    assert len(direct.read_bytes()) < len(old.read_bytes())
+
+
 def test_checks_independent_of_node_count(tmp_path, monkeypatch):
     counts = {}
 
