@@ -73,12 +73,12 @@ from .network import (
     Layout,
     NetworkSpec,
     SwitchedLinearSubsystem,
-    TaggedEntries,
     _check_subsystems,
     _extents,
     _integral,
     _Matrices,
     _paused_gc,
+    _placed,
     _read_json,
     _view,
     _write_json,
@@ -689,9 +689,10 @@ def derive_gains(
 
 class CompiledCertificates:
     """The certificates of a node list, in node order, compiled for flat
-    vectors like network.NetworkEngine: the P, K, Q, R, T and M blocks of
-    every (node, mode) become tagged entries.  The layouts follow the
-    certificates (R and T set the abstract input widths).
+    vectors like network.NetworkEngine: the P, M, K, Q, R and T matrices
+    of every (node, mode) slot are placed as entries tagged with the slot,
+    one stack per shape.  The layouts follow the certificates (R and T set
+    the abstract input widths).
     """
 
     def __init__(self, certs):
@@ -707,7 +708,7 @@ class CompiledCertificates:
         )
 
         def family(per_node, rows, cols):
-            return TaggedEntries.family(per_node, rows, cols, self.slots)
+            return _placed(list(itertools.chain.from_iterable(per_node)), rows, cols, self.slots)
 
         self._P = family([[c.P] * c.n_modes for c in certs], self.state, self.abstract_state)
         self._M = family([[m.entries for m in c.M] for c in certs], self.state, self.state)

@@ -478,8 +478,9 @@ def check_composed_dissipation(
     """Refutation oracle for the composed one-step inequality on a finite net.
 
     Each sample draws states, abstract states, abstract inputs and a mode
-    pair (per node, or one shared pair when ``synchronized``; use that for
-    certificates that cover synchronized topology switching only), wires the
+    pair (per node, or when ``synchronized`` one shared pair among those
+    admissible for every node, in node 0's order; use that for certificates
+    that cover synchronized topology switching only), wires the
     internal inputs consistently on both layers, refines u through the
     interfaces and requires
 
@@ -488,20 +489,27 @@ def check_composed_dissipation(
     with slack 1e-9 * (1 + V); a NaN slack counts as a violation and ranks
     above every number, and the witness is the worst violating sample.
     """
+    certs = composed.certificates
     if spec.abstract_subsystems is None:
         raise CompositionError("composed dissipation needs declared abstract subsystems")
-    if len(composed.certificates) != spec.n_nodes:
+    if len(certs) != spec.n_nodes:
         raise DimensionMismatchError(
-            f"composed certificate covers {len(composed.certificates)} nodes, "
-            f"network has {spec.n_nodes}"
+            f"composed certificate covers {len(certs)} nodes, network has {spec.n_nodes}"
         )
     rng = np.random.default_rng(seed)
-    n_modes = [sub.n_modes for sub in spec.subsystems]
-    if synchronized and len(set(n_modes)) != 1:
-        raise CompositionError(
-            "synchronized mode draws need a uniform mode count across nodes"
-        )
-    lockstep = Lockstep(spec, composed.certificates, composed)
+    if synchronized:
+        if len({sub.n_modes for sub in spec.subsystems}) != 1:
+            raise CompositionError(
+                "synchronized mode draws need a uniform mode count across nodes"
+            )
+        # one pair for all nodes, drawn from those every node admits
+        admissible = [[p for p in certs[0].admissible_pairs()
+                       if all(p in cert.admissible_pairs() for cert in certs)]]
+        if not admissible[0]:
+            raise CompositionError("no mode pair is admissible for every node")
+    else:
+        admissible = [cert.admissible_pairs() for cert in certs]
+    lockstep = Lockstep(spec, certs, composed)
     # one flat draw per quantity is the same stream as one draw per node
     sizes = (lockstep.concrete.state.size, lockstep.abstract.state.size,
              lockstep.abstract.input.size)
@@ -510,18 +518,10 @@ def check_composed_dissipation(
     violations = 0
     for _ in range(samples):
         x, x_hat, u_hat = (rng.uniform(-1, 1, size) for size in sizes)
+        draws = [pairs[rng.integers(len(pairs))] for pairs in admissible]
         if synchronized:
-            pairs = composed.certificates[0].admissible_pairs()
-            s, s2 = pairs[rng.integers(len(pairs))]
-            modes_now = [s] * spec.n_nodes
-            modes_next = [s2] * spec.n_nodes
-        else:
-            modes_now, modes_next = [], []
-            for cert in composed.certificates:
-                pairs = cert.admissible_pairs()
-                s, s2 = pairs[rng.integers(len(pairs))]
-                modes_now.append(s)
-                modes_next.append(s2)
+            draws *= spec.n_nodes
+        modes_now, modes_next = [s for s, _ in draws], [s2 for _, s2 in draws]
         x_next, x_hat_next, _, _, v_now = lockstep.step(x, x_hat, u_hat, modes_now)
         v_next = composed.value(x_next, x_hat_next, modes_next)
         u_hat_sq = float(np.sum(u_hat**2))

@@ -47,7 +47,11 @@ layer.
 Specs are immutable after loading.  On first use a spec compiles into a
 ``NetworkEngine`` (``spec.engine``) that evaluates every node at once on
 flat stacked vectors: one ``step`` gives the next states, the outputs, the
-internal inputs and the external outputs.  The lockstep simulator and the
+internal inputs and the external outputs.  The engine is built from what
+the layers already hold: its slots are the layer's (node, mode) rows, the
+matrices are placed with one stack per shape, and the external selection
+and the wiring come from the block table as index arrays, compiled once
+per spec (the abstract view shares them).  The lockstep simulator and the
 composed oracle run on it.
 """
 
@@ -150,9 +154,6 @@ class SwitchedLinearSubsystem:
             for j, (lo, hi) in self.modes[mode].out_blocks.items()
             if j != self.id and hi > lo
         )
-
-    def external_range(self, mode: int) -> tuple[int, int]:
-        return self.modes[mode].out_blocks[self.id]
 
 
 def _check_subsystems(subsystems) -> None:
@@ -267,12 +268,12 @@ class _Layer:
     column by column, as the validators read it.
 
     Rows are the (node, mode) pairs in node order: ``node`` and ``first``
-    map rows to node positions and back, ``dims``/``plain``/``finite``
-    describe A, B, C and D per row (see ``_Matrices``).  The block table
-    has one entry per block of every row's block maps, in file order:
-    ``row``, ``kind`` (``_OUT``/``_IN``), ``peer``, ``lo``, ``hi``.
-    Subsystems parsed from a file carry their layer, so a spec built from
-    them reuses it (see ``of``).
+    map rows to node positions and back, ``modes`` holds their Modes,
+    ``dims``/``plain``/``finite`` describe A, B, C and D per row (see
+    ``_Matrices``).  The block table has one entry per block of every
+    row's block maps, in file order: ``row``, ``kind`` (``_OUT``/``_IN``),
+    ``peer``, ``lo``, ``hi``.  Subsystems parsed from a file carry their
+    layer, so a spec built from them reuses it (see ``of``).
     """
 
     def __init__(self, subsystems, mats: _Matrices | None = None):
@@ -288,7 +289,7 @@ class _Layer:
                 _check_subsystems(subsystems)
         counts = [len(sub.modes) for sub in subsystems]
         self.ids = np.array([sub.id for sub in subsystems], dtype=np.int64)
-        self.first = np.concatenate(([0], np.cumsum(counts, dtype=np.intp)))
+        self.first = _starts(counts)
         self.node = np.repeat(np.arange(len(subsystems)), counts)
         n_rows = len(modes)
         self.dims = np.stack([dims[:n_rows] for dims in mats.dims], axis=1)
@@ -300,6 +301,7 @@ class _Layer:
         bounds = _int64(list(chain.from_iterable(ranges)))
         self.lo, self.hi = bounds.reshape(-1, 2).T
         self.owner = self.node[self.row]
+        self.modes = modes
 
     @staticmethod
     def of(subsystems) -> "_Layer":
@@ -345,7 +347,7 @@ class _Layer:
         n, m, q, nw = d[f, 0, 0], d[f, 1, 1], d[f, 2, 0], d[f, 3, 1]
         want = np.stack([n, n, n, m, q, n, n, nw], axis=1).reshape(n_rows, 4, 2)
         mine = self.peer == self.ids[self.owner]
-        ext = mine & (self.kind == _OUT)
+        ext = self.ext_blocks
         ext_width = np.zeros(n_rows, dtype=np.int64)  # 0 where the block is missing
         ext_width[self.row[ext]] = (self.hi - self.lo)[ext]
         feeds_self = np.zeros(n_rows, dtype=bool)
@@ -388,8 +390,8 @@ class _Layer:
     def wire(self) -> "InterconnectionGraph":
         """Check the layer as a network, in NetworkSpec's order (unique ids,
         unknown peers, dangling edges and wiring widths, inverse wiring
-        entries) and return its union graph.  ``edges`` is then the
-        (source, destination) id array of the graph, sorted."""
+        entries) and return its union graph; the join of in- and out-blocks
+        is kept for ``links``."""
         ids, n_nodes = self.ids, len(self.ids)
         order = np.argsort(ids, kind="stable")
         sorted_ids = ids[order]
@@ -427,6 +429,7 @@ class _Layer:
             found = pairs[at] == in_key
             fine = found & (narrow[at] == width[ins]) & (wide[at] == width[ins])
         else:
+            at = np.zeros(ins.size, dtype=np.intp)
             found = fine = np.zeros(ins.size, dtype=bool)
         bad = np.flatnonzero(~fine)
         if bad.size:
@@ -440,17 +443,17 @@ class _Layer:
                 f"wiring inconsistency: edge {j}->{i} lacks the inverse in-neighbor entry",
                 src=j, dst=i,
             )
+        # per live in-block, its source and its join group: the out-blocks
+        # outs[o][begin:end] of its source toward its reader, one per source
+        # mode that outputs to the reader
+        self._join = ins, peer_pos[ins], outs[o], start[at], np.append(start[1:], o.size)[at]
         src_id, dst_id = ids[pairs // n_nodes], ids[pairs % n_nodes]
-        by_edge = np.lexsort((dst_id, src_id))
-        self.edges = np.stack([src_id[by_edge], dst_id[by_edge]], axis=1)
         nodes = ids.tolist()
 
         def neighbors(pos, other):
             o = np.lexsort((other, pos))
             vals = other[o].tolist()
-            bounds = np.concatenate(
-                ([0], np.cumsum(np.bincount(pos, minlength=n_nodes)))
-            ).tolist()
+            bounds = _starts(np.bincount(pos, minlength=n_nodes)).tolist()
             return {i: tuple(vals[bounds[p]:bounds[p + 1]]) for p, i in enumerate(nodes)}
 
         return _view(
@@ -459,6 +462,38 @@ class _Layer:
             in_neighbors=neighbors(pairs % n_nodes, src_id),
             out_neighbors=neighbors(pairs // n_nodes, dst_id),
         )
+
+    @cached_property
+    def ext_blocks(self) -> np.ndarray:
+        """The external blocks, the out-blocks keyed by their node's own id:
+        one per row, in row order, once the nodes are checked."""
+        return np.flatnonzero((self.kind == _OUT) & (self.peer == self.ids[self.owner]))
+
+    @cached_property
+    def links(self) -> tuple:
+        """The external selection and the wiring of a wired layer as unit
+        entries, and its unwired table (reader row, source row, reader id,
+        source id, source mode), from the block table and ``wire``'s join.
+        A layer that aligns with this one has the same three."""
+        heads, width, row, ext = self.first[:-1], self.hi - self.lo, self.row, self.ext_blocks
+        # offsets of the outputs, internal inputs and external outputs
+        y0, w0, e0 = map(_starts, (self.dims[heads, 2, 0], self.dims[heads, 3, 1],
+                                   width[ext][heads]))
+        external = _unit_entries(e0[self.node], y0[self.node] + self.lo[ext], width[ext],
+                                 (row[ext], row[ext]), e0[-1])
+        ins, src, outs, begin, end = self._join
+        pair, t = _ranges(end - begin)  # each in-block with each out-block of its group
+        b_in, b_out = ins[pair], outs[begin[pair] + t]
+        wiring = _unit_entries(w0[self.owner[b_in]] + self.lo[b_in],
+                               y0[src[pair]] + self.lo[b_out], width[b_in],
+                               (row[b_in], row[b_out]), w0[-1])
+        n_modes = np.diff(self.first)[src]
+        block, s2 = _ranges(n_modes)  # each in-block with each source mode
+        unwired = np.ones(block.size, dtype=bool)
+        unwired[_starts(n_modes)[pair] + row[b_out] - self.first[src[pair]]] = False
+        b, s2, src = ins[block[unwired]], s2[unwired], src[block[unwired]]
+        return external, wiring, np.stack([row[b], self.first[src] + s2,
+                                           self.ids[self.owner[b]], self.peer[b], s2])
 
     def _peer_of(self, b: int) -> int:
         """The id block ``b`` names, as its block map holds it."""
@@ -585,7 +620,7 @@ def _subsystem_defect(sub: SwitchedLinearSubsystem) -> SimnetError | None:
             return WiringError(
                 f"subsystem {i} mode {s}: a subsystem may not feed itself", node=i, mode=s
             )
-        lo0, hi0 = sub.external_range(0)
+        lo0, hi0 = first.out_blocks[i]
         if hi - lo != hi0 - lo0:
             return BlockPartitionError(
                 f"subsystem {i} mode {s}: external output block is {hi - lo} wide, "
@@ -703,11 +738,11 @@ class SwitchingSignal:
                 f"switching horizon {self.horizon} does not cover step {k}",
                 step=k, horizon=self.horizon,
             )
-        return np.asarray(self._at(k), dtype=np.int64)
+        return _integers(self._at(k), "mode")
 
     @classmethod
     def from_table(cls, table: list[list[int]]) -> "SwitchingSignal":
-        rows = [list(map(int, row)) for row in table]
+        rows = [_integers(row, "mode") for row in table]
         if not rows or any(len(r) != len(rows[0]) for r in rows):
             raise SchemaError("switching table rows must be nonempty and equal length")
         columns = _frozen(np.array(rows, dtype=np.int64).reshape(len(rows), -1))
@@ -717,12 +752,12 @@ class SwitchingSignal:
     def periodic(cls, schedules: list[list[int]], period: int) -> "SwitchingSignal":
         if not (_is_integer(period) and period >= 1):
             raise SchemaError(f"switching period must be an integer >= 1, got {period!r}")
-        rows = [list(map(int, row)) for row in schedules]
-        if not rows or any(not r for r in rows):
+        rows = [_integers(row, "mode") for row in schedules]
+        if not rows or any(not r.size for r in rows):
             raise SchemaError("each periodic schedule must be nonempty")
-        lengths = np.array([len(r) for r in rows], dtype=np.int64)
+        lengths = np.array([r.size for r in rows], dtype=np.int64)
         start = np.cumsum(lengths) - lengths
-        flat = _frozen(np.array(list(chain.from_iterable(rows)), dtype=np.int64))
+        flat = _frozen(np.concatenate(rows))
         return cls(len(rows), lambda k: flat[start + (k // period) % lengths], None)
 
     @classmethod
@@ -734,6 +769,20 @@ class SwitchingSignal:
     def constant(cls, n_nodes: int, mode: int = 0) -> "SwitchingSignal":
         modes = _frozen(np.full(n_nodes, mode, dtype=np.int64))
         return cls(n_nodes, lambda k: modes, None)
+
+
+def _integers(values, what: str, ids=None) -> np.ndarray:
+    """``values`` as an int64 array; SchemaError at the first that is not an
+    integer (booleans and integral floats are not, as for block ids), naming
+    its subsystem when ``ids`` are given."""
+    if not (type(values) is np.ndarray and values.dtype.kind in "iu"):
+        values = values.tolist() if type(values) is np.ndarray else list(values)
+        bad = next((p for p, v in enumerate(values) if not _is_integer(v)), None)
+        if bad is not None:
+            where = "switching " if ids is None else f"subsystem {ids[bad]}: "
+            raise SchemaError(f"{where}{what} {values[bad]!r} is not an integer",
+                              index=values[bad])
+    return np.asarray(values, dtype=np.int64)
 
 
 class NetworkSpec:
@@ -751,7 +800,7 @@ class NetworkSpec:
             self._abstract_layer = _Layer.of(self.abstract_subsystems)
             self._abstract_layer.check_nodes()
         self.graph = self._layer.wire()
-        self.index = dict(zip(self.graph.nodes, range(len(self.subsystems))))
+        self._wired = self._layer  # its block table compiles the engines' wiring
         if self._abstract_layer is not None:
             self._layer.align(self._abstract_layer)
         self._abstract_view = None
@@ -776,8 +825,8 @@ class NetworkSpec:
                 subsystems=self.abstract_subsystems,
                 abstract_subsystems=None,
                 graph=self.graph,
-                index=self.index,
                 _layer=self._abstract_layer,
+                _wired=self._layer,
                 _abstract_layer=None,
                 _abstract_view=None,
             )
@@ -796,7 +845,7 @@ class Layout:
 
     def __init__(self, ids, sizes, what: str):
         self.ids, self.sizes, self.what = tuple(ids), [int(n) for n in sizes], what
-        self.off = np.concatenate(([0], np.cumsum(self.sizes, dtype=np.intp)))
+        self.off = _starts(self.sizes)
         self.size = int(self.off[-1])
 
     def stack(self, parts) -> np.ndarray:
@@ -817,12 +866,13 @@ class Layout:
     def select(self, index) -> np.ndarray:
         """Mask of one element per node, at the given position in the node's
         part: over the (node, mode) slots, the slots of the given modes."""
-        index = np.asarray(index, dtype=np.intp)
-        if index.shape != (len(self.ids),):
+        size = np.size(index)
+        if np.shape(index) != (len(self.ids),):
             raise DimensionMismatchError(
-                f"expected one {self.what} per node ({len(self.ids)}), got {index.size}",
-                expected=len(self.ids), got=index.size,
+                f"expected one {self.what} per node ({len(self.ids)}), got {size}",
+                expected=len(self.ids), got=size,
             )
+        index = _integers(index, self.what, self.ids)
         bad = np.flatnonzero((index < 0) | (index >= self.sizes))
         if bad.size:
             node, value = self.ids[bad[0]], int(index[bad[0]])
@@ -837,105 +887,111 @@ class Layout:
 
 
 class TaggedEntries:
-    """Matrix blocks placed in a flat matrix with ``size`` rows, stored as
-    entries (row, col, value) tagged with two (node, mode) slots; an entry
-    applies when both of its slots are active.
+    """Entries (row, col, value) of a flat matrix with ``size`` rows, each
+    tagged with two (node, mode) slots; an entry applies when both of its
+    slots are active.  ``_placed`` makes them from per-slot matrices,
+    ``_unit_entries`` from the block table.
 
-    ``blocks`` are (matrix, row, col, slot, slot) tuples.
+    ``apply`` keeps the entries it picked for the last active pattern and
+    picks again only when the pattern changes: a run's modes change every
+    switching period, not every step.
     """
 
-    def __init__(self, blocks, size: int):
-        mats = [np.asarray(b[0], dtype=float) for b in blocks]
-        shape = np.array([m.shape for m in mats], dtype=np.intp).reshape(-1, 2)
-        tags = np.array([b[1:] for b in blocks], dtype=np.intp).reshape(-1, 4)
-        lengths = shape[:, 0] * shape[:, 1]
-        seg = np.repeat(np.arange(len(blocks)), lengths)
-        t = np.arange(seg.size) - (np.cumsum(lengths) - lengths)[seg]
-        self.rows = tags[seg, 0] + t // shape[seg, 1]
-        self.cols = tags[seg, 1] + t % shape[seg, 1]
-        self.slots = tags[seg, 2], tags[seg, 3]
-        self.values = np.concatenate([m.ravel() for m in mats]) if mats else np.zeros(0)
-        self.size = size
-
-    @classmethod
-    def family(cls, per_node, rows: Layout, cols: Layout, slots: Layout) -> "TaggedEntries":
-        """Every node's per-mode matrices (``per_node[pos][mode]``) placed at
-        the node's parts of the ``rows`` and ``cols`` layouts."""
-        r, c, first = rows.off.tolist(), cols.off.tolist(), slots.off.tolist()
-        return cls([(m, r[pos], c[pos], first[pos] + s, first[pos] + s)
-                    for pos, mats in enumerate(per_node) for s, m in enumerate(mats)], rows.size)
+    def __init__(self, rows, cols, values, slots, size: int):
+        self.rows, self.cols, self.values = rows, cols, values
+        self.slots, self.size = slots, size
+        self._last = None  # (active, rows, cols, values) of the last pattern
 
     def apply(self, active: np.ndarray, vec: np.ndarray) -> np.ndarray:
         """The active entries times ``vec``."""
-        keep = active[self.slots[0]] & active[self.slots[1]]
-        return np.bincount(
-            self.rows[keep], self.values[keep] * vec[self.cols[keep]], minlength=self.size
-        )
+        last = self._last
+        if last is None or not np.array_equal(last[0], active):
+            keep = active[self.slots[0]] & active[self.slots[1]]
+            last = (active.copy(), self.rows[keep], self.cols[keep], self.values[keep])
+            self._last = last
+        _, rows, cols, values = last
+        return np.bincount(rows, values * vec[cols], minlength=self.size)
+
+
+def _placed(mats, rows: Layout, cols: Layout, slots: Layout) -> TaggedEntries:
+    """Slot k's matrix ``mats[k]``, sized by its node's parts of the
+    ``rows`` and ``cols`` layouts, placed at those parts and tagged with
+    slot k: one stack per matrix shape, the entries' indices broadcast from
+    the offsets."""
+    node = np.repeat(np.arange(len(slots.sizes)), slots.sizes)
+    height, width = (np.array(layout.sizes, dtype=np.intp)[node] for layout in (rows, cols))
+    shapes, group = np.unique(height * (width.max(initial=0) + 1) + width, return_inverse=True)
+    parts = [(np.zeros(0, dtype=np.intp),) * 3 + (np.zeros(0),)]
+    for at in (np.flatnonzero(group == g) for g in range(shapes.size)):
+        shape = (at.size, height[at[0]], width[at[0]])
+        stack = np.array([mats[k] for k in at.tolist()], dtype=float).reshape(shape)
+        index = (rows.off[node[at], None, None] + np.arange(shape[1])[:, None],
+                 cols.off[node[at], None, None] + np.arange(shape[2]),
+                 at[:, None, None])
+        parts.append([np.broadcast_to(i, shape).ravel() for i in index] + [stack.ravel()])
+    r, c, slot, values = map(np.concatenate, zip(*parts))
+    return TaggedEntries(r, c, values, (slot, slot), rows.size)
+
+
+def _unit_entries(rows0, cols0, widths, slots, size) -> TaggedEntries:
+    """Block k as unit entries (rows0[k] + t, cols0[k] + t) for t below
+    widths[k], tagged with slots[0][k] and slots[1][k]."""
+    seg, t = _ranges(widths)
+    return TaggedEntries(rows0[seg] + t, cols0[seg] + t, np.ones(seg.size),
+                         (slots[0][seg], slots[1][seg]), int(size))
+
+
+def _ranges(lengths: np.ndarray):
+    """(seg, t): for each i, t = 0 .. lengths[i] - 1 with seg = i."""
+    seg = np.repeat(np.arange(lengths.size), lengths)
+    return seg, np.arange(seg.size) - _starts(lengths)[seg]
+
+
+def _starts(sizes: np.ndarray) -> np.ndarray:
+    """Offsets of consecutive parts of the given sizes, then the total."""
+    return np.concatenate(([0], np.cumsum(sizes, dtype=np.intp)))
 
 
 class NetworkEngine:
     """A spec compiled for evaluation on flat vectors.
 
     States, inputs, outputs, internal inputs and external outputs of all
-    nodes are stacked in node order (the ``Layout`` attributes), and every
-    (node, mode) pair has a slot.  The A, B, C and D blocks of every (node,
-    mode), and the selection of its external output, become entries tagged
-    with its slot; each wiring block w_ij = y_ji becomes unit entries tagged
-    with the slots of both ends.  A step applies each family with one
-    np.bincount, so every node shape takes the same path.  Nothing here
-    calls BLAS, so results do not depend on the thread count.
+    nodes are stacked in node order (the ``Layout`` attributes), and each
+    row (node, mode) of the spec's layer has a slot.  The slots' A, B, C
+    and D are placed as entries tagged with their slot, one stack per
+    shape; the external selection and the wiring w_ij = y_ji are unit
+    entries from the wired layer's block table (``_Layer.links``), which
+    the abstract view shares with its concrete spec.  A step applies each
+    family with one np.bincount, so every node shape takes the same path.
+    Nothing here calls BLAS, so results do not depend on the thread count.
     """
 
     def __init__(self, spec: NetworkSpec):
-        subs = spec.subsystems
-        ids = [sub.id for sub in subs]
-        self.slots = Layout(ids, [sub.n_modes for sub in subs], "mode")
-        self.state = Layout(ids, [sub.n for sub in subs], "state")
-        self.input = Layout(ids, [sub.m for sub in subs], "input")
-        self.output = Layout(ids, [sub.q for sub in subs], "output")
-        self.internal_input = Layout(ids, [sub.internal_width for sub in subs], "internal input")
-        ext_ranges = [sub.external_range(0) for sub in subs]
-        self.external = Layout(ids, [hi - lo for lo, hi in ext_ranges], "external output")
-
-        def family(rows, cols, matrix):
-            per_node = [[matrix(sub, mode) for mode in sub.modes] for sub in subs]
-            return TaggedEntries.family(per_node, rows, cols, self.slots)
-
-        self._A = family(self.state, self.state, lambda sub, mode: mode.A)
-        self._B = family(self.state, self.input, lambda sub, mode: mode.B)
-        self._C = family(self.output, self.state, lambda sub, mode: mode.C)
-        self._D = family(self.state, self.internal_input, lambda sub, mode: mode.D)
-        self._external = family(  # rows of y, wherever the mode puts the block
-            self.external, self.output,
-            lambda sub, mode: np.eye(sub.q)[slice(*mode.out_blocks[sub.id])],
-        )
-        ys, w0 = self.output.off.tolist(), self.internal_input.off.tolist()
-        first = self.slots.off.tolist()
-        wiring, self._unwired = [], []
-        for pos, sub in enumerate(subs):
-            for s, mode in enumerate(sub.modes):
-                for j, (lo, hi) in mode.in_blocks.items():
-                    if hi <= lo:  # zero-width blocks may name any peer
-                        continue
-                    src = spec.index[j]
-                    for s2, src_mode in enumerate(subs[src].modes):
-                        tags = (first[pos] + s, first[src] + s2)
-                        r0, r1 = src_mode.out_blocks.get(sub.id, (0, 0))
-                        if r1 > r0:
-                            wiring.append((np.eye(hi - lo), w0[pos] + lo, ys[src] + r0, *tags))
-                        else:
-                            self._unwired.append((*tags, sub.id, j, s2))
-        self._wiring = TaggedEntries(wiring, self.internal_input.size)
-        pairs = [t[:2] for t in self._unwired]
-        self._unwired_slots = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
+        layer = spec._layer
+        ids, heads = layer.ids.tolist(), layer.first[:-1]
+        dims = layer.dims[heads]
+        self.slots = Layout(ids, np.diff(layer.first), "mode")
+        self.state = Layout(ids, dims[:, 0, 0], "state")
+        self.input = Layout(ids, dims[:, 1, 1], "input")
+        self.output = Layout(ids, dims[:, 2, 0], "output")
+        self.internal_input = Layout(ids, dims[:, 3, 1], "internal input")
+        ext = layer.ext_blocks[heads]
+        self.external = Layout(ids, layer.hi[ext] - layer.lo[ext], "external output")
+        modes = layer.modes
+        self._A = _placed([m.A for m in modes], self.state, self.state, self.slots)
+        self._B = _placed([m.B for m in modes], self.state, self.input, self.slots)
+        self._C = _placed([m.C for m in modes], self.output, self.state, self.slots)
+        self._D = _placed([m.D for m in modes], self.state, self.internal_input, self.slots)
+        self._external, self._wiring, self._unwired = spec._wired.links
 
     def step(self, x: np.ndarray, u: np.ndarray, active: np.ndarray):
         """(x_next, y, w, external outputs) at the active slots; WiringError
         when a node's mode expects input that its source's mode does not
         produce."""
-        hit = np.flatnonzero(active[self._unwired_slots[0]] & active[self._unwired_slots[1]])
+        unwired = self._unwired
+        hit = np.flatnonzero(active[unwired[0]] & active[unwired[1]])
         if hit.size:
-            _, _, dst, src, src_mode = self._unwired[hit[0]]
+            dst, src, src_mode = unwired[2:, hit[0]].tolist()
             raise WiringError(
                 f"subsystem {dst} expects input from {src}, but {src}'s current "
                 f"mode outputs nothing to {dst}",

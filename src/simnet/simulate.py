@@ -179,19 +179,21 @@ def check_trajectory_bound(
 
     The sup of |uhat| is the running supremum up to the current step, which
     is tighter than the full-horizon sup and still valid.  The witness is
-    the first step with the most negative margin.
+    the first step with the most negative margin, where a NaN margin ranks
+    below every number.
     """
     if bound is None:
         bound = BoundConstants.from_composed(composed)
     v0 = float(run.v_trace[0])
     sup = np.maximum.accumulate(run.u_hat_norms).tolist()
-    margins = [
+    margins = np.array([
         bound.envelope(k, v0, s) + 1e-9 - err
         for k, (s, err) in enumerate(zip(sup, run.error_trace.tolist()))
-    ]
-    worst = min(margins)
-    witness = margins.index(worst) if worst < 0 else None
-    return TrajectoryReport(ok=worst >= 0.0, worst_margin=worst, witness_step=witness)
+    ])
+    k = int(np.argmin(np.where(np.isnan(margins), -np.inf, margins)))
+    worst = float(margins[k])
+    ok = worst >= 0.0
+    return TrajectoryReport(ok=ok, worst_margin=worst, witness_step=None if ok else k)
 
 
 def check_V_decrease(
@@ -202,7 +204,7 @@ def check_V_decrease(
     V(k+1) - V(k) <= -lambda_inf V(k) + rho_ext(|uhat(k)|) with slack
     1e-9 (1 + V(k)); worst slack reported (negative means satisfied, None
     for a run of one step), the witness is the first step with the largest
-    positive slack.
+    positive slack, where a NaN slack ranks above every number.
     """
     lam = composed.lambda_inf if lambda_inf is None else lambda_inf
     if run.horizon == 0:
@@ -210,11 +212,10 @@ def check_V_decrease(
     v, u = run.v_trace, run.u_hat_norms[:-1]
     allowed = -lam * v[:-1] + composed.rho_ext_coeff * u**2 + 1e-9 * (1.0 + v[:-1])
     slack = v[1:] - v[:-1] - allowed
-    k = int(np.argmax(slack))
+    k = int(np.argmax(slack))  # np.argmax stops at the first NaN
     worst = float(slack[k])
-    return TrajectoryReport(
-        ok=worst <= 0.0, worst_margin=worst, witness_step=k + 1 if worst > 0 else None
-    )
+    ok = worst <= 0.0
+    return TrajectoryReport(ok=ok, worst_margin=worst, witness_step=None if ok else k + 1)
 
 
 def export_run(run: SimulationRun, path) -> None:

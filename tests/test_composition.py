@@ -374,6 +374,60 @@ class TestComposedDissipation:
         assert report.ok, report.witness
         assert report.violations == 0
 
+    def test_synchronized_pairs_admissible_for_every_node(self, swing_params, monkeypatch):
+        # node 1 admits only the staying pairs, so a shared draw of (0, 1) or
+        # (1, 0) from node 0's pairs would step node 1 through a transition
+        # its certificate does not cover
+        from simnet import LocalCertificate, generate_ring_network
+        from simnet.composition import ComposedCertificate, Lockstep
+
+        spec = generate_ring_network(swing_params)
+        composed, _, _, certs = compose_ring(swing_params)
+        c = certs[0]
+        staying = LocalCertificate(M=[m.entries for m in c.M], K=c.K, P=c.P, Q=c.Q, R=c.R,
+                                   T=c.T, kappa=c.kappa, transitions=[(0, 0), (1, 1)])
+        restricted = ComposedCertificate(composed.mu, composed.lambda_inf,
+                                         composed.alpha_total, composed.rho_ext_coeff,
+                                         [c, staying, c])
+        now, nxt, step, value = [], [], Lockstep.step, ComposedCertificate.value
+
+        def record_now(self, x, x_hat, u_hat, modes):
+            now.append(tuple(modes))
+            return step(self, x, x_hat, u_hat, modes)
+
+        def record_next(self, x, x_hat, modes):
+            nxt.append(tuple(modes))
+            return value(self, x, x_hat, modes)
+
+        monkeypatch.setattr(Lockstep, "step", record_now)
+        monkeypatch.setattr(ComposedCertificate, "value", record_next)
+        check_composed_dissipation(restricted, spec, samples=40, synchronized=True)
+        assert set(zip(now, nxt)) == {((0,) * 3, (0,) * 3), ((1,) * 3, (1,) * 3)}
+        monkeypatch.undo()
+        # the draws follow node 0's order: with every node agreeing, the same stream
+        both = check_composed_dissipation(restricted, spec, samples=40, seed=3, synchronized=True)
+        again = check_composed_dissipation(
+            ComposedCertificate(composed.mu, composed.lambda_inf, composed.alpha_total,
+                                composed.rho_ext_coeff, [staying] * 3),
+            spec, samples=40, seed=3, synchronized=True,
+        )
+        assert both == again
+
+    def test_synchronized_without_a_common_pair_rejected(self, swing_params):
+        from simnet import LocalCertificate, generate_ring_network
+        from simnet.composition import ComposedCertificate
+
+        spec = generate_ring_network(swing_params)
+        composed, _, _, certs = compose_ring(swing_params)
+        c = certs[0]
+        only = [LocalCertificate(M=[m.entries for m in c.M], K=c.K, P=c.P, Q=c.Q, R=c.R,
+                                 T=c.T, kappa=c.kappa, transitions=[pair])
+                for pair in ((0, 1), (1, 0), (0, 1))]
+        restricted = ComposedCertificate(composed.mu, composed.lambda_inf,
+                                         composed.alpha_total, composed.rho_ext_coeff, only)
+        with pytest.raises(CompositionError, match="no mode pair is admissible for every node"):
+            check_composed_dissipation(restricted, spec, samples=5, synchronized=True)
+
     def test_tight_network_asynchronous_passes(self):
         spec, certs, g, composed = tight_two_node_network()
         report = check_composed_dissipation(composed, spec, samples=400, seed=2)

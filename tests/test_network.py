@@ -310,8 +310,13 @@ class TestStep:
         # successor only produces in mode 1
         spec = generate_ring_network(SwingParams(n_nodes=3))
         states = [np.zeros(2)] * 3
-        with pytest.raises(WiringError):
+        with pytest.raises(WiringError) as err:
             internal_input(spec, states, [0, 1, 0])
+        assert str(err.value) == (
+            "subsystem 1 expects input from 2, but 2's current mode outputs nothing to 1"
+        )
+        assert err.value.details == {"src": 2, "dst": 1, "src_mode": 0}
+        assert all(type(v) is int for v in err.value.details.values())
 
     @pytest.mark.parametrize("seed", STEP_CASES)
     def test_random_network_matches_stacked_oracle(self, seed):
@@ -355,6 +360,59 @@ class TestStep:
             engine_step(spec, states, [np.zeros(1)] * 3, bad.modes_at(5))
 
 
+class TestActivePatterns:
+    """Each entry family keeps the entries of the last active pattern; every
+    step must still equal the per-node reference whenever the pattern
+    changes, however the caller hands it over."""
+
+    @staticmethod
+    def check_step(spec, active, modes, rng):
+        engine = spec.engine
+        states = [rng.uniform(-1, 1, sub.n) for sub in spec.subsystems]
+        inputs = [rng.uniform(-1, 1, sub.m) for sub in spec.subsystems]
+        x_next = engine.step(engine.state.stack(states), engine.input.stack(inputs), active)[0]
+        reference = stacked_step_oracle(spec, states, inputs, modes)
+        np.testing.assert_allclose(x_next, np.concatenate(reference), rtol=1e-12, atol=1e-12)
+
+    def two_patterns(self, seed):
+        spec = heterogeneous_network(seed)[0]
+        rng = np.random.default_rng(seed + 40)
+        a, b = ([int(rng.integers(sub.n_modes)) for sub in spec.subsystems] for _ in range(2))
+        assert a != b
+        return spec, a, b, rng
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_active_mutated_in_place(self, seed):
+        spec, a, b, rng = self.two_patterns(seed)
+        active = spec.engine.slots.select(a)
+        self.check_step(spec, active, a, rng)
+        active[:] = spec.engine.slots.select(b)
+        self.check_step(spec, active, b, rng)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_alternating_patterns(self, seed):
+        spec, a, b, rng = self.two_patterns(seed)
+        for modes in (a, b, a, b):
+            self.check_step(spec, spec.engine.slots.select(modes), modes, rng)
+
+    def test_table_switching_every_step(self):
+        spec = heterogeneous_network(0)[0]
+        rng = np.random.default_rng(5)
+        table = [rng.integers(sub.n_modes, size=8).tolist() for sub in spec.subsystems]
+        sig = SwitchingSignal.from_table(table)
+        for k in range(8):
+            modes = sig.modes_at(k)
+            self.check_step(spec, spec.engine.slots.select(modes), modes.tolist(), rng)
+
+    def test_abstract_view_shares_the_concrete_wiring(self):
+        spec = heterogeneous_network(0)[0]
+        concrete, abstract = spec.engine, spec.abstract_view().engine
+        assert abstract is not concrete and abstract._A is not concrete._A
+        assert abstract._wiring is concrete._wiring
+        assert abstract._external is concrete._external
+        assert abstract._unwired is concrete._unwired
+
+
 class TestSwitchingSignal:
     def test_periodic_schedule(self):
         sig = SwitchingSignal.synchronized(2, [0, 1], period=5)
@@ -368,3 +426,25 @@ class TestSwitchingSignal:
     def test_asynchronous_per_node(self):
         sig = SwitchingSignal.periodic([[0], [1]], period=1)
         assert sig.modes_at(7).tolist() == [0, 1]
+
+    @pytest.mark.parametrize("make", [
+        lambda: SwitchingSignal.periodic([[0, 1.7]], 1),
+        lambda: SwitchingSignal.periodic([[0, 1.0]], 1),
+        lambda: SwitchingSignal.from_table([[True, 1]]),
+        lambda: SwitchingSignal.from_table(np.array([[0.0, 1.0]])),
+        lambda: SwitchingSignal.synchronized(2, [0, False], 3),
+        lambda: SwitchingSignal(2, lambda k: [0, 1.5], None).modes_at(0),
+    ])
+    def test_non_integer_modes_rejected(self, make):
+        # they used to be truncated: 1.7 read as mode 1, True as mode 1
+        with pytest.raises(SchemaError, match="switching mode .* is not an integer"):
+            make()
+
+    @pytest.mark.parametrize("modes, first", [
+        ([0, 0.7, 0], "1: mode 0.7"), ([0, True, 0], "1: mode True"),
+        (np.array([0.0, 1.0, 0.0]), "0: mode 0.0"),
+    ])
+    def test_selection_rejects_non_integer_modes(self, modes, first):
+        spec = generate_ring_network(SwingParams(n_nodes=3))
+        with pytest.raises(SchemaError, match=f"subsystem {first} is not an integer"):
+            spec.engine.slots.select(modes)

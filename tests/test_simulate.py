@@ -10,6 +10,7 @@ from simnet import (
     LocalCertificate,
     Mode,
     NetworkSpec,
+    SchemaError,
     SwingParams,
     SwitchedLinearSubsystem,
     SwitchingSignal,
@@ -346,6 +347,51 @@ class TestTrajectoryBound:
         assert bc.gamma_ext(2.0) == pytest.approx(
             np.sqrt(composed.rho_ext_coeff * 4.0 / (composed.lambda_inf * composed.alpha_total))
         )
+
+
+def one_node_run(errors, v) -> SimulationRun:
+    """A one-node run with the given error and V traces and zero inputs."""
+    steps = len(errors)
+    zeros = np.zeros((steps, 1))
+    return SimulationRun(
+        horizon=steps - 1, node_ids=(0,), external_widths=(1,), abstract_states=zeros,
+        external_outputs=zeros, abstract_external_outputs=zeros,
+        modes=np.zeros((steps, 1), dtype=np.int64), v_trace=np.array(v, dtype=float),
+        error_trace=np.array(errors, dtype=float), u_hat_norms=np.zeros(steps),
+    )
+
+
+class TestNaNRanksWorst:
+    """A NaN margin or slack fails its check, with the first NaN step as the
+    witness; Python's min used to skip a NaN after the first element."""
+
+    @pytest.mark.parametrize("errors, witness", [
+        ([0.1, np.nan, 0.05], 1), ([np.nan, 0.1, 0.05], 0), ([0.1, 0.05, np.nan], 2),
+        ([0.1, np.nan, 2.0, np.nan], 1),
+    ])
+    def test_envelope(self, errors, witness):
+        run = one_node_run(errors, [1.0] * len(errors))
+        report = check_trajectory_bound(run, None, BoundConstants(1.0, 0.5, 0.0))
+        assert not report.ok
+        assert report.witness_step == witness
+        assert np.isnan(report.worst_margin)
+
+    @pytest.mark.parametrize("v, witness", [([1.0, np.nan, 0.1], 1), ([1.0, 0.4, np.nan], 2)])
+    def test_decrease(self, v, witness):
+        composed = ComposedCertificate(np.ones(1), 0.5, 1.0, 0.0, [])
+        report = check_V_decrease(one_node_run([0.0] * len(v), v), composed)
+        assert not report.ok
+        assert report.witness_step == witness
+        assert np.isnan(report.worst_margin)
+
+
+def test_composed_value_rejects_a_fractional_mode():
+    # the selection used to cast 0.7 to mode 0
+    spec, certs, gains, composed = tight_two_node_network()
+    layout = composed.engine
+    x, x_hat = np.zeros(layout.state.size), np.zeros(layout.abstract_state.size)
+    with pytest.raises(SchemaError, match="mode 0.7 is not an integer"):
+        composed.value(x, x_hat, [0.7, 0])
 
 
 class TestVDecrease:

@@ -63,7 +63,7 @@ def stacked_step_oracle(spec: NetworkSpec, states, inputs, modes):
         for j, (lo, hi) in mode.in_blocks.items():
             if hi <= lo:
                 continue
-            jpos = spec.index[j]
+            jpos = spec.graph.nodes.index(j)
             src_mode = spec.subsystems[jpos].modes[modes[jpos]]
             r0, r1 = src_mode.out_blocks[sub.id]
             a_full[sl, offs[jpos]:offs[jpos + 1]] += mode.D[:, lo:hi] @ src_mode.C[r0:r1]
@@ -79,7 +79,7 @@ def blockwise_internal_input(spec: NetworkSpec, states, modes):
         w = np.zeros(sub.internal_width)
         for j, (lo, hi) in sub.modes[modes[pos]].in_blocks.items():
             if hi > lo:
-                jpos = spec.index[j]
+                jpos = spec.graph.nodes.index(j)
                 src_mode = spec.subsystems[jpos].modes[modes[jpos]]
                 r0, r1 = src_mode.out_blocks[sub.id]
                 w[lo:hi] = src_mode.C[r0:r1] @ np.asarray(states[jpos], dtype=float)
