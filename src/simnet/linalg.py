@@ -10,6 +10,8 @@ for O(10) certificate matrices.
 
 ``radius_bracket`` works on an edge list and never forms the dense matrix;
 ``spectral_radius_dense`` (dense eigenvalues) is kept as its reference.
+``resolvent_solve`` solves (I - A') x = 1 on the same edge list by a
+Perron-deflated Neumann iteration; its dense solve is only a fallback.
 
 Each semidefinite decision, square root and operator norm has one kernel,
 ``*_batch``: it takes a (k, n, n) stack and makes one stacked numpy call per
@@ -291,6 +293,125 @@ def radius_bracket(
     out = np.empty(n)
     out[pattern.order] = v
     return RadiusBracket(lo, hi, out, iteration)
+
+
+# resolvent_solve: products with A or A' before the dense fallback, a
+# Perron iteration's last step (max-norm, on a vector of max 1), the radius
+# estimate below which nothing is deflated, the share of its sum that ends
+# a Neumann sum, and the residual target
+RESOLVENT_SWEEPS = 4000
+PERRON_STEP = 1e-14
+DEFLATE_ABOVE = 0.5
+NEUMANN_TAIL = 1e-6
+RESIDUAL_TARGET = 1e-8
+
+
+@dataclass(frozen=True)
+class ResolventSolution:
+    """x = (I - A')^-1 1 with ``residual`` = ||1 - x + A'x||_inf as
+    computed, which bounds the error componentwise: |x - x*| <= residual x*.
+    ``sweeps`` counts the products with A or A'; ``dense`` says that the
+    iteration gave up and x came from the dense fallback."""
+
+    x: np.ndarray
+    residual: float
+    sweeps: int
+    dense: bool
+
+
+def resolvent_solve(rows, cols, vals, n: int, v0=None) -> ResolventSolution:
+    """Solve (I - A') x = 1 for the nonnegative n x n matrix A with entries
+    ``vals`` at (rows[k], cols[k]) and rho(A) < 1, without forming A.
+
+    (I - A')^-1 = sum_k A'^k is nonnegative, so x >= 1.  Near rho = 1 that
+    sum converges too slowly, so the Perron pair is deflated: q with
+    A q = rho q (power iteration from ``v0``, a positive vector such as a
+    radius bracket's ``v`` on the same entries, or ones) and p with
+    A'p = rho p (from ones), both shifted by the current estimate as in
+    ``radius_bracket`` so that periodic matrices converge, each ending when
+    the step is at most PERRON_STEP; 1 - rho^ = q.(p - A'p) / q.p, one dot
+    of small terms, which keeps its relative accuracy near rho = 1.
+    Refinement then repeats, from x = 0: r = 1 - x + A'x, c = q.r / q.p and
+    x += c / (1 - rho^) p + sum_k A'^k (r - c p), the Neumann sum ending at
+    a term of at most NEUMANN_TAIL of the sum or of ||r||_inf, whichever is
+    larger (the sum is rounding noise when r lies along p), so the rest of
+    r converges at the rate of the second eigenvalue.  It stops at ||r||_inf <=
+    RESIDUAL_TARGET: since (I - A')^-1 >= 0 maps 1 to x*, that gives
+    |x - x*| <= ||r||_inf x* componentwise.  When p's radius estimate is at
+    most DEFLATE_ABOVE, nothing is deflated (c = 0): the plain sum is fast
+    there, and a nilpotent or defective matrix has no usable pair.  A
+    matrix without entries gives x = 1.
+
+    The one dense path: when RESOLVENT_SWEEPS products run out, a residual
+    does not halve between rounds or rho^ >= 1, x comes from
+    ``np.linalg.solve`` on the n x n system.  Matrices without a spectral
+    gap (a one-way ring) or with a -rho eigenvalue (bipartite ones) take it.
+    """
+    rows = np.asarray(rows, dtype=np.intp)
+    cols = np.asarray(cols, dtype=np.intp)
+    vals = np.asarray(vals, dtype=float)
+    ones = np.ones(n)
+    if vals.size == 0:
+        return ResolventSolution(ones, 0.0, 0, False)
+    sweeps = 0
+
+    def product(v, out_idx, in_idx):
+        nonlocal sweeps
+        sweeps += 1
+        return np.bincount(out_idx, vals * v[in_idx], minlength=n)
+
+    def perron(v, out_idx, in_idx):
+        # (vector of max 1, radius estimate), or None when the sweeps run out
+        v = v / v.max()
+        while sweeps < RESOLVENT_SWEEPS:
+            av = product(v, out_idx, in_idx)
+            est = av.max()
+            if est == 0.0:
+                return v, 0.0
+            w = av + est * v
+            w /= w.max()
+            if np.abs(w - v).max() <= PERRON_STEP:
+                return w, est
+            v = w
+        return None
+
+    right = perron(ones if v0 is None else np.asarray(v0, dtype=float), rows, cols)
+    left = None if right is None else perron(ones, cols, rows)
+    x = np.zeros(n)
+    if left is not None:
+        (q, _), (p, est) = right, left
+        qp = float(q @ p)
+        if est > DEFLATE_ABOVE and qp > 0.0:
+            q = q / qp
+            gap = float(q @ (p - product(p, cols, rows)))
+        else:
+            q, gap = np.zeros(n), 1.0
+        last = np.inf
+        while gap > 0.0:
+            r = ones - x + product(x, cols, rows)
+            residual = float(np.abs(r).max())
+            if residual <= RESIDUAL_TARGET:
+                return ResolventSolution(x, residual, sweeps, False)
+            if residual > 0.5 * last:
+                break
+            last = residual
+            c = float(q @ r)
+            term = r - c * p
+            total = term.copy()
+            while sweeps < RESOLVENT_SWEEPS:
+                term = product(term, cols, rows)
+                total += term
+                if np.abs(term).max() <= NEUMANN_TAIL * max(np.abs(total).max(), residual):
+                    break
+            else:
+                break
+            x += c / gap * p + total
+    system = np.zeros((n, n))
+    system[cols, rows] = -vals
+    system[np.arange(n), np.arange(n)] += 1.0
+    x = np.linalg.solve(system, ones)
+    r = ones - x + np.bincount(cols, vals * x[rows], minlength=n)
+    return ResolventSolution(x, float(np.abs(r).max()), sweeps, True)
 
 
 def _check_nonnegative(a) -> np.ndarray:

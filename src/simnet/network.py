@@ -847,6 +847,7 @@ class Layout:
         self.ids, self.sizes, self.what = tuple(ids), [int(n) for n in sizes], what
         self.off = _starts(self.sizes)
         self.size = int(self.off[-1])
+        self._bound = np.diff(self.off)  # ``sizes`` as an array, for select
 
     def stack(self, parts) -> np.ndarray:
         arrays = [np.asarray(p, dtype=float) for p in parts]
@@ -873,7 +874,7 @@ class Layout:
                 expected=len(self.ids), got=size,
             )
         index = _integers(index, self.what, self.ids)
-        bad = np.flatnonzero((index < 0) | (index >= self.sizes))
+        bad = np.flatnonzero((index < 0) | (index >= self._bound))
         if bad.size:
             node, value = self.ids[bad[0]], int(index[bad[0]])
             raise DimensionMismatchError(

@@ -67,6 +67,13 @@ def operator_from_dense(gamma, lam):
     )
 
 
+def dense_mu(op, lambda_inf):
+    """The weights at the given rate by the dense solve of (I - T') mu = 1,
+    T = Gamma (Lambda - lambda_inf I)^-1."""
+    t = dense_gamma(op) / (op.lam - lambda_inf)[None, :]
+    return np.linalg.solve(np.eye(op.n) - t.T, np.ones(op.n))
+
+
 def reference_gamma(spec, gains):
     """The mode-robust Gamma by the per-node, per-mode loop, as a dense array."""
     pos = {node: p for p, node in enumerate(spec.graph.nodes)}
@@ -498,6 +505,25 @@ def operator_with_psi(in_neighbors, psi_rows, lam=0.2):
     return build_gain_operator(g, graph_of(in_neighbors))
 
 
+def scalar_shaped_operator(n, weight_range, kappa_range, seed=5):
+    """bench/gen.py's scalar shape: 4 random in-neighbours per node, rho_int
+    weights and lam = kappa drawn from the given ranges, then every rho_int
+    scaled by one factor so that the radius of Psi is 0.8."""
+    rng = np.random.default_rng(seed)
+    in_n = [
+        sorted(int(j) + int(j >= i) for j in rng.choice(n - 1, 4, replace=False))
+        for i in range(n)
+    ]
+    weights, kappa = rng.uniform(*weight_range, n), rng.uniform(*kappa_range, n)
+    graph = graph_of(in_n)
+
+    def op_at(scale):
+        g = [gains(lam=float(k), rho_int=float(scale * w)) for w, k in zip(weights, kappa)]
+        return build_gain_operator(g, graph)
+
+    return op_at(0.8 / check_small_gain(op_at(1.0)).radius_or_bound)
+
+
 def decide_against_dense(op, tol=None):
     """check_small_gain's verdict and bracket against the dense eigenvalues
     of Psi; the 1e-12 slack is the eigenvalue reference's own rounding,
@@ -566,23 +592,8 @@ class TestSparseSmallGain:
         assert res.lower == res.radius_or_bound == 0.0 and res.satisfied
 
     def test_wide_gain_thousand_node_operator_composes(self):
-        # bench/gen.py's scalar shape with its wide ranges: rho_int weights
-        # in [0.1, 3.0], kappa in [0.05, 0.5], 4 random in-neighbours
-        n = 1000
-        rng = np.random.default_rng(5)
-        in_n = [
-            sorted(int(j) + int(j >= i) for j in rng.choice(n - 1, 4, replace=False))
-            for i in range(n)
-        ]
-        weights, kappa = rng.uniform(0.1, 3.0, n), rng.uniform(0.05, 0.5, n)
-        graph = graph_of(in_n)
-
-        def op_at(scale):
-            g = [gains(lam=float(k), rho_int=float(scale * w)) for w, k in zip(weights, kappa)]
-            return build_gain_operator(g, graph)
-
-        unit = check_small_gain(op_at(1.0)).radius_or_bound
-        op = op_at(0.8 / unit)
+        # bench/gen.py's scalar shape with its wide ranges
+        op = scalar_shaped_operator(1000, (0.1, 3.0), (0.05, 0.5))
         res, dense = decide_against_dense(op)
         assert res.satisfied and dense == pytest.approx(0.8, rel=1e-6)
         core = construct_mu(op, small_gain=res)
@@ -621,3 +632,55 @@ class TestSparseSmallGain:
         assert res.radius_or_bound - res.lower <= 1e-8 * res.radius_or_bound
         assert elapsed < 1.0
         assert peak < 20e6  # an n x n float array alone is 800 MB
+
+
+class TestSparseWeights:
+    """construct_mu's weights from the sparse resolvent solve: the dense
+    solve's answer at the same rate, without an n x n array."""
+
+    def test_one_way_ring_composes_with_the_dense_answer(self):
+        # no spectral gap: the solve takes its dense fallback
+        rng = np.random.default_rng(1)
+        psi = rng.uniform(0.3, 1.6, 101)
+        psi *= 0.8 / np.exp(np.log(psi).mean())
+        op = operator_with_psi([[(i - 1) % 101] for i in range(101)], psi)
+        core = construct_mu(op)
+        np.testing.assert_allclose(core.mu, dense_mu(op, core.lambda_inf), rtol=1e-9)
+
+    def test_two_node_chain_composes_with_the_dense_answer(self):
+        op = build_gain_operator(
+            [gains(lam=0.5, rho_int=0.1), gains(lam=0.4, rho_int=0.15)], chain_graph()
+        )
+        core = construct_mu(op)
+        np.testing.assert_allclose(core.mu, dense_mu(op, core.lambda_inf), rtol=1e-9)
+
+    @staticmethod
+    def peak_of_construct_mu(op):
+        """construct_mu's result and tracemalloc peak, with the small-gain
+        check (and the operator's component split) done before."""
+        import tracemalloc
+
+        res = check_small_gain(op)
+        tracemalloc.start()
+        try:
+            core = construct_mu(op, small_gain=res)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return core, peak
+
+    def test_three_thousand_node_operator_in_small_memory(self):
+        # bench/gen.py's scalar shape and ranges
+        op = scalar_shaped_operator(3000, (0.8, 1.2), (0.25, 0.35))
+        core, peak = self.peak_of_construct_mu(op)
+        assert peak < 10e6  # an n x n float array alone is 72 MB
+        np.testing.assert_allclose(core.mu, dense_mu(op, core.lambda_inf), rtol=1e-9)
+
+    def test_uniform_ten_thousand_node_ring_in_small_memory(self):
+        n = 10_000
+        op = operator_with_psi([[(i - 1) % n, (i + 1) % n] for i in range(n)], np.full(n, 0.4))
+        core, peak = self.peak_of_construct_mu(op)
+        assert peak < 20e6  # an n x n float array alone is 800 MB
+        # uniform T' maps ones to rho ones: mu = 1 / (1 - rho)
+        rho = 2 * 0.4 * 0.2 / (0.2 - core.lambda_inf)
+        np.testing.assert_allclose(core.mu, 1.0 / (1.0 - rho), rtol=1e-9)

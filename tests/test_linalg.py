@@ -17,6 +17,7 @@ from simnet import (
     solve_linear_least_squares,
     spectral_radius_dense,
 )
+from simnet.linalg import RESIDUAL_TARGET, resolvent_solve
 
 # the swing-benchmark certificate matrix, used as a frozen operand
 M_BENCH = np.array([[11.20, 12.50], [12.50, 17.83]])
@@ -255,6 +256,100 @@ class TestRadiusBracket:
         quick = bracket(mat, threshold=2.0 * dense, early_exit=True)
         assert quick.hi < 2.0 * dense
         assert quick.iterations < bracket(mat).iterations
+
+
+def scaled_to(rows, cols, vals, n, radius):
+    """The entries scaled so that the matrix has the given spectral radius
+    (to the bracket's 1e-11 relative width), and the bracket's vector."""
+    b = radius_bracket(edge_pattern(rows, cols, n), vals, TIGHT)
+    return vals * (radius / b.hi), b.v
+
+
+def resolvent_reference(rows, cols, vals, n):
+    """(I - A')^-1 1 by a dense solve."""
+    system = np.eye(n)
+    system[cols, rows] -= vals
+    return np.linalg.solve(system, np.ones(n))
+
+
+def scalar_shaped(n=3000, fan_in=4, seed=5):
+    """bench/gen.py's scalar shape: every node reads fan_in random others."""
+    rng = np.random.default_rng(seed)
+    rows = np.repeat(np.arange(n), fan_in)
+    cols = np.concatenate(
+        [(i + 1 + rng.choice(n - 1, fan_in, replace=False)) % n for i in range(n)]
+    )
+    return rows, cols, rng.uniform(0.1, 3.0, n * fan_in)
+
+
+def bipartite_shaped(seed=2):
+    """Two sides that read only each other: eigenvalues come in +-pairs."""
+    rng = np.random.default_rng(seed)
+    left, right = np.arange(20), np.arange(20, 50)
+    rows = np.repeat(np.arange(50), 3)
+    cols = np.concatenate(
+        [rng.choice(right, 3, replace=False) for _ in left]
+        + [rng.choice(left, 3, replace=False) for _ in right]
+    )
+    return rows, cols, rng.uniform(0.1, 0.5, 150)
+
+
+def chain_cycle_tail(seed=3):
+    """A 10-node chain feeding a 3-cycle with a chord (cycles of length 2
+    and 3, so not periodic) feeding a 2-node tail."""
+    in_n = [[]] + [[i - 1] for i in range(1, 10)] + [[9, 12], [10], [10, 11], [12], [13]]
+    rows = np.array([i for i, js in enumerate(in_n) for _ in js])
+    cols = np.array([j for js in in_n for j in js])
+    return rows, cols, np.random.default_rng(seed).uniform(0.5, 3.0, rows.size)
+
+
+class TestResolventSolve:
+    @pytest.mark.parametrize("radius", [0.9, 1.0 - 1e-6])
+    @pytest.mark.parametrize(
+        "shape, n",
+        [(scalar_shaped, 3000), (bipartite_shaped, 50), (chain_cycle_tail, 15)],
+    )
+    def test_agrees_with_the_dense_solve(self, shape, n, radius):
+        rows, cols, vals = shape()
+        vals, v = scaled_to(rows, cols, vals, n, radius)
+        sol = resolvent_solve(rows, cols, vals, n, v)
+        ref = resolvent_reference(rows, cols, vals, n)
+        np.testing.assert_allclose(sol.x, ref, rtol=1e-9, atol=0.0)
+        # the reported residual is the returned x's, and bounds its error
+        # componentwise, up to the reference's own rounding
+        r = 1.0 - sol.x + np.bincount(cols, vals * sol.x[rows], minlength=n)
+        assert np.abs(r).max() == sol.residual <= RESIDUAL_TARGET
+        assert np.all(np.abs(sol.x - ref) <= (sol.residual + 1e-12) * ref)
+
+    def test_scalar_shape_stays_sparse(self):
+        rows, cols, vals = scalar_shaped()
+        vals, v = scaled_to(rows, cols, vals, 3000, 1.0 - 1e-6)
+        sol = resolvent_solve(rows, cols, vals, 3000, v)
+        assert not sol.dense
+        assert sol.sweeps < 1000
+
+    def test_without_entries_all_ones(self):
+        empty = np.zeros(0, dtype=np.intp)
+        sol = resolvent_solve(empty, empty, np.zeros(0), 4)
+        np.testing.assert_array_equal(sol.x, np.ones(4))
+        assert sol.residual == 0.0 and sol.sweeps == 0 and not sol.dense
+
+    def test_nilpotent_chain_is_exact(self):
+        # 0 -> 1 -> 2 -> 3: A' x = 1 - x has the finite Neumann sum
+        rows, cols, vals = np.array([1, 2, 3]), np.array([0, 1, 2]), np.array([2.0, 3.0, 0.5])
+        sol = resolvent_solve(rows, cols, vals, 4)
+        np.testing.assert_allclose(sol.x, resolvent_reference(rows, cols, vals, 4), rtol=1e-15)
+        assert not sol.dense
+
+    def test_one_way_ring_falls_back_to_dense(self):
+        # every eigenvalue has modulus rho: no gap to iterate on
+        n = 101
+        rows, cols = np.arange(n), (np.arange(n) - 1) % n
+        vals = np.random.default_rng(1).uniform(0.3, 1.6, n)
+        vals *= (1.0 - 1e-6) / np.exp(np.log(vals).mean())  # radius: geometric mean
+        sol = resolvent_solve(rows, cols, vals, n)
+        assert sol.dense
+        np.testing.assert_allclose(sol.x, resolvent_reference(rows, cols, vals, n), rtol=1e-12)
 
 
 class TestLeastSquares:
