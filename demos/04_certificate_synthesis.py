@@ -1,9 +1,10 @@
 """Synthesize a certificate for a switched system from scratch.
 
 Given only the mode dynamics and stabilizing feedback gains, the toolkit
-can construct a common certificate matrix by a Lyapunov-type fixed-point
-iteration (conservative: a common matrix for all modes) and then solve the
-structural equations for the abstraction maps.  The result is a complete,
+can construct a common certificate matrix as the fixed point of a
+Lyapunov-type Stein equation, found by one linear solve (conservative: a
+common matrix for all modes), and then solve the structural equations for
+the abstraction maps.  The result is a complete,
 verified certificate - no semidefinite-programming solver involved.
 
 Run from the repository root:  python3 demos/04_certificate_synthesis.py
@@ -43,7 +44,7 @@ concrete = SwitchedLinearSubsystem(
     ],
 )
 
-print("synthesizing a common certificate matrix (fixed-point iteration)...")
+print("synthesizing a common certificate matrix (one Stein-equation solve)...")
 big_m = synthesize_certificate_matrix(concrete, k_modes, kappa)
 print("M =\n", np.array_str(big_m.entries, precision=4))
 print("eigenvalues:", np.round(np.linalg.eigvalsh(big_m.entries), 4))

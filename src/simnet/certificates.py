@@ -767,9 +767,12 @@ def check_dissipation_sampled(
     pointwise with slack 1e-9 * (1 + |V|); a NaN slack counts as a
     violation.  Slack is reported so that negative means satisfied; the
     worst case is the max over samples, where a NaN slack ranks above every
-    number, and the witness is the worst violating sample.  Both subsystems
-    and the certificate's fit are checked first (see ``_fitted``).
+    number, and the witness is the worst violating sample.  ``samples``
+    must be positive; both subsystems and the certificate's fit are checked
+    first (see ``_fitted``).
     """
+    if samples < 1:
+        raise DimensionMismatchError(f"samples must be positive, got {samples}")
     _fitted([(cert, concrete, abstract_sub)])
     if gains is None:
         gains = derive_gains(cert, concrete, abstract_sub, tol)
@@ -834,13 +837,18 @@ def synthesize_certificate_matrix(
     kappa: float,
     tol: ToleranceProfile = DEFAULT_TOL,
 ) -> SymMatrix:
-    """Conservative mode-independent certificate matrix by fixed-point iteration.
+    """Conservative mode-independent certificate matrix from one linear solve.
 
-    Iterates M <- sum_s C_s'C_s + sum_s Ft_s' M Ft_s with the scaled closed
-    loops Ft_s = sqrt(3/(1-kappa)) (A_s + B_s K_s).  Convergence yields a
-    common M verifying both matrix conditions with margin; divergence means
-    this sufficient-only scheme fails, not that no certificate exists.
-    The subsystem is checked first (see ``_check_subsystems``).
+    M solves the Stein equation M = sum_s C_s'C_s + sum_s Ft_s' M Ft_s with
+    the scaled closed loops Ft_s = sqrt(3/(1-kappa)) (A_s + B_s K_s), taken
+    as (I - S) vec M = vec sum_s C_s'C_s with the n^2 x n^2 Stein operator
+    S = sum_s Ft_s' (x) Ft_s'.  The fixed point exists (and iterating the
+    equation converges to it) exactly when rho(S) < 1; otherwise, or when S
+    or sum_s C_s'C_s overflows, a ConvergenceError carries ``radius`` (inf
+    on overflow).  That means this sufficient-only scheme fails, not that no
+    certificate exists.  The subsystem is checked first (see
+    ``_check_subsystems``), then each K_s is m x n and finite; the result is
+    re-checked against both matrix conditions with margin.
     """
     _check_subsystems((concrete,))
     if not (0.0 < kappa < 1.0):
@@ -850,39 +858,31 @@ def synthesize_certificate_matrix(
         raise DimensionMismatchError(
             f"need one feedback gain per mode ({concrete.n_modes}), got {len(ks)}"
         )
-    scale = np.sqrt(3.0 / (1.0 - kappa))
-    loops = [
-        scale * (concrete.modes[s].A + concrete.modes[s].B @ ks[s])
-        for s in range(concrete.n_modes)
-    ]
-    base = sum(m.C.T @ m.C for m in concrete.modes)
-    m_cur = base.copy()
-    cap = 1e12 * (1.0 + float(np.abs(base).max()))
-    for _ in range(tol.iter_max):
-        m_next = base + sum(f.T @ m_cur @ f for f in loops)
-        change = float(np.abs(m_next - m_cur).max())
-        if not np.isfinite(change) or float(np.abs(m_next).max()) > cap:
-            raise ConvergenceError(
-                "certificate-matrix iteration diverged (joint spectral condition "
-                "fails for this conservative scheme); this does not prove that no "
-                "certificate exists",
-                growth=float(np.abs(m_next).max()),
-            )
-        m_cur = m_next
-        if change < tol.eig_tol * (1.0 + float(np.abs(m_cur).max())):
-            break
-    else:
+    n = concrete.n
+    for s, k in enumerate(ks):
+        if k.shape != (concrete.m, n):
+            raise DimensionMismatchError(f"K[{s}] must be {concrete.m}x{n}", mode=s)
+        if not np.isfinite(k).all():
+            raise SchemaError(f"{_where(concrete.id, s)}: matrix K has non-finite entries",
+                              node=concrete.id, mode=s, matrix="K")
+    with np.errstate(over="ignore", invalid="ignore"):
+        closed = np.array([mode.A + mode.B @ k for mode, k in zip(concrete.modes, ks)])
+        grams = np.array([mode.C.T @ mode.C for mode in concrete.modes])
+        base = grams.sum(axis=0)
+        loops = np.sqrt(3.0 / (1.0 - kappa)) * closed  # S[ik, jl] = sum_s Ft_s[j, i] Ft_s[l, k]
+        stein = np.einsum("sji,slk->ikjl", loops, loops).reshape(n * n, n * n)
+    finite = np.isfinite(stein).all() and np.isfinite(base).all()
+    radius = float(np.abs(np.linalg.eigvals(stein)).max()) if finite else np.inf
+    if not radius < 1.0:
         raise ConvergenceError(
-            f"certificate-matrix iteration did not settle within {tol.iter_max} "
-            f"iterations",
-            iter_max=tol.iter_max,
+            f"certificate-matrix Stein operator has spectral radius {radius:.6g} >= 1: this "
+            "conservative scheme fails, which does not prove that no certificate exists",
+            radius=radius,
         )
-    result = SymMatrix(m_cur)
+    result = SymMatrix(np.linalg.solve(np.eye(n * n) - stein, base.ravel()).reshape(n, n))
     m = result.entries[None]
-    grams = _sym(np.array([mode.C.T @ mode.C for mode in concrete.modes]))
-    closed = np.array(loops) / scale
     checks = (
-        ("output dominance", psd_margin_batch(grams, m)),
+        ("output dominance", psd_margin_batch(_sym(grams), m)),
         ("the decay condition", psd_margin_batch(
             _sym(3.0 * np.swapaxes(closed, -1, -2) @ m @ closed), (1.0 - kappa) * m)),
     )
@@ -917,27 +917,42 @@ def solve_structural(
     Per mode, Q_s and T_s are minimum-norm least-squares solutions of
     B_s Q = P Ahat_s - A_s P and B_s T = P Dhat_s - D_s; a residual above
     eig_tol * (1 + max|A_s|), or NaN, means the abstraction is infeasible
-    for this P.  The subsystem is checked first (see ``_check_subsystems``).
+    for this P.  The subsystem is checked first (see ``_check_subsystems``),
+    then the operand shapes: P n x nhat, Ahat_s nhat x nhat, Bhat_s with
+    nhat rows, Dhat_s nhat x w and the weight n x n (a misfit raises
+    DimensionMismatchError naming the mode and the matrix).
     Chat_s = C_s P always; R_s is the weight-optimal interface gain
     (BMB)^-1 BMP Bhat minimizing the external-input mismatch (identity
     weight when none is given).  Dhat defaults to zero (fully decoupled
     abstraction).
     """
     _check_subsystems((concrete,))
+    n, r = concrete.n, concrete.n_modes
     p = np.asarray(P, dtype=float)
-    n_hat = p.shape[1]
-    r = concrete.n_modes
+    if p.ndim != 2 or p.shape[0] != n:
+        raise DimensionMismatchError(f"P must have {n} rows, got shape {p.shape}", matrix="P")
+    n_hat, width = p.shape[1], concrete.internal_width
     a_hats = _per_mode(abstract_A, r)
     b_hats = _per_mode(abstract_B, r)
     if abstract_D is None:
-        d_hats = [np.zeros((n_hat, concrete.internal_width))] * r
+        d_hats = [np.zeros((n_hat, width))] * r
     else:
         d_hats = [np.asarray(d, dtype=float) for d in _per_mode(abstract_D, r)]
     weights = (
-        [np.eye(concrete.n)] * r
+        [np.eye(n)] * r
         if weight is None
         else [np.asarray(w) for w in _per_mode(weight, r)]
     )
+    for name, family, rows, cols in (
+        ("Ahat", a_hats, n_hat, n_hat), ("Bhat", b_hats, n_hat, None),
+        ("Dhat", d_hats, n_hat, width), ("weight", weights, n, n),
+    ):
+        for s, a in enumerate(family):
+            if a.ndim != 2 or a.shape[0] != rows or cols not in (None, a.shape[1]):
+                size = f"have {rows} rows" if cols is None else f"be {rows}x{cols}"
+                raise DimensionMismatchError(
+                    f"{name}[{s}] must {size}, got shape {a.shape}", mode=s, matrix=name
+                )
     qs, ts, c_hats, rs = [], [], [], []
     for s in range(r):
         cm = concrete.modes[s]

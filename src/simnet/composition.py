@@ -499,7 +499,10 @@ def check_composed_dissipation(
 
     with slack 1e-9 * (1 + V); a NaN slack counts as a violation and ranks
     above every number, and the witness is the worst violating sample.
+    ``samples`` must be positive.
     """
+    if samples < 1:
+        raise DimensionMismatchError(f"samples must be positive, got {samples}")
     certs = composed.certificates
     if spec.abstract_subsystems is None:
         raise CompositionError("composed dissipation needs declared abstract subsystems")

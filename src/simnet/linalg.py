@@ -36,8 +36,7 @@ class ToleranceProfile:
               until hi - lo <= eig_tol * hi; also the residual target of the
               structural checks
     iter_max  iteration budget of the radius bracket (a bracket that still
-              straddles its decision threshold then raises) and of the
-              certificate-matrix fixed point
+              straddles its decision threshold then raises)
     """
 
     psd_tol: float = 1e-8

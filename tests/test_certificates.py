@@ -562,6 +562,13 @@ class TestDissipationSampled:
         report = check_dissipation_sampled(cert, concrete, abstract, samples=500, seed=1)
         assert report.ok
 
+    @pytest.mark.parametrize("samples", [0, -1])
+    def test_no_samples_rejected(self, swing_cert, swing_pair, samples):
+        # zero samples used to raise numpy's "argmax of an empty sequence"
+        concrete, abstract = swing_pair
+        with pytest.raises(DimensionMismatchError, match=f"samples must be positive, got {samples}"):
+            check_dissipation_sampled(swing_cert, concrete, abstract, samples=samples)
+
     @pytest.mark.parametrize("modes", [1, 3])
     def test_misfit_certificate_rejected_with_given_gains(self, swing_pair, swing_cert,
                                                           swing_gains, modes):
@@ -586,30 +593,97 @@ class TestDissipationSampled:
             assert report.ok, report.witness
 
 
+def scalar_node(a, c=1.0, b=0.0):
+    return SwitchedLinearSubsystem(0, [
+        Mode(A=[[a]], B=[[b]], C=[[c]], D=np.zeros((1, 0)), out_blocks={0: (0, 1)}, in_blocks={})
+    ])
+
+
+def stein_loop(concrete, ks, kappa):
+    """Reference fixed point: iterate the Stein equation to a 1e-15 relative step."""
+    loops = [np.sqrt(3.0 / (1.0 - kappa)) * (mode.A + mode.B @ k)
+             for mode, k in zip(concrete.modes, ks)]
+    base = sum(mode.C.T @ mode.C for mode in concrete.modes)
+    m = base
+    for _ in range(10_000):
+        m, prev = base + sum(f.T @ m @ f for f in loops), m
+        if np.abs(m - prev).max() <= 1e-15 * np.abs(m).max():
+            return m
+    raise AssertionError("reference loop did not settle")
+
+
 class TestSynthesizeCertificateMatrix:
     def test_scalar_fixed_point(self):
         # geometric series: M = 1 / (1 - 3 a^2 / (1 - kappa)) at a = 0.25
-        concrete = SwitchedLinearSubsystem(
-            0,
-            [
-                Mode(A=[[0.25]], B=[[0.0]], C=[[1.0]], D=np.zeros((1, 0)),
-                     out_blocks={0: (0, 1)}, in_blocks={})
-            ],
-        )
-        m = synthesize_certificate_matrix(concrete, [np.zeros((1, 1))], kappa=0.2)
-        # fixed-point accuracy is eig_tol / (1 - contraction) ~ 1.3e-8
-        assert float(m.entries[0, 0]) == pytest.approx(64.0 / 49.0, abs=1e-7)
+        m = synthesize_certificate_matrix(scalar_node(0.25), [np.zeros((1, 1))], kappa=0.2)
+        assert float(m.entries[0, 0]) == pytest.approx(64.0 / 49.0, rel=1e-12)
+
+    def test_small_matrix_is_exact(self):
+        # an absolute step test stopped about 7e-4 short of this fixed point
+        m = synthesize_certificate_matrix(scalar_node(0.25, c=1e-3), [np.zeros((1, 1))], kappa=0.2)
+        assert float(m.entries[0, 0]) == pytest.approx(1e-6 * 64.0 / 49.0, rel=1e-12)
 
     def test_unstable_loop_diverges(self):
-        concrete = SwitchedLinearSubsystem(
-            0,
-            [
-                Mode(A=[[1.1]], B=[[0.0]], C=[[1.0]], D=np.zeros((1, 0)),
-                     out_blocks={0: (0, 1)}, in_blocks={})
-            ],
+        with pytest.raises(ConvergenceError) as err:
+            synthesize_certificate_matrix(scalar_node(1.1), [np.zeros((1, 1))], kappa=0.2)
+        # the Stein operator is the scalar 3 a^2 / (1 - kappa)
+        assert err.value.details["radius"] == pytest.approx(3 * 1.1**2 / 0.8, rel=1e-12)
+
+    # 3 a^2 / (1 - kappa) = 1 +- 1e-3 at kappa = 0.2: a tolerance-stopped loop
+    # ran out of iterations on both sides of radius one
+    def test_radius_just_above_one_is_refused(self):
+        a = np.sqrt((1.0 + 1e-3) * 0.8 / 3.0)
+        with pytest.raises(ConvergenceError) as err:
+            synthesize_certificate_matrix(scalar_node(a), [np.zeros((1, 1))], kappa=0.2)
+        assert err.value.details["radius"] > 1.0
+
+    def test_radius_just_below_one_is_solved(self):
+        a = np.sqrt((1.0 - 1e-3) * 0.8 / 3.0)
+        m = synthesize_certificate_matrix(scalar_node(a), [np.zeros((1, 1))], kappa=0.2)
+        assert float(m.entries[0, 0]) == pytest.approx(1.0 / (1.0 - 3.0 * a * a / 0.8), rel=1e-10)
+
+    def test_random_node_matches_the_iteration(self):
+        rng = np.random.default_rng(11)
+        n, m, r, kappa = 3, 2, 3, 0.3
+        a, b, ks = (rng.standard_normal((r, n, n)), rng.standard_normal((r, n, m)),
+                    rng.standard_normal((r, m, n)))
+        # sum_s ||Ft_s||^2 = 0.6 bounds the Stein operator's norm below one
+        size = sum(np.linalg.norm(a[s] + b[s] @ ks[s], 2) ** 2 for s in range(r))
+        c = np.sqrt(0.6 * (1.0 - kappa) / (3.0 * size))
+        a, ks = c * a, c * ks  # scales every closed loop by c
+        concrete = SwitchedLinearSubsystem(0, [
+            Mode(A=a[s], B=b[s], C=rng.standard_normal((2, n)), D=np.zeros((n, 0)),
+                 out_blocks={0: (0, 2)}, in_blocks={})
+            for s in range(r)
+        ])
+        got = synthesize_certificate_matrix(concrete, list(ks), kappa).entries
+        want = stein_loop(concrete, ks, kappa)
+        assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
+
+    def test_overflowing_operands_do_not_converge(self):
+        # finite entries whose Stein operator overflows; RuntimeWarning is an error here
+        with pytest.raises(ConvergenceError) as err:
+            synthesize_certificate_matrix(scalar_node(0.25, b=1.0), [np.array([[1e200]])], 0.2)
+        assert err.value.details == {"radius": np.inf}
+
+    def test_feedback_gain_shape_checked(self, swing_cert, swing_pair):
+        concrete, _ = swing_pair
+        ks = [swing_cert.K[0], np.zeros((2, 2))]
+        with pytest.raises(DimensionMismatchError, match=r"K\[1\] must be 1x2") as err:
+            synthesize_certificate_matrix(concrete, ks, kappa=0.2)
+        assert err.value.details == {"mode": 1}
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_feedback_gain_finiteness_checked(self, swing_cert, swing_pair, bad):
+        # a NaN gain used to be reported as a diverged iteration
+        concrete, _ = swing_pair
+        ks = [swing_cert.K[0], np.array([[0.0, bad]])]
+        with pytest.raises(SchemaError) as err:
+            synthesize_certificate_matrix(concrete, ks, kappa=0.2)
+        assert (str(err.value), err.value.details) == (
+            "certificate for node 0 mode 1: matrix K has non-finite entries",
+            {"node": 0, "mode": 1, "matrix": "K"},
         )
-        with pytest.raises(ConvergenceError):
-            synthesize_certificate_matrix(concrete, [np.zeros((1, 1))], kappa=0.2)
 
     def test_swing_feedback_converges_and_verifies(self, swing_cert, swing_pair):
         concrete, abstract = swing_pair
@@ -697,6 +771,28 @@ class TestSolveStructural:
                 np.eye(2), abstract_B=np.zeros((2, 1)),
             )
         assert err.value.details["equation"] == "state"
+
+    @pytest.mark.parametrize("operand, value, message, details", [
+        ("P", [[1.0], [0.5], [0.0]], "P must have 2 rows, got shape (3, 1)", {"matrix": "P"}),
+        ("abstract_A", [[1.0, 0.0]], "Ahat[0] must be 1x1, got shape (1, 2)",
+         {"mode": 0, "matrix": "Ahat"}),
+        ("abstract_B", [[1.0], [0.0]], "Bhat[0] must have 1 rows, got shape (2, 1)",
+         {"mode": 0, "matrix": "Bhat"}),
+        ("abstract_D", [[0.0, 0.0]], "Dhat[0] must be 1x1, got shape (1, 2)",
+         {"mode": 0, "matrix": "Dhat"}),
+        ("weight", np.eye(3), "weight[0] must be 2x2, got shape (3, 3)",
+         {"mode": 0, "matrix": "weight"}),
+    ])
+    def test_operand_shapes_checked(self, swing_params, swing_pair, operand, value,
+                                    message, details):
+        # these used to raise numpy's ValueError or be broadcast into a 2x2 Q or T
+        concrete, _ = swing_pair
+        c = swing_params.c
+        args = {"abstract_A": [[c]], "P": [[1.0], [c - 1.0]], "abstract_B": [[0.5]],
+                "weight": M_BENCH, operand: value}
+        with pytest.raises(DimensionMismatchError) as err:
+            solve_structural(concrete, **args)
+        assert (str(err.value), err.value.details) == (message, details)
 
 
 class TestCertificateIO:

@@ -6,6 +6,7 @@ import pytest
 
 from simnet import (
     CompositionError,
+    DimensionMismatchError,
     GainOperator,
     InterconnectionGraph,
     LocalGains,
@@ -369,6 +370,13 @@ class TestComposedDissipation:
         spec, cert, g, composed = decoupled_tight_node()
         report = check_composed_dissipation(composed, spec, samples=200, seed=0)
         assert report.ok, report.witness
+
+    @pytest.mark.parametrize("samples", [0, -1])
+    def test_no_samples_rejected(self, samples):
+        # zero samples used to pass with worst_slack -inf, on no evidence
+        spec, _, _, composed = decoupled_tight_node()
+        with pytest.raises(DimensionMismatchError, match=f"samples must be positive, got {samples}"):
+            check_composed_dissipation(composed, spec, samples=samples)
 
     def test_swing_ring_synchronized_passes(self, swing_params):
         from simnet import generate_ring_network
