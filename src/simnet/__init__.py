@@ -79,7 +79,6 @@ _EXPORTS = {
         "Mode",
         "NetworkSpec",
         "SwitchedLinearSubsystem",
-        "SwitchingSignal",
         "load_network",
         "network_to_json",
         "parse_network",

@@ -68,6 +68,7 @@ from .linalg import (
     principal_sqrt_batch,
     psd_margin_batch,
     solve_linear_least_squares,
+    symmetrized,
 )
 from .network import (
     Layout,
@@ -249,7 +250,7 @@ def _semidefinite(ms, side: np.ndarray, finite: np.ndarray):
         idx = np.flatnonzero(side == dim)
         stack = np.array([ms[i] for i in idx.tolist()], dtype=float).reshape(-1, dim, dim)
         stack = np.where(finite[idx, None, None], stack, 0.0)
-        stack = 0.5 * (stack + np.swapaxes(stack, -1, -2))
+        stack = symmetrized(stack)
         stack.flags.writeable = False
         eigs = np.linalg.eigvalsh(stack)
         lam_min[idx], scale[idx] = eigs[:, 0], 1.0 + np.abs(eigs).max(axis=1)
@@ -543,16 +544,16 @@ def _verify_group(items, r: int, widths: np.ndarray, tol: ToleranceProfile):
         rows = np.flatnonzero(row_width == width)
         c = np.array([modes[i].C for i in rows.tolist()])
         c_hat = np.array([abstract[i].C for i in rows.tolist()])
-        gram[rows] = _sym(np.swapaxes(c, -1, -2) @ c)
+        gram[rows] = symmetrized(np.swapaxes(c, -1, -2) @ c)
         if c_hat.size:
             match[rows] = _max_abs(c @ p[rows] - c_hat)
     psd, psd_scale = psd_margin_batch(gram, ms)
 
     # decay over the admissible pairs (s, s2)
     loops = (a + b @ ks)[now]
-    lhs = _sym(3.0 * np.swapaxes(loops, -1, -2) @ ms[nxt] @ loops)
+    lhs = symmetrized(3.0 * np.swapaxes(loops, -1, -2) @ ms[nxt] @ loops)
     rate = 1.0 - kappa[pair_item]
-    decay, decay_scale = psd_margin_batch(lhs, _sym(rate[:, None, None] * ms[now]))
+    decay, decay_scale = psd_margin_batch(lhs, symmetrized(rate[:, None, None] * ms[now]))
 
     # structure
     state = _max_abs(a @ p - p @ a_hat + b @ qs)
@@ -626,11 +627,6 @@ def _report(name: str, check) -> VerificationReport:
         margin = {key: float(value[row]) for key, _, value, _ in check[2]}
         margins[label] = margin.get(None, margin)
     return VerificationReport(not failures, name, failures, margins)
-
-
-def _sym(a: np.ndarray) -> np.ndarray:
-    """Symmetrize a stack as SymMatrix does."""
-    return 0.5 * (a + np.swapaxes(a, -1, -2))
 
 
 def _max_abs(a: np.ndarray) -> np.ndarray:
@@ -882,9 +878,9 @@ def synthesize_certificate_matrix(
     result = SymMatrix(np.linalg.solve(np.eye(n * n) - stein, base.ravel()).reshape(n, n))
     m = result.entries[None]
     checks = (
-        ("output dominance", psd_margin_batch(_sym(grams), m)),
+        ("output dominance", psd_margin_batch(symmetrized(grams), m)),
         ("the decay condition", psd_margin_batch(
-            _sym(3.0 * np.swapaxes(closed, -1, -2) @ m @ closed), (1.0 - kappa) * m)),
+            symmetrized(3.0 * np.swapaxes(closed, -1, -2) @ m @ closed), (1.0 - kappa) * m)),
     )
     for s in range(concrete.n_modes):
         for what, (margin, size) in checks:

@@ -42,7 +42,9 @@ def main(argv) -> int:
 
 
 def _apply_thread_cap() -> None:
-    """SIMNET_THREADS caps worker threads (0 = automatic).
+    """SIMNET_THREADS caps worker threads (0 = automatic): each BLAS thread
+    variable becomes the smaller of its integer value and the cap, and one
+    that is unset or not a positive integer becomes the cap.
 
     Results are order-independent and deterministic at any cap; this only
     bounds the BLAS pool.
@@ -60,7 +62,11 @@ def _apply_thread_cap() -> None:
         return
     if threads > 0:
         for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ.setdefault(var, str(threads))
+            try:
+                preset = int(os.environ.get(var, ""))
+            except ValueError:
+                preset = threads
+            os.environ[var] = str(min(preset, threads) if preset >= 1 else threads)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -248,24 +254,22 @@ def _compose(spec, certs, verified, tol):
 def _cmd_compose(args) -> int:
     spec, certs, verified = _verified_pair(args)
     if verified.failures:
-        _emit({"command": "compose", "ok": False, "nodes": _node_rows(verified)})
+        report = {"command": "compose", "ok": False, "nodes": _node_rows(verified)}
         print("verification failed; not composing", file=sys.stderr)
-        return 1
-    report, _, degenerate = _compose(spec, certs, verified, args.tol)
-    if degenerate is not None:
-        _emit(report)
-        return 1
-    if args.out:
+    else:
+        report, _, degenerate = _compose(spec, certs, verified, args.tol)
+        if degenerate is None:
+            print(
+                f"small gain: {'satisfied' if report['satisfied'] else 'NOT satisfied'} "
+                f"(radius/bound {report['radius_or_bound']:.6f})",
+                file=sys.stderr,
+            )
+    if args.out:  # the report printed below, whatever the verdict
         with open(args.out, "w", encoding="utf-8") as fh:
             json.dump(report, fh, sort_keys=True, indent=1)
             fh.write("\n")
-    print(
-        f"small gain: {'satisfied' if report['satisfied'] else 'NOT satisfied'} "
-        f"(radius/bound {report['radius_or_bound']:.6f})",
-        file=sys.stderr,
-    )
     _emit(report)
-    return 0 if report["satisfied"] else 1
+    return 0 if report.get("satisfied") else 1
 
 
 def _composed_from_files(args, tol):
@@ -289,8 +293,13 @@ def _cmd_simulate(args) -> int:
     import numpy as np
 
     from .errors import SchemaError
-    from .network import SwitchingSignal
-    from .simulate import check_trajectory_bound, check_V_decrease, export_run, simulate_lockstep
+    from .simulate import (
+        _synchronized,
+        check_trajectory_bound,
+        check_V_decrease,
+        export_run,
+        simulate_lockstep,
+    )
 
     tol = args.tol
     spec, certs, composed = _composed_from_files(args, tol)
@@ -300,17 +309,16 @@ def _cmd_simulate(args) -> int:
             "simulate's synchronized switching needs a uniform mode count across nodes",
             mode_counts=sorted(mode_counts),
         )
-    r = mode_counts.pop()
-    switching = SwitchingSignal.synchronized(spec.n_nodes, list(range(r)), args.period)
+    modes = _synchronized(spec.n_nodes, mode_counts.pop(), args.period, args.horizon)
+    concrete, abstract = spec.engine, spec.abstract_view().engine
     rng = np.random.default_rng(args.seed)
-    x0 = [rng.uniform(-1, 1, sub.n) for sub in spec.subsystems]
-    abstract = spec.abstract_view().subsystems
-    xhat0 = [rng.uniform(-1, 1, sub.n) for sub in abstract]
+    x0 = rng.uniform(-1, 1, concrete.state.size)
+    xhat0 = rng.uniform(-1, 1, abstract.state.size)
 
-    u_hat = np.zeros(sum(sub.m for sub in abstract))
+    u_hat = np.zeros(abstract.input.size)
     ordered = [certs[i] for i in spec.graph.nodes]
     run = simulate_lockstep(
-        spec, ordered, composed, x0, xhat0, lambda x_hat, k: u_hat, switching, args.horizon
+        spec, ordered, composed, x0, xhat0, lambda x_hat, k: u_hat, modes
     )
     bound = check_trajectory_bound(run, composed)
     decrease = check_V_decrease(run, composed)

@@ -399,20 +399,14 @@ class ComposedCertificate:
         """The certificates compiled for flat evaluation, on first use."""
         return CompiledCertificates(self.certificates)
 
-    def value(self, x: np.ndarray, x_hat: np.ndarray, modes) -> float:
-        """V at flat stacked states and abstract states (``engine`` layouts)."""
+    def evaluate_V(self, x: np.ndarray, x_hat: np.ndarray, modes) -> float:
+        """V = sum_i mu_i V_i at flat stacked states and abstract states
+        (``engine`` layouts) and one mode per node."""
         return self._value(self.engine.slots.select(modes), x, x_hat)
 
     def _value(self, active: np.ndarray, x: np.ndarray, x_hat: np.ndarray) -> float:
         """V at the active (node, mode) slots of ``engine``."""
         return float(np.sum(self.mu * self.engine.energies(active, x, x_hat)))
-
-    def evaluate_V(self, states, abstract_states, modes) -> float:
-        """V = sum_i mu_i V_i at the given per-node modes."""
-        engine = self.engine
-        return self.value(
-            engine.state.stack(states), engine.abstract_state.stack(abstract_states), modes
-        )
 
 
 def compose_certificate(core: MuCertificate, gains, local_certs) -> ComposedCertificate:
@@ -537,7 +531,7 @@ def check_composed_dissipation(
             draws *= spec.n_nodes
         modes_now, modes_next = [s for s, _ in draws], [s2 for _, s2 in draws]
         x_next, x_hat_next, _, _, v_now = lockstep.step(x, x_hat, u_hat, modes_now)
-        v_next = composed.value(x_next, x_hat_next, modes_next)
+        v_next = composed.evaluate_V(x_next, x_hat_next, modes_next)
         u_hat_sq = float(np.sum(u_hat**2))
         slack = v_next - v_now - (
             -composed.lambda_inf * v_now + composed.rho_ext_coeff * u_hat_sq

@@ -21,6 +21,7 @@ a stack, so a stack of one gives the single-matrix result bit for bit.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,6 +56,13 @@ class ToleranceProfile:
 DEFAULT_TOL = ToleranceProfile()
 
 
+def symmetrized(a: np.ndarray) -> np.ndarray:
+    """(a + a') / 2 over the last two axes, as 0.5 a + 0.5 a' so that no
+    finite entry overflows; equal to the plain average bit for bit while the
+    entries are finite, below overflow and outside the subnormal range."""
+    return 0.5 * a + 0.5 * np.swapaxes(a, -1, -2)
+
+
 class SymMatrix:
     """A real symmetric matrix, symmetrized by averaging on construction.
 
@@ -72,7 +80,7 @@ class SymMatrix:
             )
         if a.shape[0] < 1:
             raise DimensionMismatchError("symmetric matrix must have dim >= 1")
-        a = 0.5 * (a + a.T)
+        a = symmetrized(a)
         a.flags.writeable = False
         self.entries = a
 
@@ -116,7 +124,7 @@ def principal_sqrt_batch(a, tol: ToleranceProfile = DEFAULT_TOL) -> np.ndarray:
             lambda_min=worst,
         )
     s = (v * np.sqrt(np.clip(w, 0.0, None))[..., None, :]) @ np.swapaxes(v, -1, -2)
-    return 0.5 * (s + np.swapaxes(s, -1, -2))
+    return symmetrized(s)
 
 
 def operator_norm_batch(a) -> np.ndarray:
@@ -297,12 +305,14 @@ def radius_bracket(
 # resolvent_solve: products with A or A' before the dense fallback, a
 # Perron iteration's last step (max-norm, on a vector of max 1), the radius
 # estimate below which nothing is deflated, the share of its sum that ends
-# a Neumann sum, and the residual target
+# a Neumann sum, the residual target, and the products over which a stage's
+# contraction is measured
 RESOLVENT_SWEEPS = 4000
 PERRON_STEP = 1e-14
 DEFLATE_ABOVE = 0.5
 NEUMANN_TAIL = 1e-6
 RESIDUAL_TARGET = 1e-8
+STALL_WINDOW = 32
 
 
 @dataclass(frozen=True)
@@ -341,10 +351,13 @@ def resolvent_solve(rows, cols, vals, n: int, v0=None) -> ResolventSolution:
     there, and a nilpotent or defective matrix has no usable pair.  A
     matrix without entries gives x = 1.
 
-    The one dense path: when RESOLVENT_SWEEPS products run out, a residual
-    does not halve between rounds or rho^ >= 1, x comes from
+    The one dense path: when RESOLVENT_SWEEPS products run out, a Perron
+    iteration or Neumann sum cannot reach its target within the products
+    left at the rate it contracted over its last STALL_WINDOW products, a
+    residual does not halve between rounds or rho^ >= 1, x comes from
     ``np.linalg.solve`` on the n x n system.  Matrices without a spectral
-    gap (a one-way ring) or with a -rho eigenvalue (bipartite ones) take it.
+    gap (a one-way ring) or with a -rho eigenvalue (bipartite ones) take it,
+    a few STALL_WINDOWs into the stage that cannot finish.
     """
     rows = np.asarray(rows, dtype=np.intp)
     cols = np.asarray(cols, dtype=np.intp)
@@ -360,16 +373,18 @@ def resolvent_solve(rows, cols, vals, n: int, v0=None) -> ResolventSolution:
         return np.bincount(out_idx, vals * v[in_idx], minlength=n)
 
     def perron(v, out_idx, in_idx):
-        # (vector of max 1, radius estimate), or None when the sweeps run out
+        # (vector of max 1, radius estimate), or None when the stage gives up
         v = v / v.max()
-        while sweeps < RESOLVENT_SWEEPS:
+        steps = []
+        while not _out_of_reach(steps, PERRON_STEP, RESOLVENT_SWEEPS - sweeps):
             av = product(v, out_idx, in_idx)
             est = av.max()
             if est == 0.0:
                 return v, 0.0
             w = av + est * v
             w /= w.max()
-            if np.abs(w - v).max() <= PERRON_STEP:
+            steps.append(np.abs(w - v).max())
+            if steps[-1] <= PERRON_STEP:
                 return w, est
             v = w
         return None
@@ -397,10 +412,13 @@ def resolvent_solve(rows, cols, vals, n: int, v0=None) -> ResolventSolution:
             c = float(q @ r)
             term = r - c * p
             total = term.copy()
-            while sweeps < RESOLVENT_SWEEPS:
+            sizes, target = [], np.inf
+            while not _out_of_reach(sizes, target, RESOLVENT_SWEEPS - sweeps):
                 term = product(term, cols, rows)
                 total += term
-                if np.abs(term).max() <= NEUMANN_TAIL * max(np.abs(total).max(), residual):
+                sizes.append(np.abs(term).max())
+                target = NEUMANN_TAIL * max(np.abs(total).max(), residual)
+                if sizes[-1] <= target:
                     break
             else:
                 break
@@ -411,6 +429,19 @@ def resolvent_solve(rows, cols, vals, n: int, v0=None) -> ResolventSolution:
     x = np.linalg.solve(system, ones)
     r = ones - x + np.bincount(cols, vals * x[rows], minlength=n)
     return ResolventSolution(x, float(np.abs(r).max()), sweeps, True)
+
+
+def _out_of_reach(sizes: list, target: float, left: int) -> bool:
+    """Whether an iteration whose measure was ``sizes`` after each product,
+    the last above ``target``, cannot bring it to ``target`` within ``left``
+    more products at the rate it contracted over its last STALL_WINDOW
+    products; always when no product is left."""
+    if left <= 0:
+        return True
+    if len(sizes) <= STALL_WINDOW:
+        return False
+    now, then = sizes[-1], sizes[-1 - STALL_WINDOW]
+    return now >= then or STALL_WINDOW * math.log(now / target) > left * math.log(then / now)
 
 
 def _check_nonnegative(a) -> np.ndarray:

@@ -715,74 +715,25 @@ class InterconnectionGraph:
         )
 
 
-class SwitchingSignal:
-    """Per-subsystem mode schedules sigma_i : k -> mode index.
-
-    ``at(k)`` gives every node's mode at step k as one integer array, for
-    the steps 0 <= k < horizon (any k >= 0 if horizon is None); switching
-    may be asynchronous across subsystems.  The built-in schedules are an
-    explicit table over a horizon and periodic rules, read-only arrays.
-    """
-
-    def __init__(self, n_nodes: int, at, horizon: int | None):
-        self.n_nodes = n_nodes
-        self._at = at
-        self.horizon = horizon
-
-    def modes_at(self, k: int) -> np.ndarray:
-        """Every node's mode at step k, as an int64 array."""
-        if k < 0:
-            raise DimensionMismatchError(f"switching step must be nonnegative, got {k}", step=k)
-        if self.horizon is not None and k >= self.horizon:
-            raise DimensionMismatchError(
-                f"switching horizon {self.horizon} does not cover step {k}",
-                step=k, horizon=self.horizon,
-            )
-        return _integers(self._at(k), "mode")
-
-    @classmethod
-    def from_table(cls, table: list[list[int]]) -> "SwitchingSignal":
-        rows = [_integers(row, "mode") for row in table]
-        if not rows or any(len(r) != len(rows[0]) for r in rows):
-            raise SchemaError("switching table rows must be nonempty and equal length")
-        columns = _frozen(np.array(rows, dtype=np.int64).reshape(len(rows), -1))
-        return cls(len(rows), lambda k: columns[:, k], columns.shape[1])
-
-    @classmethod
-    def periodic(cls, schedules: list[list[int]], period: int) -> "SwitchingSignal":
-        if not (_is_integer(period) and period >= 1):
-            raise SchemaError(f"switching period must be an integer >= 1, got {period!r}")
-        rows = [_integers(row, "mode") for row in schedules]
-        if not rows or any(not r.size for r in rows):
-            raise SchemaError("each periodic schedule must be nonempty")
-        lengths = np.array([r.size for r in rows], dtype=np.int64)
-        start = np.cumsum(lengths) - lengths
-        flat = _frozen(np.concatenate(rows))
-        return cls(len(rows), lambda k: flat[start + (k // period) % lengths], None)
-
-    @classmethod
-    def synchronized(cls, n_nodes: int, schedule: list[int], period: int) -> "SwitchingSignal":
-        """All subsystems share one periodic schedule (topology switches at once)."""
-        return cls.periodic([list(schedule)] * n_nodes, period)
-
-    @classmethod
-    def constant(cls, n_nodes: int, mode: int = 0) -> "SwitchingSignal":
-        modes = _frozen(np.full(n_nodes, mode, dtype=np.int64))
-        return cls(n_nodes, lambda k: modes, None)
-
-
-def _integers(values, what: str, ids=None) -> np.ndarray:
-    """``values`` as an int64 array; SchemaError at the first that is not an
-    integer (booleans and integral floats are not, as for block ids), naming
-    its subsystem when ``ids`` are given."""
-    if not (type(values) is np.ndarray and values.dtype.kind in "iu"):
-        values = values.tolist() if type(values) is np.ndarray else list(values)
-        bad = next((p for p, v in enumerate(values) if not _is_integer(v)), None)
-        if bad is not None:
-            where = "switching " if ids is None else f"subsystem {ids[bad]}: "
-            raise SchemaError(f"{where}{what} {values[bad]!r} is not an integer",
-                              index=values[bad])
-    return np.asarray(values, dtype=np.int64)
+def _integers(values, what: str, ids) -> np.ndarray:
+    """``values``, one per subsystem of ``ids`` or a (steps, subsystems)
+    table of them, as an int64 array; SchemaError at the first entry that
+    is not an integer (booleans and integral floats are not, as for block
+    ids), naming its subsystem and, in a table, its step."""
+    if type(values) is np.ndarray and values.dtype.kind in "iu":
+        return values.astype(np.int64, copy=False)
+    values = np.array(values, dtype=object)
+    flat = values.ravel().tolist()
+    bad = next((p for p, v in enumerate(flat) if not _is_integer(v)), None)
+    if bad is not None:
+        *step, node = (int(p) for p in np.unravel_index(bad, values.shape))
+        details = {"step": step[0]} if step else {}
+        where = f"step {step[0]}, " if step else ""
+        raise SchemaError(
+            f"{where}subsystem {ids[node]}: {what} {flat[bad]!r} is not an integer",
+            **details, node=ids[node], index=flat[bad],
+        )
+    return values.astype(np.int64)
 
 
 class NetworkSpec:
@@ -848,21 +799,6 @@ class Layout:
         self.off = _starts(self.sizes)
         self.size = int(self.off[-1])
         self._bound = np.diff(self.off)  # ``sizes`` as an array, for select
-
-    def stack(self, parts) -> np.ndarray:
-        arrays = [np.asarray(p, dtype=float) for p in parts]
-        if len(arrays) != len(self.ids):
-            raise DimensionMismatchError(
-                f"expected {len(self.ids)} {self.what} vectors, got {len(arrays)}",
-                expected=len(self.ids), got=len(arrays),
-            )
-        for node, a, n in zip(self.ids, arrays, self.sizes):
-            if a.shape != (n,):
-                raise DimensionMismatchError(
-                    f"subsystem {node}: {self.what} must have length {n}, got {a.shape}",
-                    node=node,
-                )
-        return np.concatenate(arrays) if arrays else np.zeros(0)
 
     def select(self, index) -> np.ndarray:
         """Mask of one element per node, at the given position in the node's

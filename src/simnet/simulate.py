@@ -1,12 +1,12 @@
 """Lockstep simulation of a concrete network against its abstraction.
 
-Both layers advance under a shared switching signal.  At every step the
-abstract controller maps the stacked abstract state to the stacked uhat,
-each node's interface refines it into the concrete input u_i (wiring what
-from abstract and w from concrete neighbor outputs), and the run fills row
-k of its output, error, V and input-norm traces.  Two trajectory checks
-make the run an oracle for the certificate: the one-step decrease of V and
-the closed-form error envelope
+Both layers advance under a shared mode table, one row of node modes per
+step.  At every step the abstract controller maps the stacked abstract
+state to the stacked uhat, each node's interface refines it into the
+concrete input u_i (wiring what from abstract and w from concrete neighbor
+outputs), and the run fills row k of its output, error, V and input-norm
+traces.  Two trajectory checks make the run an oracle for the certificate:
+the one-step decrease of V and the closed-form error envelope
 
     |y(k) - yhat(k)|_2 <= theta beta^k V(0)^(1/b) + gamma_ext(sup_{j<=k} |uhat(j)|_2)
 
@@ -27,8 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .composition import ComposedCertificate, Lockstep
-from .errors import DimensionMismatchError
-from .network import NetworkSpec, SwitchingSignal
+from .errors import DimensionMismatchError, SchemaError
+from .network import Layout, NetworkSpec, _integers, _is_integer
 
 
 @dataclass
@@ -57,63 +57,87 @@ def simulate_lockstep(
     x0,
     xhat0,
     abstract_controller,
-    switching: SwitchingSignal,
-    horizon: int,
+    modes,
 ) -> SimulationRun:
-    """Run both networks for ``horizon`` steps, refining inputs per node.
+    """Run both networks through the rows of a mode table, refining inputs
+    per node.
 
-    ``x0`` and ``xhat0`` are per-node initial states;
+    ``modes`` is a (steps, nodes) integer table whose row k holds every
+    node's mode at step k; the run covers k = 0..horizon with horizon =
+    steps - 1, and the table becomes ``run.modes``.  ``x0`` and ``xhat0``
+    are the initial states as flat vectors (engine state layouts);
     ``abstract_controller(x_hat, k)`` maps the stacked abstract state to the
-    stacked uhat (abstract engine layouts).  Traces cover k = 0..horizon
-    inclusive; inputs at the final step are evaluated but not applied.
+    stacked uhat (abstract engine layouts).  Inputs at the final step are
+    evaluated but not applied.
     """
     certs = list(local_certs)
     if len(certs) != spec.n_nodes:
         raise DimensionMismatchError(
             f"need one certificate per node ({spec.n_nodes}), got {len(certs)}"
         )
-    if horizon < 0:
-        raise DimensionMismatchError(f"horizon must be nonnegative, got {horizon}")
-    if switching.horizon is not None and switching.horizon < horizon + 1:
+    table = modes if type(modes) is np.ndarray else np.array(modes, dtype=object)
+    if table.ndim != 2 or table.shape[0] < 1 or table.shape[1] != spec.n_nodes:
         raise DimensionMismatchError(
-            f"switching horizon {switching.horizon} does not cover {horizon + 1} steps",
-            horizon=horizon,
+            f"mode table must have shape (steps >= 1, {spec.n_nodes}), got {table.shape}",
+            shape=table.shape, nodes=spec.n_nodes,
         )
+    table = _integers(table, "mode", spec.graph.nodes)
     lockstep = Lockstep(spec, certs, composed)
     concrete, abstract = lockstep.concrete, lockstep.abstract
-    x = concrete.state.stack(x0)
-    x_hat = abstract.state.stack(xhat0)
-    n_inputs, steps = abstract.input.size, horizon + 1
+    x = _flat(x0, concrete.state, "x0")
+    x_hat = _flat(xhat0, abstract.state, "xhat0")
+    n_inputs, steps = abstract.input.size, len(table)
     run = SimulationRun(
-        horizon=horizon,
+        horizon=steps - 1,
         node_ids=spec.graph.nodes,
         external_widths=tuple(concrete.external.sizes),
         abstract_states=np.empty((steps, abstract.state.size)),
         external_outputs=np.empty((steps, concrete.external.size)),
         abstract_external_outputs=np.empty((steps, abstract.external.size)),
-        modes=np.empty((steps, spec.n_nodes), dtype=np.int64),
+        modes=table,
         v_trace=np.empty(steps),
         error_trace=np.empty(steps),
         u_hat_norms=np.empty(steps),
     )
     for k in range(steps):
-        modes = switching.modes_at(k)
         u_hat = np.asarray(abstract_controller(x_hat, k), dtype=float)
         if u_hat.shape != (n_inputs,):
             raise DimensionMismatchError(
                 f"abstract controller gave shape {u_hat.shape}, expected length {n_inputs}",
                 expected=n_inputs, step=k,
             )
-        x_next, x_hat_next, y, y_hat, v = lockstep.step(x, x_hat, u_hat, modes)
+        x_next, x_hat_next, y, y_hat, v = lockstep.step(x, x_hat, u_hat, table[k])
         run.abstract_states[k] = x_hat
         run.external_outputs[k] = y
         run.abstract_external_outputs[k] = y_hat
-        run.modes[k] = modes
         run.v_trace[k] = v
         run.error_trace[k] = np.sqrt(np.sum((y - y_hat) ** 2))
         run.u_hat_norms[k] = np.sqrt(np.sum(u_hat**2))
         x, x_hat = x_next, x_hat_next
     return run
+
+
+def _flat(state, layout: Layout, name: str) -> np.ndarray:
+    """An initial state as a flat vector of the layout's size."""
+    state = np.asarray(state, dtype=float)
+    if state.shape != (layout.size,):
+        raise DimensionMismatchError(
+            f"{name} must be a flat vector of {layout.size} stacked {layout.what} "
+            f"entries, got shape {state.shape}",
+            expected=layout.size, shape=state.shape,
+        )
+    return state
+
+
+def _synchronized(n_nodes: int, n_modes: int, period, horizon: int) -> np.ndarray:
+    """The (horizon + 1, n_nodes) mode table of synchronized periodic
+    switching: every node is in mode (k // period) % n_modes at step k."""
+    if not (_is_integer(period) and period >= 1):
+        raise SchemaError(f"switching period must be an integer >= 1, got {period!r}")
+    if horizon < 0:
+        raise DimensionMismatchError(f"horizon must be nonnegative, got {horizon}")
+    column = np.arange(horizon + 1) // period % n_modes
+    return np.repeat(column[:, None], n_nodes, axis=1)
 
 
 @dataclass(frozen=True)

@@ -30,14 +30,8 @@ from .composition import (
 )
 from .errors import CertificateError, SchemaError
 from .linalg import DEFAULT_TOL, ToleranceProfile
-from .network import (
-    InterconnectionGraph,
-    Mode,
-    NetworkSpec,
-    SwitchedLinearSubsystem,
-    SwitchingSignal,
-)
-from .simulate import SimulationRun, simulate_lockstep
+from .network import InterconnectionGraph, Mode, NetworkSpec, SwitchedLinearSubsystem
+from .simulate import SimulationRun, _synchronized, simulate_lockstep
 
 # Certificate matrix for the swing family (verified against the conditions
 # at construction time rather than re-synthesized).
@@ -306,13 +300,9 @@ def run_ring_experiment(
     """
     spec = generate_ring_network(params)
     composed, _, gains, certs = compose_ring(params, tol)
-    switching = SwitchingSignal.synchronized(
-        params.n_nodes, [0, 1], params.switch_period
-    )
+    modes = _synchronized(params.n_nodes, 2, params.switch_period, horizon)
     rng = np.random.default_rng(seed)
-    x0 = [rng.uniform(-1.0, 1.0, 2) for _ in range(params.n_nodes)]
-    xhat0 = [rng.uniform(-1.0, 1.0, 1) for _ in range(params.n_nodes)]
-    run = simulate_lockstep(
-        spec, certs, composed, x0, xhat0, lambda x_hat, k: x_hat, switching, horizon
-    )
+    x0 = rng.uniform(-1.0, 1.0, spec.engine.state.size)
+    xhat0 = rng.uniform(-1.0, 1.0, spec.abstract_view().engine.state.size)
+    run = simulate_lockstep(spec, certs, composed, x0, xhat0, lambda x_hat, k: x_hat, modes)
     return RingExperiment(params, spec, composed, gains, certs, run)

@@ -21,7 +21,6 @@ from simnet import (
     LocalCertificate,
     LocalGains,
     SwingParams,
-    SwitchingSignal,
     ToleranceProfile,
     build_gain_operator,
     check_composed_dissipation,
@@ -235,8 +234,8 @@ def test_criterion_6_exact_matching():
             x0 = [certs[i].P @ xhat0[i] for i in range(spec.n_nodes)]
             u_hat = np.zeros(abstract.engine.input.size)
             run = simulate_lockstep(
-                spec, certs, composed, x0, xhat0, lambda x_hat, k: u_hat,
-                SwitchingSignal.constant(spec.n_nodes, 0), 50,
+                spec, certs, composed, np.concatenate(x0), np.concatenate(xhat0),
+                lambda x_hat, k: u_hat, np.zeros((51, spec.n_nodes), dtype=int),
             )
             worst = float(np.abs(run.external_outputs - run.abstract_external_outputs).max())
             if worst > 1e-12:
@@ -259,7 +258,7 @@ def test_criterion_7_oracle_equivalence():
             states = [rng.uniform(-1, 1, s.n) for s in spec.subsystems]
             inputs = [rng.uniform(-1, 1, s.m) for s in spec.subsystems]
             engine = spec.engine
-            x_next = engine.step(engine.state.stack(states), engine.input.stack(inputs),
+            x_next = engine.step(np.concatenate(states), np.concatenate(inputs),
                                  engine.slots.select(modes))[0]
             stacked = np.concatenate(stacked_step_oracle(spec, states, inputs, modes))
             dev = float(np.abs(x_next - stacked).max())
@@ -311,7 +310,8 @@ def test_criterion_8_falsification_sensitivity():
         spec, certs, g2, composed = tight_two_node_network()
         rng = np.random.default_rng(4)
         xhat0 = [rng.uniform(-1, 1, 1) for _ in range(2)]
-        x0 = [certs[0].P @ xhat0[0] + np.array([0.5, 0.0]), certs[1].P @ xhat0[1]]
+        x0 = np.concatenate([certs[0].P @ xhat0[0] + np.array([0.5, 0.0]), certs[1].P @ xhat0[1]])
+        xhat0 = np.concatenate(xhat0)
         c0 = certs[0]
         k_bad = [c0.K[0].copy()]
         k_bad[0][0, 0] += 1.0
@@ -319,25 +319,22 @@ def test_criterion_8_falsification_sensitivity():
             M=c0.M, K=k_bad, P=c0.P, Q=c0.Q, R=c0.R, T=c0.T, kappa=c0.kappa
         )
         controller = lambda x_hat, k: np.zeros(2)
-        switching = SwitchingSignal.constant(2, 0)
+        modes = np.zeros((61, 2), dtype=int)
         bad_run = simulate_lockstep(
-            spec, [corrupted, certs[1]], composed, x0, xhat0, controller, switching, 10
+            spec, [corrupted, certs[1]], composed, x0, xhat0, controller, modes[:11]
         )
         if check_V_decrease(bad_run, composed).ok:
             failures.append("corrupted feedback gain produced no decrease violation")
         good_run = simulate_lockstep(
-            spec, certs, composed, x0, xhat0, controller, switching, 10
+            spec, certs, composed, x0, xhat0, controller, modes[:11]
         )
         if not check_V_decrease(good_run, composed).ok:
             failures.append("clean feedback must pass the decrease check")
 
         # halved envelope rate detected on the same network
         rng = np.random.default_rng(4)
-        x0b = [rng.uniform(-1, 1, 2) for _ in range(2)]
-        xhat0b = [rng.uniform(-1, 1, 1) for _ in range(2)]
-        run = simulate_lockstep(
-            spec, certs, composed, x0b, xhat0b, controller, switching, 60
-        )
+        x0b, xhat0b = rng.uniform(-1, 1, 4), rng.uniform(-1, 1, 2)
+        run = simulate_lockstep(spec, certs, composed, x0b, xhat0b, controller, modes)
         clean_bc = BoundConstants.from_composed(composed)
         if not check_trajectory_bound(run, composed, clean_bc).ok:
             failures.append("clean envelope must hold")

@@ -623,6 +623,13 @@ class TestSynthesizeCertificateMatrix:
         m = synthesize_certificate_matrix(scalar_node(0.25, c=1e-3), [np.zeros((1, 1))], kappa=0.2)
         assert float(m.entries[0, 0]) == pytest.approx(1e-6 * 64.0 / 49.0, rel=1e-12)
 
+    def test_entries_near_overflow_are_symmetrized(self):
+        # M = 1e308 * 64 / 49 is finite, but the average (M + M') / 2 overflowed
+        # in the sum and the result was reported to fail output dominance
+        node = scalar_node(0.25, c=1e154)
+        m = synthesize_certificate_matrix(node, [np.zeros((1, 1))], kappa=0.2)
+        assert float(m.entries[0, 0]) == pytest.approx(1e308 / 49.0 * 64.0, rel=1e-12)
+
     def test_unstable_loop_diverges(self):
         with pytest.raises(ConvergenceError) as err:
             synthesize_certificate_matrix(scalar_node(1.1), [np.zeros((1, 1))], kappa=0.2)

@@ -98,6 +98,20 @@ class TestPipeline:
         assert "assumption4_stat" in report
         assert json.loads(out.read_text())["satisfied"] is True
 
+    def test_compose_failure_replaces_an_earlier_report(self, capsys, ring_files, tmp_path):
+        # a failing compose used to leave an earlier "satisfied": true file
+        net, certs = ring_files
+        out = tmp_path / "composition.json"
+        assert run_cli(capsys, ["compose", str(net), str(certs), "-o", str(out)])[0] == 0
+        data = json.loads(certs.read_text())
+        data["certificates"][0]["M"] = {k: [[0.5, 0.0], [0.0, 0.5]]
+                                        for k in data["certificates"][0]["M"]}
+        broken = tmp_path / "broken.json"
+        broken.write_text(json.dumps(data))
+        code, report, _ = run_cli(capsys, ["compose", str(net), str(broken), "-o", str(out)])
+        assert code == 1 and report["ok"] is False
+        assert json.loads(out.read_text()) == report
+
     def test_compose_overloaded_coupling_exit_one(self, capsys, tmp_path):
         net = tmp_path / "hot.json"
         certs = tmp_path / "hot-certs.json"
@@ -238,6 +252,17 @@ class TestErrorPaths:
         assert report["error"] == "DimensionMismatchError"
         assert report["details"] == {"node": 0, "got": len(modes), "expected": 2}
 
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "NET", "CERTS", "--horizon", "-2"],
+        ["swing-run", "--nodes", "3", "--horizon", "-2"],
+    ])
+    def test_negative_horizon_exit_two(self, capsys, ring_files, argv):
+        paths = {"NET": str(ring_files[0]), "CERTS": str(ring_files[1])}
+        capsys.readouterr()
+        code, report, _ = run_cli(capsys, [paths.get(a, a) for a in argv])
+        assert code == 2 and report["error"] == "DimensionMismatchError"
+        assert report["message"] == "horizon must be nonnegative, got -2"
+
     @pytest.mark.parametrize("option", ["--tol-psd", "--tol-eig"])
     @pytest.mark.parametrize("value", ["0.5", "-1e-9", "nan"])
     def test_out_of_range_tolerance_is_usage_error(self, capsys, ring_files, option, value):
@@ -300,9 +325,16 @@ class TestDeterminism:
         assert run_python(code) == ["False", "True"]
 
     def test_thread_cap_set_before_numpy_loads(self, ring_files):
+        # (preset OPENBLAS_NUM_THREADS, SIMNET_THREADS, value at numpy import):
+        # the cap used to leave a preset value, even a larger one, as it was
         net, _ = ring_files
-        probe = json.loads(run_python(NUMPY_IMPORT_PROBE, net, SIMNET_THREADS="1")[-1])
-        assert probe == {"exit": 0, "blas_threads_at_numpy_import": ["1"]}
+        for preset, cap, seen in ((None, "1", "1"), ("4", "1", "1"), ("1", "2", "1"),
+                                  ("many", "2", "2")):
+            env = {"SIMNET_THREADS": cap}
+            if preset is not None:
+                env["OPENBLAS_NUM_THREADS"] = preset
+            probe = json.loads(run_python(NUMPY_IMPORT_PROBE, net, **env)[-1])
+            assert probe == {"exit": 0, "blas_threads_at_numpy_import": [seen]}, preset
 
     def test_simulate_csv_independent_of_thread_cap(self, tmp_path):
         net, certs = tmp_path / "net.json", tmp_path / "certs.json"

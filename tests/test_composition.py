@@ -347,7 +347,8 @@ class TestComposeCertificate:
         direct = sum(
             evaluate_V(certs[i], states[i], hats[i], 0) for i in range(3)
         )
-        assert composed.evaluate_V(states, hats, [0, 0, 0]) == pytest.approx(
+        assert composed.evaluate_V(np.concatenate(states), np.concatenate(hats),
+                                   [0, 0, 0]) == pytest.approx(
             direct, rel=1e-12
         )
 
@@ -360,7 +361,8 @@ class TestComposeCertificate:
             composed.mu[i] * evaluate_V(certs[i], states[i], hats[i], 0)
             for i in range(2)
         )
-        assert composed.evaluate_V(states, hats, [0, 0]) == pytest.approx(
+        assert composed.evaluate_V(np.concatenate(states), np.concatenate(hats),
+                                   [0, 0]) == pytest.approx(
             direct, rel=1e-12
         )
 
@@ -404,7 +406,7 @@ class TestComposedDissipation:
         restricted = ComposedCertificate(composed.mu, composed.lambda_inf,
                                          composed.alpha_total, composed.rho_ext_coeff,
                                          [c, staying, c])
-        now, nxt, step, value = [], [], Lockstep.step, ComposedCertificate.value
+        now, nxt, step, value = [], [], Lockstep.step, ComposedCertificate.evaluate_V
 
         def record_now(self, x, x_hat, u_hat, modes):
             now.append(tuple(modes))
@@ -415,7 +417,7 @@ class TestComposedDissipation:
             return value(self, x, x_hat, modes)
 
         monkeypatch.setattr(Lockstep, "step", record_now)
-        monkeypatch.setattr(ComposedCertificate, "value", record_next)
+        monkeypatch.setattr(ComposedCertificate, "evaluate_V", record_next)
         check_composed_dissipation(restricted, spec, samples=40, synchronized=True)
         assert set(zip(now, nxt)) == {((0,) * 3, (0,) * 3), ((1,) * 3, (1,) * 3)}
         monkeypatch.undo()

@@ -20,7 +20,6 @@ from simnet import (
     SchemaError,
     SwingParams,
     SwitchedLinearSubsystem,
-    SwitchingSignal,
     certificates_to_json,
     check_composed_dissipation,
     check_dissipation_sampled,
@@ -37,6 +36,8 @@ from simnet import (
     verify_certificate,
 )
 from simnet.cli import main
+from simnet.network import _integers
+from simnet.simulate import _synchronized
 from simnet.swing import compose_ring
 from vehicles import heterogeneous_network
 
@@ -589,44 +590,33 @@ def test_views_are_read_only(tmp_path):
 
 
 class TestSwitchingSignalModes:
-    # (signal, every node's mode at step k computed node by node)
+    # (a (steps, nodes) mode table of each kind, every node's mode at step k
+    # computed node by node)
     SIGNALS = {
-        "table": (lambda: SwitchingSignal.from_table([[0, 1, 1, 0], [1, 0, 0, 1], [2, 2, 0, 1]]),
+        "table": (lambda: [[0, 1, 2], [1, 0, 2], [1, 0, 0], [0, 1, 1]],
                   lambda i, k: [[0, 1, 1, 0], [1, 0, 0, 1], [2, 2, 0, 1]][i][k]),
-        "periodic": (lambda: SwitchingSignal.periodic([[0, 1], [1], [2, 0, 1]], period=2),
+        "periodic": (lambda: [[s[(k // 2) % len(s)] for s in ([0, 1], [1], [2, 0, 1])]
+                              for k in range(4)],
                      lambda i, k: [[0, 1], [1], [2, 0, 1]][i][(k // 2) % (2, 1, 3)[i]]),
-        "synchronized": (lambda: SwitchingSignal.synchronized(3, [0, 1], period=3),
-                         lambda i, k: (k // 3) % 2),
-        "constant": (lambda: SwitchingSignal.constant(3, 1), lambda i, k: 1),
-        "callable": (lambda: SwitchingSignal(3, lambda k: [(i + k) % 2 for i in range(3)], None),
+        "synchronized": (lambda: _synchronized(3, 2, 3, 3), lambda i, k: (k // 3) % 2),
+        "constant": (lambda: np.ones((4, 3), dtype=np.int32), lambda i, k: 1),
+        "callable": (lambda: np.fromfunction(lambda k, i: (i + k) % 2, (4, 3), dtype=int),
                      lambda i, k: (i + k) % 2),
     }
 
     @pytest.mark.parametrize("kind", sorted(SIGNALS))
     def test_modes_at_matches_mode(self, kind):
+        # the table as the simulator reads it, before its first step
         make, mode = self.SIGNALS[kind]
-        sig = make()
-        for k in range(4):
-            modes = sig.modes_at(k)
-            assert type(modes) is np.ndarray and modes.dtype == np.int64
-            assert modes.tolist() == [mode(i, k) for i in range(sig.n_nodes)]
-
-    def test_horizon_checked_once_per_step(self):
-        sig = SwitchingSignal.from_table([[0, 1], [1, 0]])
-        with pytest.raises(simnet.DimensionMismatchError, match="does not cover step 2"):
-            sig.modes_at(2)
-
-    @pytest.mark.parametrize("kind", sorted(SIGNALS))
-    def test_negative_step_rejected(self, kind):
-        # the table used to return its last column at k = -1
-        with pytest.raises(simnet.DimensionMismatchError, match="must be nonnegative, got -1"):
-            self.SIGNALS[kind][0]().modes_at(-1)
+        table = _integers(make(), "mode", (0, 1, 2))
+        assert type(table) is np.ndarray and table.dtype == np.int64
+        assert table.tolist() == [[mode(i, k) for i in range(3)] for k in range(4)]
 
     @pytest.mark.parametrize("period", [1.5, 0, True, 2.0])
     def test_period_must_be_an_integer(self, period):
         # a period of 1.5 used to raise a bare IndexError at modes_at(3)
         with pytest.raises(SchemaError, match="switching period must be an integer >= 1"):
-            SwitchingSignal.periodic([[0]], period)
+            _synchronized(1, 1, period, 3)
 
     def test_ring_experiment_rejects_fractional_period(self):
         with pytest.raises(SchemaError, match=r"an integer >= 1, got 1\.5"):

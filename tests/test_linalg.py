@@ -348,8 +348,18 @@ class TestResolventSolve:
         vals = np.random.default_rng(1).uniform(0.3, 1.6, n)
         vals *= (1.0 - 1e-6) / np.exp(np.log(vals).mean())  # radius: geometric mean
         sol = resolvent_solve(rows, cols, vals, n)
-        assert sol.dense
+        # the right Perron iteration stalls: it used to spend all 4000 sweeps
+        assert sol.dense and sol.sweeps <= 400
         np.testing.assert_allclose(sol.x, resolvent_reference(rows, cols, vals, n), rtol=1e-12)
+
+    def test_bipartite_falls_back_to_dense(self):
+        # the -rho eigenvalue keeps the Neumann sum from converging; it used
+        # to run until the 4000-sweep cap
+        rows, cols, vals = bipartite_shaped()
+        vals, v = scaled_to(rows, cols, vals, 50, 1.0 - 1e-6)
+        sol = resolvent_solve(rows, cols, vals, 50, v)
+        assert sol.dense and sol.sweeps <= 400
+        np.testing.assert_allclose(sol.x, resolvent_reference(rows, cols, vals, 50), rtol=1e-12)
 
 
 class TestLeastSquares:

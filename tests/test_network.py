@@ -11,15 +11,23 @@ from simnet import (
     SchemaError,
     SwingParams,
     SwitchedLinearSubsystem,
-    SwitchingSignal,
     WiringError,
     generate_ring_network,
     load_network,
     network_to_json,
     parse_network,
     save_network,
+    simulate_lockstep,
 )
-from vehicles import heterogeneous_network, per_node, random_network, stacked_step_oracle
+from simnet.composition import ComposedCertificate, Lockstep
+from simnet.simulate import _synchronized
+from vehicles import (
+    heterogeneous_network,
+    per_node,
+    random_network,
+    stacked_step_oracle,
+    tight_two_node_network,
+)
 
 # random_network seeds, then heterogeneous_network seeds 0 and 1 (dims 1-4,
 # three modes, zero-width D, an isolated node)
@@ -37,7 +45,7 @@ def engine_step(spec, states, inputs, modes):
     outputs, the internal inputs and the external outputs."""
     engine = spec.engine
     x_next, y, w, ext = engine.step(
-        engine.state.stack(states), engine.input.stack(inputs), engine.slots.select(modes)
+        np.concatenate(states), np.concatenate(inputs), engine.slots.select(modes)
     )
     return (per_node(engine.state, x_next), per_node(engine.output, y),
             per_node(engine.internal_input, w), per_node(engine.external, ext))
@@ -345,19 +353,23 @@ class TestStep:
     @pytest.mark.parametrize("n_nodes", [2, 5])
     def test_switching_signal_must_cover_every_node(self, n_nodes):
         spec = generate_ring_network(SwingParams(n_nodes=3))
-        with pytest.raises(DimensionMismatchError):
-            engine_step(spec, [np.zeros(2)] * 3, [np.zeros(1)] * 3,
-                        SwitchingSignal.constant(n_nodes, 0).modes_at(0))
+        match = f"one mode per node \\(3\\), got {n_nodes}"
+        with pytest.raises(DimensionMismatchError, match=match):
+            engine_step(spec, [np.zeros(2)] * 3, [np.zeros(1)] * 3, np.zeros(n_nodes, dtype=int))
 
     def test_step_respects_switching_signal(self):
         spec = generate_ring_network(SwingParams(n_nodes=3))
-        sig = SwitchingSignal.synchronized(3, [0, 1], period=2)
-        states = [np.zeros(2)] * 3
-        next_states = engine_step(spec, states, [np.zeros(1)] * 3, sig.modes_at(0))[0]
-        assert len(next_states) == 3
+        table = _synchronized(3, 2, 2, 5)
+        rng = np.random.default_rng(2)
+        states = [rng.uniform(-1, 1, 2) for _ in range(3)]
+        inputs = [rng.uniform(-1, 1, 1) for _ in range(3)]
+        for k in (0, 2):  # mode 0, then mode 1
+            next_states = engine_step(spec, states, inputs, table[k])[0]
+            reference = stacked_step_oracle(spec, states, inputs, table[k].tolist())
+            np.testing.assert_allclose(np.concatenate(next_states), np.concatenate(reference),
+                                       rtol=1e-12, atol=1e-12)
         with pytest.raises(DimensionMismatchError):
-            bad = SwitchingSignal.from_table([[0], [0], [0]])
-            engine_step(spec, states, [np.zeros(1)] * 3, bad.modes_at(5))
+            engine_step(spec, states, inputs, _synchronized(2, 2, 2, 5)[5])
 
 
 class TestActivePatterns:
@@ -370,7 +382,7 @@ class TestActivePatterns:
         engine = spec.engine
         states = [rng.uniform(-1, 1, sub.n) for sub in spec.subsystems]
         inputs = [rng.uniform(-1, 1, sub.m) for sub in spec.subsystems]
-        x_next = engine.step(engine.state.stack(states), engine.input.stack(inputs), active)[0]
+        x_next = engine.step(np.concatenate(states), np.concatenate(inputs), active)[0]
         reference = stacked_step_oracle(spec, states, inputs, modes)
         np.testing.assert_allclose(x_next, np.concatenate(reference), rtol=1e-12, atol=1e-12)
 
@@ -398,10 +410,8 @@ class TestActivePatterns:
     def test_table_switching_every_step(self):
         spec = heterogeneous_network(0)[0]
         rng = np.random.default_rng(5)
-        table = [rng.integers(sub.n_modes, size=8).tolist() for sub in spec.subsystems]
-        sig = SwitchingSignal.from_table(table)
-        for k in range(8):
-            modes = sig.modes_at(k)
+        table = np.array([rng.integers(sub.n_modes, size=8) for sub in spec.subsystems]).T
+        for modes in table:
             self.check_step(spec, spec.engine.slots.select(modes), modes.tolist(), rng)
 
     def test_abstract_view_shares_the_concrete_wiring(self):
@@ -414,31 +424,58 @@ class TestActivePatterns:
 
 
 class TestSwitchingSignal:
+    """A switching signal over a finite run is a (steps, nodes) mode table."""
+
+    @staticmethod
+    def run(table):
+        """A lockstep run of heterogeneous_network(0) (three modes per node,
+        uhat = 0) under the table."""
+        spec, by_id = heterogeneous_network(0)
+        certs = [by_id[i] for i in spec.graph.nodes]
+        composed = ComposedCertificate(np.ones(spec.n_nodes), 0.1, 1.0, 1.0, certs)
+        rng = np.random.default_rng(0)
+        x0 = rng.uniform(-1, 1, spec.engine.state.size)
+        xhat0 = rng.uniform(-1, 1, spec.abstract_view().engine.state.size)
+        u_hat = np.zeros(spec.abstract_view().engine.input.size)
+        run = simulate_lockstep(spec, certs, composed, x0, xhat0, lambda x_hat, k: u_hat, table)
+        return Lockstep(spec, certs, composed), x0, xhat0, u_hat, run
+
     def test_periodic_schedule(self):
-        sig = SwitchingSignal.synchronized(2, [0, 1], period=5)
-        assert [sig.modes_at(k)[0] for k in (0, 4, 5, 9, 10)] == [0, 0, 1, 1, 0]
+        table = _synchronized(2, 2, 5, 10)
+        assert table[[0, 4, 5, 9, 10], 0].tolist() == [0, 0, 1, 1, 0]
 
     def test_table_horizon(self):
-        sig = SwitchingSignal.from_table([[0, 1, 1], [1, 0, 0]])
-        assert sig.horizon == 3
-        assert sig.modes_at(2)[1] == 0
+        n_nodes = heterogeneous_network(0)[0].n_nodes
+        table = np.zeros((3, n_nodes), dtype=int)
+        table[1:, 1] = [2, 1]
+        run = self.run(table.tolist())[-1]
+        assert run.horizon == 2 and run.modes.dtype == np.int64
+        assert run.modes.tolist() == table.tolist()
 
     def test_asynchronous_per_node(self):
-        sig = SwitchingSignal.periodic([[0], [1]], period=1)
-        assert sig.modes_at(7).tolist() == [0, 1]
+        # every node follows its own column: the run equals the lockstep
+        # stepped row by row
+        n_nodes = heterogeneous_network(0)[0].n_nodes
+        table = np.array([[(i + k) % 3 for i in range(n_nodes)] for k in range(4)])
+        lockstep, x, x_hat, u_hat, run = self.run(table)
+        for k, modes in enumerate(table):
+            x, x_hat, y, _, v = lockstep.step(x, x_hat, u_hat, modes)
+            assert run.external_outputs[k].tolist() == y.tolist() and run.v_trace[k] == v
 
     @pytest.mark.parametrize("make", [
-        lambda: SwitchingSignal.periodic([[0, 1.7]], 1),
-        lambda: SwitchingSignal.periodic([[0, 1.0]], 1),
-        lambda: SwitchingSignal.from_table([[True, 1]]),
-        lambda: SwitchingSignal.from_table(np.array([[0.0, 1.0]])),
-        lambda: SwitchingSignal.synchronized(2, [0, False], 3),
-        lambda: SwitchingSignal(2, lambda k: [0, 1.5], None).modes_at(0),
+        lambda: [[0, 1.7]],
+        lambda: [[0, 1.0]],
+        lambda: [[True, 1]],
+        lambda: np.array([[0.0, 1.0]]),
+        lambda: [[0, 0], [0, False]],
+        lambda: np.array([[0, 1.5]], dtype=object),
     ])
     def test_non_integer_modes_rejected(self, make):
         # they used to be truncated: 1.7 read as mode 1, True as mode 1
-        with pytest.raises(SchemaError, match="switching mode .* is not an integer"):
-            make()
+        spec, certs, gains, composed = tight_two_node_network()
+        with pytest.raises(SchemaError, match=r"step \d, subsystem \d: mode .* is not an integer"):
+            simulate_lockstep(spec, certs, composed, np.zeros(4), np.zeros(2),
+                              lambda x_hat, k: np.zeros(2), make())
 
     @pytest.mark.parametrize("modes, first", [
         ([0, 0.7, 0], "1: mode 0.7"), ([0, True, 0], "1: mode True"),

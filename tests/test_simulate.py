@@ -13,7 +13,6 @@ from simnet import (
     SchemaError,
     SwingParams,
     SwitchedLinearSubsystem,
-    SwitchingSignal,
     check_trajectory_bound,
     check_V_decrease,
     closed_form_certificate,
@@ -31,7 +30,7 @@ from simnet.composition import (
     compose_certificate,
     construct_mu,
 )
-from simnet.simulate import BoundConstants, SimulationRun
+from simnet.simulate import BoundConstants, SimulationRun, _synchronized
 from vehicles import (
     blockwise_internal_input,
     certified_network,
@@ -49,8 +48,21 @@ def zero_controller(spec):
     return lambda x_hat, k: u_hat
 
 
-def constant_switching(spec):
-    return SwitchingSignal.constant(spec.n_nodes, 0)
+def constant_modes(spec, horizon):
+    """Every node in mode 0 at steps 0..horizon."""
+    return np.zeros((horizon + 1, spec.n_nodes), dtype=np.int64)
+
+
+def initial_states(spec, rng):
+    """x0 and xhat0 drawn uniform in [-1, 1], as flat vectors."""
+    return (rng.uniform(-1, 1, spec.engine.state.size),
+            rng.uniform(-1, 1, spec.abstract_view().engine.state.size))
+
+
+def matched_start(spec, certs, rng):
+    """xhat0 drawn uniform in [-1, 1] and x0 = P xhat0 per node, flat."""
+    xhat0 = [rng.uniform(-1, 1, sub.n) for sub in spec.abstract_view().subsystems]
+    return np.concatenate([cert.P @ h for cert, h in zip(certs, xhat0)]), np.concatenate(xhat0)
 
 
 def deadbeat_network():
@@ -87,11 +99,10 @@ class TestSimulateLockstep:
         # outputs coincide for the whole run
         spec, certs, gains, composed = certified_network(seed, max_nodes=4, max_modes=3)
         rng = np.random.default_rng(seed + 500)
-        xhat0 = [rng.uniform(-1, 1, sub.n) for sub in spec.abstract_view().subsystems]
-        x0 = [certs[i].P @ xhat0[i] for i in range(spec.n_nodes)]
+        x0, xhat0 = matched_start(spec, certs, rng)
         run = simulate_lockstep(
             spec, certs, composed, x0, xhat0, zero_controller(spec),
-            constant_switching(spec), 50,
+            constant_modes(spec, 50),
         )
         assert max(run.error_trace) <= 1e-12
         for k in (0, 10, 50):
@@ -106,8 +117,8 @@ class TestSimulateLockstep:
             return rng.uniform(-1, 1, 1)  # arbitrary abstract input
 
         run = simulate_lockstep(
-            spec, certs, composed, [np.array([0.8])], [np.array([-0.3])],
-            controller, constant_switching(spec), 10,
+            spec, certs, composed, np.array([0.8]), np.array([-0.3]),
+            controller, constant_modes(spec, 10),
         )
         assert run.error_trace[0] > 0.5
         assert max(run.error_trace[1:]) == 0.0
@@ -124,11 +135,10 @@ class TestSimulateLockstep:
         # pointwise realization of the output lower bound
         spec, certs, gains, composed = certified_network(2)
         rng = np.random.default_rng(9)
-        x0 = [rng.uniform(-1, 1, sub.n) for sub in spec.subsystems]
-        xhat0 = [rng.uniform(-1, 1, sub.n) for sub in spec.abstract_view().subsystems]
+        x0, xhat0 = initial_states(spec, rng)
         run = simulate_lockstep(
             spec, certs, composed, x0, xhat0, zero_controller(spec),
-            constant_switching(spec), 30,
+            constant_modes(spec, 30),
         )
         for k in range(31):
             assert (
@@ -139,12 +149,11 @@ class TestSimulateLockstep:
     def test_determinism_bitwise(self):
         spec, certs, gains, composed = tight_two_node_network()
         rng = np.random.default_rng(1)
-        x0 = [rng.uniform(-1, 1, 2) for _ in range(2)]
-        xhat0 = [rng.uniform(-1, 1, 1) for _ in range(2)]
+        x0, xhat0 = initial_states(spec, rng)
         ctrl = zero_controller(spec)
         runs = [
             simulate_lockstep(
-                spec, certs, composed, x0, xhat0, ctrl, constant_switching(spec), 25
+                spec, certs, composed, x0, xhat0, ctrl, constant_modes(spec, 25)
             )
             for _ in range(2)
         ]
@@ -154,27 +163,25 @@ class TestSimulateLockstep:
     def test_prefix_property(self):
         spec, certs, gains, composed = tight_two_node_network()
         rng = np.random.default_rng(2)
-        x0 = [rng.uniform(-1, 1, 2) for _ in range(2)]
-        xhat0 = [rng.uniform(-1, 1, 1) for _ in range(2)]
+        x0, xhat0 = initial_states(spec, rng)
         ctrl = zero_controller(spec)
         short = simulate_lockstep(
-            spec, certs, composed, x0, xhat0, ctrl, constant_switching(spec), 20
+            spec, certs, composed, x0, xhat0, ctrl, constant_modes(spec, 20)
         )
         long = simulate_lockstep(
-            spec, certs, composed, x0, xhat0, ctrl, constant_switching(spec), 40
+            spec, certs, composed, x0, xhat0, ctrl, constant_modes(spec, 40)
         )
         assert long.error_trace[:21].tolist() == short.error_trace.tolist()
         assert check_trajectory_bound(short, composed).ok
         assert check_trajectory_bound(long, composed).ok
 
-
     @pytest.mark.parametrize("signal_nodes", [1, 3])
     def test_switching_signal_must_cover_every_node(self, signal_nodes):
         spec, certs, gains, composed = tight_two_node_network()
-        with pytest.raises(DimensionMismatchError):
+        with pytest.raises(DimensionMismatchError, match=r"shape \(steps >= 1, 2\)"):
             simulate_lockstep(
-                spec, certs, composed, [np.zeros(2)] * 2, [np.zeros(1)] * 2,
-                zero_controller(spec), SwitchingSignal.constant(signal_nodes, 0), 5,
+                spec, certs, composed, np.zeros(4), np.zeros(2),
+                zero_controller(spec), np.zeros((6, signal_nodes), dtype=int),
             )
 
     @pytest.mark.parametrize(
@@ -186,8 +193,8 @@ class TestSimulateLockstep:
         match = r"abstract controller gave shape .*, expected length 2"
         with pytest.raises(DimensionMismatchError, match=match) as err:
             simulate_lockstep(
-                spec, certs, composed, [np.zeros(2)] * 2, [np.zeros(1)] * 2,
-                lambda x_hat, k: u_hat, constant_switching(spec), 5,
+                spec, certs, composed, np.zeros(4), np.zeros(2),
+                lambda x_hat, k: u_hat, constant_modes(spec, 5),
             )
         assert err.value.details == {"expected": 2, "step": 0}
 
@@ -200,10 +207,8 @@ class TestSimulateLockstep:
         rng = np.random.default_rng(5)
         run = simulate_lockstep(
             spec, certs, composed,
-            [rng.uniform(-1, 1, sub.n) for sub in spec.subsystems],
-            [rng.uniform(-1, 1, sub.n) for sub in spec.abstract_view().subsystems],
-            zero_controller(spec), SwitchingSignal.synchronized(spec.n_nodes, [0, 1, 2], 2),
-            horizon,
+            *initial_states(spec, rng), zero_controller(spec),
+            _synchronized(spec.n_nodes, 3, 2, horizon),
         )
         rows = horizon + 1
         assert run.abstract_states.shape == (rows, abstract.state.size)
@@ -219,6 +224,55 @@ class TestSimulateLockstep:
         exp = run_ring_experiment(SwingParams(n_nodes=10_000), horizon=10)
         assert check_trajectory_bound(exp.run, exp.composed).ok
         assert check_V_decrease(exp.run, exp.composed).ok
+
+
+class TestModeTable:
+    """The mode table is checked once, before the run: its shape and its
+    entries; the mode ranges are checked as each row is selected."""
+
+    @pytest.mark.parametrize("modes", [
+        np.zeros((0, 2), dtype=int), np.zeros(2, dtype=int), np.zeros((3, 2, 1), dtype=int),
+        [[0, 0], [0]], [],
+    ], ids=["no-steps", "one-row", "3-d", "ragged", "empty"])
+    def test_wrong_shape_rejected(self, modes):
+        spec, certs, gains, composed = tight_two_node_network()
+        with pytest.raises(DimensionMismatchError, match="mode table must have shape") as err:
+            simulate_lockstep(spec, certs, composed, np.zeros(4), np.zeros(2),
+                              zero_controller(spec), modes)
+        assert err.value.details["nodes"] == 2
+
+    @pytest.mark.parametrize("modes, entry", [
+        ([[0, 0], [0, 1.5]], "step 1, subsystem 1: mode 1.5"),
+        ([[0, 0], [True, 0]], "step 1, subsystem 0: mode True"),
+        (np.array([[0.0, 0.0]]), "step 0, subsystem 0: mode 0.0"),
+        (np.zeros((2, 2), dtype=bool), "step 0, subsystem 0: mode False"),
+    ])
+    def test_non_integer_entry_rejected(self, modes, entry):
+        spec, certs, gains, composed = tight_two_node_network()
+        calls = []
+        with pytest.raises(SchemaError, match=f"{entry} is not an integer"):
+            simulate_lockstep(spec, certs, composed, np.zeros(4), np.zeros(2),
+                              lambda x_hat, k: calls.append(k) or np.zeros(2), modes)
+        assert calls == []  # the table is checked before the first step
+
+    def test_out_of_range_mode_names_the_node(self):
+        spec, certs, gains, composed = tight_two_node_network()
+        modes = np.zeros((4, 2), dtype=int)
+        modes[2, 1] = 1  # one mode per node
+        match = r"subsystem 1: mode 1 is out of range 0..0"
+        with pytest.raises(DimensionMismatchError, match=match):
+            simulate_lockstep(spec, certs, composed, np.zeros(4), np.zeros(2),
+                              zero_controller(spec), modes)
+
+    @pytest.mark.parametrize("x0, xhat0, name", [
+        (np.zeros(3), np.zeros(2), "x0"), (np.zeros(4), np.zeros(3), "xhat0"),
+        ([np.zeros(2)] * 2, np.zeros(2), "x0"), (np.zeros(4), np.zeros((2, 1)), "xhat0"),
+    ], ids=["short-x0", "long-xhat0", "per-node-x0", "column-xhat0"])
+    def test_initial_state_must_be_flat(self, x0, xhat0, name):
+        spec, certs, gains, composed = tight_two_node_network()
+        with pytest.raises(DimensionMismatchError, match=f"{name} must be a flat vector"):
+            simulate_lockstep(spec, certs, composed, x0, xhat0,
+                              zero_controller(spec), constant_modes(spec, 3))
 
 
 class TestLockstepStep:
@@ -253,7 +307,7 @@ class TestLockstepStep:
                 compiled.slots.select(modes), x, x_hat, u_hat, np.concatenate(w_hats)
             )
             np.testing.assert_allclose(u, np.concatenate(inputs), rtol=1e-12, atol=1e-12)
-            assert composed.evaluate_V(xs, hats, modes) == pytest.approx(v_ref, rel=1e-12)
+            assert composed.evaluate_V(x, x_hat, modes) == pytest.approx(v_ref, rel=1e-12)
 
             x_next, x_hat_next, _, _, v = lockstep.step(x, x_hat, u_hat, modes)
             assert v == pytest.approx(v_ref, rel=1e-12)
@@ -284,11 +338,10 @@ class TestTrajectoryBound:
     def test_matched_zero_input_run_trivial(self):
         spec, certs, gains, composed = certified_network(1)
         rng = np.random.default_rng(11)
-        xhat0 = [rng.uniform(-1, 1, sub.n) for sub in spec.abstract_view().subsystems]
-        x0 = [certs[i].P @ xhat0[i] for i in range(spec.n_nodes)]
+        x0, xhat0 = matched_start(spec, certs, rng)
         run = simulate_lockstep(
             spec, certs, composed, x0, xhat0, zero_controller(spec),
-            constant_switching(spec), 15,
+            constant_modes(spec, 15),
         )
         report = check_trajectory_bound(run, composed)
         assert report.ok
@@ -302,11 +355,10 @@ class TestTrajectoryBound:
     def test_halved_beta_is_falsified(self):
         spec, certs, gains, composed = tight_two_node_network()
         rng = np.random.default_rng(4)
-        x0 = [rng.uniform(-1, 1, 2) for _ in range(2)]
-        xhat0 = [rng.uniform(-1, 1, 1) for _ in range(2)]
+        x0, xhat0 = initial_states(spec, rng)
         run = simulate_lockstep(
             spec, certs, composed, x0, xhat0, zero_controller(spec),
-            constant_switching(spec), 60,
+            constant_modes(spec, 60),
         )
         clean = BoundConstants.from_composed(composed)
         assert check_trajectory_bound(run, composed, clean).ok
@@ -323,8 +375,7 @@ class TestTrajectoryBound:
         # nonzero abstract inputs exercise the gamma_ext term of the envelope
         spec, certs, gains, composed = certified_network(seed, max_nodes=3, max_modes=2)
         rng = np.random.default_rng(40 + seed)
-        x0 = [rng.uniform(-1, 1, sub.n) for sub in spec.subsystems]
-        xhat0 = [rng.uniform(-1, 1, sub.n) for sub in spec.abstract_view().subsystems]
+        x0, xhat0 = initial_states(spec, rng)
         n_inputs = spec.abstract_view().engine.input.size
         ctrl_rng = np.random.default_rng(99 + seed)
 
@@ -333,7 +384,7 @@ class TestTrajectoryBound:
 
         run = simulate_lockstep(
             spec, certs, composed, x0, xhat0, controller,
-            constant_switching(spec), 40,
+            constant_modes(spec, 40),
         )
         assert run.u_hat_norms[0] > 0
         assert check_V_decrease(run, composed).ok
@@ -391,18 +442,17 @@ def test_composed_value_rejects_a_fractional_mode():
     layout = composed.engine
     x, x_hat = np.zeros(layout.state.size), np.zeros(layout.abstract_state.size)
     with pytest.raises(SchemaError, match="mode 0.7 is not an integer"):
-        composed.value(x, x_hat, [0.7, 0])
+        composed.evaluate_V(x, x_hat, [0.7, 0])
 
 
 class TestVDecrease:
     def test_zero_input_geometric_decay(self):
         spec, certs, gains, composed = tight_two_node_network()
         rng = np.random.default_rng(6)
-        x0 = [rng.uniform(-1, 1, 2) for _ in range(2)]
-        xhat0 = [rng.uniform(-1, 1, 1) for _ in range(2)]
+        x0, xhat0 = initial_states(spec, rng)
         run = simulate_lockstep(
             spec, certs, composed, x0, xhat0, zero_controller(spec),
-            constant_switching(spec), 30,
+            constant_modes(spec, 30),
         )
         lam = composed.lambda_inf
         for k in range(30):
@@ -420,9 +470,8 @@ class TestVDecrease:
     def test_corrupted_interface_gain_is_falsified(self):
         spec, certs, gains, composed = tight_two_node_network()
         rng = np.random.default_rng(4)
-        xhat0 = [rng.uniform(-1, 1, 1) for _ in range(2)]
-        # error aligned with the direction the corruption excites
-        x0 = [certs[0].P @ xhat0[0] + np.array([0.5, 0.0]), certs[1].P @ xhat0[1]]
+        x0, xhat0 = matched_start(spec, certs, rng)
+        x0[:2] += [0.5, 0.0]  # error aligned with the direction the corruption excites
         c0 = certs[0]
         k_bad = [c0.K[0].copy()]
         k_bad[0][0, 0] += 1.0
@@ -431,12 +480,12 @@ class TestVDecrease:
         )
         ctrl = zero_controller(spec)
         clean_run = simulate_lockstep(
-            spec, certs, composed, x0, xhat0, ctrl, constant_switching(spec), 10
+            spec, certs, composed, x0, xhat0, ctrl, constant_modes(spec, 10)
         )
         assert check_V_decrease(clean_run, composed).ok
         bad_run = simulate_lockstep(
             spec, [corrupted, certs[1]], composed, x0, xhat0, ctrl,
-            constant_switching(spec), 10,
+            constant_modes(spec, 10),
         )
         report = check_V_decrease(bad_run, composed)
         assert not report.ok
