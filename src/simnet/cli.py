@@ -360,14 +360,18 @@ def _swing_params(args, **fields):
 
 def _cmd_swing_gen(args) -> int:
     from .certificates import save_certificates
+    from .errors import SimnetError
     from .network import save_network
     from .swing import closed_form_certificate, generate_ring_network
 
+    certs_path = args.certs_out or os.path.join(os.path.dirname(args.out) or ".", "certs.json")
+    if os.path.realpath(certs_path) == os.path.realpath(args.out):
+        raise SimnetError(f"network and certificates would both be written to {args.out}",
+                          path=args.out)
     params = _swing_params(args, kappa=args.kappa)
     spec = generate_ring_network(params)
     cert = closed_form_certificate(params, args.tol)
     save_network(spec, args.out)
-    certs_path = args.certs_out or os.path.join(os.path.dirname(args.out) or ".", "certs.json")
     save_certificates({i: cert for i in range(params.n_nodes)}, certs_path)
     print(f"wrote {args.out} and {certs_path}", file=sys.stderr)
     _emit(

@@ -126,9 +126,12 @@ def build_gain_operator(gains, graph: InterconnectionGraph) -> GainOperator:
     or a sequence of LocalGains aligned with graph.nodes, or a dict of
     LocalGains keyed by node id.
     """
-    return _edge_operator(
-        graph.nodes, gains, [(i, graph.in_neighbors.get(i, ())) for i in graph.nodes]
-    )
+    pos = {node: p for p, node in enumerate(graph.nodes)}
+    fan_ins = [graph.in_neighbors.get(i, ()) for i in graph.nodes]
+    degree = np.array([len(fan_in) for fan_in in fan_ins], dtype=np.intp)
+    reader = np.repeat(np.arange(len(fan_ins)), degree)
+    source = np.array([pos[j] for fan_in in fan_ins for j in fan_in], dtype=np.intp)
+    return _edge_operator(graph.nodes, gains, reader, source, degree[reader])
 
 
 def build_gain_operator_from_network(spec: NetworkSpec, gains) -> GainOperator:
@@ -136,25 +139,20 @@ def build_gain_operator_from_network(spec: NetworkSpec, gains) -> GainOperator:
 
     Uses per-mode in-neighbor sets and takes the entrywise worst case over
     modes, so the result is valid for arbitrary (asynchronous) switching.
+    The sets are the live in-blocks of the concrete layer's block table,
+    which an abstract view shares.
     """
-    return _edge_operator(
-        spec.graph.nodes,
-        gains,
-        [(sub.id, sub.in_neighbors(s)) for sub in spec.subsystems for s in range(sub.n_modes)],
-    )
+    return _edge_operator(spec.graph.nodes, gains, *spec._wired.fan_in)
 
 
-def _edge_operator(node_ids, gains, fan_ins) -> GainOperator:
-    """Edge-list operator with gamma[i, j] the largest rho_int_i * len(F) /
-    alpha_j over the (i, F) in ``fan_ins`` with j in F."""
+def _edge_operator(node_ids, gains, reader, source, degree) -> GainOperator:
+    """Edge-list operator with gamma[i, j] the largest rho_int_i * d / alpha_j
+    over the entries k with (reader, source, degree)[k] = (i, j, d), i and j
+    positions in ``node_ids``."""
     lam, alpha, rho_int, _ = _gain_columns(gains, node_ids)
-    pos = {node: p for p, node in enumerate(node_ids)}
     n = len(node_ids)
-    degree = np.array([len(fan_in) for _, fan_in in fan_ins], dtype=np.intp)
-    rows = np.repeat(np.array([pos[i] for i, _ in fan_ins], dtype=np.intp), degree)
-    cols = np.array([pos[j] for _, fan_in in fan_ins for j in fan_in], dtype=np.intp)
-    cand = rho_int[rows] * np.repeat(degree.astype(float), degree) / alpha[cols]
-    keys, slot = np.unique(rows * n + cols, return_inverse=True)
+    cand = rho_int[reader] * degree.astype(float) / alpha[source]
+    keys, slot = np.unique(reader * n + source, return_inverse=True)
     gamma = np.zeros(keys.size)
     np.maximum.at(gamma, slot, cand)
     keep = gamma > 0.0
@@ -176,10 +174,11 @@ def _gain_columns(gains, node_ids) -> tuple[np.ndarray, ...]:
     """lam, alpha, rho_int and rho_ext in ``node_ids`` order: ``gains`` is
     a dict of LocalGains keyed by node id, or a NetworkVerification or a
     sequence of LocalGains aligned with node_ids.  A node without gains
-    raises CompositionError naming it."""
+    raises CompositionError naming it (a failed node by the verification's
+    own id)."""
     verified = isinstance(gains, NetworkVerification)
     if verified:
-        missing = [i for i, ok in zip(node_ids, gains.passed.all(axis=1)) if not ok]
+        missing = [i for i, ok in zip(gains.node_ids, gains.passed.all(axis=1)) if not ok]
     elif isinstance(gains, dict):
         missing = [i for i in node_ids if i not in gains]
         gains = [gains.get(i) for i in node_ids]
@@ -279,8 +278,9 @@ def construct_mu(
     iteration with residual at most 1e-8, so mu is within a relative 1e-8
     of the exact solution, and no n x n array is formed.  Only when that
     iteration gives up (no spectral gap, as on a one-way ring, or a -rho
-    eigenvalue, as on a bipartite graph) does it take a dense solve.
-    _verify_weighted_decay checks the weights either way.
+    eigenvalue, as on a bipartite graph) does it take a dense solve, whose
+    residual bounds nothing (see linalg.ResolventSolution); the weights
+    pass _verify_weighted_decay either way.
     Templated case: uniform weights and lam_inf = min over templates of
     (lam - gamma column sum), required positive.
     """
@@ -412,13 +412,14 @@ class ComposedCertificate:
 def compose_certificate(core: MuCertificate, gains, local_certs) -> ComposedCertificate:
     """Materialize the composed certificate for a finite node list.
 
-    ``gains`` (a NetworkVerification or LocalGains per node) aligns with
-    ``local_certs``; for templated cores the uniform weights are
-    instantiated at its length.  alpha = mu_min * min alpha_i and the
-    external-input term is rho_ext(t) = mu_max * max rho_ext_i * t^2.
+    ``gains`` (see ``_gain_columns``) is read against the certificates'
+    node ids; for templated cores the uniform weights are instantiated at
+    their count.  alpha = mu_min * min alpha_i and the external-input term
+    is rho_ext(t) = mu_max * max rho_ext_i * t^2.
     """
     certs = list(local_certs)
-    _, alpha, _, rho_ext = _gain_columns(gains, range(len(certs)))
+    ids = [p if c.node_id is None else c.node_id for p, c in enumerate(certs)]
+    _, alpha, _, rho_ext = _gain_columns(gains, ids)
     if core.mu is None:
         mu = np.ones(len(certs))
     else:

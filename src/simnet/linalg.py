@@ -318,9 +318,12 @@ STALL_WINDOW = 32
 @dataclass(frozen=True)
 class ResolventSolution:
     """x = (I - A')^-1 1 with ``residual`` = ||1 - x + A'x||_inf as
-    computed, which bounds the error componentwise: |x - x*| <= residual x*.
-    ``sweeps`` counts the products with A or A'; ``dense`` says that the
-    iteration gave up and x came from the dense fallback."""
+    computed.  ``sweeps`` counts the products with A or A'; ``dense`` says
+    that the iteration gave up and x came from the dense fallback.  Only
+    from the iteration is the residual at most RESIDUAL_TARGET and a bound
+    |x - x*| <= residual x*; the dense fallback's can exceed one where x*
+    spans many magnitudes (128 on a 3000-node one-way ring at radius
+    1 - 1e-6, with x up to 2.7e19), and then bounds nothing."""
 
     x: np.ndarray
     residual: float
@@ -346,10 +349,10 @@ def resolvent_solve(rows, cols, vals, n: int, v0=None) -> ResolventSolution:
     larger (the sum is rounding noise when r lies along p), so the rest of
     r converges at the rate of the second eigenvalue.  It stops at ||r||_inf <=
     RESIDUAL_TARGET: since (I - A')^-1 >= 0 maps 1 to x*, that gives
-    |x - x*| <= ||r||_inf x* componentwise.  When p's radius estimate is at
-    most DEFLATE_ABOVE, nothing is deflated (c = 0): the plain sum is fast
-    there, and a nilpotent or defective matrix has no usable pair.  A
-    matrix without entries gives x = 1.
+    |x - x*| <= ||r||_inf x* componentwise (not so for the dense path).
+    When p's radius estimate is at most DEFLATE_ABOVE, nothing is deflated
+    (c = 0): the plain sum is fast there, and a nilpotent or defective
+    matrix has no usable pair.  A matrix without entries gives x = 1.
 
     The one dense path: when RESOLVENT_SWEEPS products run out, a Perron
     iteration or Neumann sum cannot reach its target within the products

@@ -145,16 +145,6 @@ class SwitchedLinearSubsystem:
     def n_modes(self) -> int:
         return len(self.modes)
 
-    def in_neighbors(self, mode: int) -> tuple[int, ...]:
-        return tuple(j for j, (lo, hi) in self.modes[mode].in_blocks.items() if hi > lo)
-
-    def out_neighbors(self, mode: int) -> tuple[int, ...]:
-        return tuple(
-            j
-            for j, (lo, hi) in self.modes[mode].out_blocks.items()
-            if j != self.id and hi > lo
-        )
-
 
 def _check_subsystems(subsystems) -> None:
     """Raise the first defect of subsystems used on their own, one at a
@@ -391,7 +381,7 @@ class _Layer:
         """Check the layer as a network, in NetworkSpec's order (unique ids,
         unknown peers, dangling edges and wiring widths, inverse wiring
         entries) and return its union graph; the join of in- and out-blocks
-        is kept for ``links``."""
+        is kept for ``links`` and ``fan_in``."""
         ids, n_nodes = self.ids, len(self.ids)
         order = np.argsort(ids, kind="stable")
         sorted_ids = ids[order]
@@ -447,21 +437,23 @@ class _Layer:
         # outs[o][begin:end] of its source toward its reader, one per source
         # mode that outputs to the reader
         self._join = ins, peer_pos[ins], outs[o], start[at], np.append(start[1:], o.size)[at]
-        src_id, dst_id = ids[pairs // n_nodes], ids[pairs % n_nodes]
+        # each node's sources by id, for the union graph
+        dst, src_id = pairs % n_nodes, ids[pairs // n_nodes]
+        sources = src_id[np.lexsort((src_id, dst))].tolist()
+        bounds = _starts(np.bincount(dst, minlength=n_nodes)).tolist()
         nodes = ids.tolist()
+        fan = {i: tuple(sources[bounds[p]:bounds[p + 1]]) for p, i in enumerate(nodes)}
+        return _view(InterconnectionGraph, nodes=tuple(nodes), in_neighbors=fan)
 
-        def neighbors(pos, other):
-            o = np.lexsort((other, pos))
-            vals = other[o].tolist()
-            bounds = _starts(np.bincount(pos, minlength=n_nodes)).tolist()
-            return {i: tuple(vals[bounds[p]:bounds[p + 1]]) for p, i in enumerate(nodes)}
-
-        return _view(
-            InterconnectionGraph,
-            nodes=tuple(nodes),
-            in_neighbors=neighbors(pairs % n_nodes, src_id),
-            out_neighbors=neighbors(pairs // n_nodes, dst_id),
-        )
+    @property
+    def fan_in(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The live in-blocks of a wired layer, one entry each in block
+        table order, as (reader position, source position, degree): the
+        degree is the number of live in-blocks in the reader's (node, mode)
+        row, that mode's fan-in."""
+        ins, src = self._join[:2]
+        row = self.row[ins]
+        return self.owner[ins], src, np.bincount(row)[row]
 
     @cached_property
     def ext_blocks(self) -> np.ndarray:
@@ -685,28 +677,15 @@ class InterconnectionGraph:
 
     nodes: tuple[int, ...]
     in_neighbors: dict[int, tuple[int, ...]]
-    out_neighbors: dict[int, tuple[int, ...]]
 
     def __post_init__(self):
-        for i in self.nodes:
-            if i in self.in_neighbors.get(i, ()) or i in self.out_neighbors.get(i, ()):
-                raise WiringError(f"node {i} may not neighbor itself", node=i)
+        known = set(self.nodes)
         for i in self.nodes:
             for j in self.in_neighbors.get(i, ()):
-                if i not in self.out_neighbors.get(j, ()):
-                    raise WiringError(
-                        f"wiring inconsistency: edge {j}->{i} lacks the inverse "
-                        f"out-neighbor entry",
-                        src=j, dst=i,
-                    )
-        for j in self.nodes:
-            for i in self.out_neighbors.get(j, ()):
-                if j not in self.in_neighbors.get(i, ()):
-                    raise WiringError(
-                        f"wiring inconsistency: edge {j}->{i} lacks the inverse "
-                        f"in-neighbor entry",
-                        src=j, dst=i,
-                    )
+                if j == i:
+                    raise WiringError(f"node {i} may not neighbor itself", node=i)
+                if j not in known:
+                    raise WiringError(f"node {i} references unknown peer {j}", node=i, peer=j)
 
     @property
     def edges(self) -> tuple[tuple[int, int], ...]:

@@ -24,6 +24,7 @@ from .composition import (
     ComposedCertificate,
     MuCertificate,
     TemplateGains,
+    check_small_gain,
     compose_certificate,
     construct_mu,
     templated_gain_operator,
@@ -196,13 +197,8 @@ def ring_gains(params: SwingParams, tol: ToleranceProfile = DEFAULT_TOL) -> Loca
 def topology_graph(params: SwingParams, mode: int) -> InterconnectionGraph:
     """The interconnection graph of one synchronized topology (in-degree 1)."""
     n = params.n_nodes
-    if mode == 0:
-        in_n = {i: ((i - 1) % n,) for i in range(n)}
-        out_n = {i: ((i + 1) % n,) for i in range(n)}
-    else:
-        in_n = {i: ((i + 1) % n,) for i in range(n)}
-        out_n = {i: ((i - 1) % n,) for i in range(n)}
-    return InterconnectionGraph(tuple(range(n)), in_n, out_n)
+    step = -1 if mode == 0 else 1
+    return InterconnectionGraph(tuple(range(n)), {i: ((i + step) % n,) for i in range(n)})
 
 
 def templated_ring_operator(gains: LocalGains):
@@ -262,7 +258,7 @@ def benchmark_report(
     already verified, so the template is not verified again."""
     if gains is None:
         gains = ring_gains(params, tol)
-    bound = gains.rho_int * 1 / (gains.alpha * gains.lam)  # one neighbor per topology
+    small_gain = check_small_gain(templated_ring_operator(gains))
     return SwingReport(
         alpha=gains.alpha,
         lam=gains.lam,
@@ -270,9 +266,9 @@ def benchmark_report(
         rho_int_reported=REPORTED_RHO_INT,
         rho_ext_formula=gains.rho_ext,
         rho_ext_reported=REPORTED_RHO_EXT,
-        small_gain_bound_formula=bound,
+        small_gain_bound_formula=small_gain.radius_or_bound,
         small_gain_bound_reported=REPORTED_SMALL_GAIN_BOUND,
-        satisfied=bound < 1.0,
+        satisfied=small_gain.satisfied,
     )
 
 

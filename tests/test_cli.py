@@ -253,6 +253,19 @@ class TestErrorPaths:
         assert report["details"] == {"node": 0, "got": len(modes), "expected": 2}
 
     @pytest.mark.parametrize("argv", [
+        ["swing-gen", "--nodes", "3", "-o", "OUT/certs.json"],  # the default certs.json
+        ["swing-gen", "--nodes", "3", "-o", "OUT/both.json", "--certs-out", "OUT/./both.json"],
+    ], ids=["default-certs-path", "certs-out-equal"])
+    def test_swing_gen_refuses_one_path_for_both_files(self, capsys, tmp_path, argv):
+        # otherwise the certificates would overwrite the network
+        out = tmp_path / "gen"
+        out.mkdir()
+        code, report, _ = run_cli(capsys, [a.replace("OUT", str(out)) for a in argv])
+        assert code == 2 and report["error"] == "SimnetError"
+        assert "would both be written to" in report["message"]
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("argv", [
         ["simulate", "NET", "CERTS", "--horizon", "-2"],
         ["swing-run", "--nodes", "3", "--horizon", "-2"],
     ])

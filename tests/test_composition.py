@@ -9,13 +9,16 @@ from simnet import (
     DimensionMismatchError,
     GainOperator,
     InterconnectionGraph,
+    LocalCertificate,
     LocalGains,
+    NetworkVerification,
     TemplateGains,
     ToleranceProfile,
     build_gain_operator,
     build_gain_operator_from_network,
     check_composed_dissipation,
     check_small_gain,
+    compose_certificate,
     construct_mu,
     spectral_radius_dense,
     templated_gain_operator,
@@ -31,6 +34,7 @@ from vehicles import (
     decoupled_tight_node,
     evaluate_V,
     heterogeneous_network,
+    live_peers,
     tight_two_node_network,
 )
 
@@ -44,11 +48,7 @@ def gains(lam=0.2, rho_int=0.0, rho_ext=0.0, alpha=1.0):
 
 
 def chain_graph():
-    return InterconnectionGraph(
-        nodes=(0, 1),
-        in_neighbors={0: (1,), 1: (0,)},
-        out_neighbors={0: (1,), 1: (0,)},
-    )
+    return InterconnectionGraph(nodes=(0, 1), in_neighbors={0: (1,), 1: (0,)})
 
 
 def dense_gamma(op):
@@ -80,8 +80,8 @@ def reference_gamma(spec, gains):
     pos = {node: p for p, node in enumerate(spec.graph.nodes)}
     gamma = np.zeros((spec.n_nodes, spec.n_nodes))
     for sub in spec.subsystems:
-        for s in range(sub.n_modes):
-            fan_in = sub.in_neighbors(s)
+        for mode in sub.modes:
+            fan_in = live_peers(mode.in_blocks)
             for j in fan_in:
                 cand = gains[sub.id].rho_int * len(fan_in) / gains[j].alpha
                 gamma[pos[sub.id], pos[j]] = max(gamma[pos[sub.id], pos[j]], cand)
@@ -140,9 +140,40 @@ class TestBuildGainOperator:
         np.testing.assert_array_equal(dense_gamma(op), reference_gamma(spec, g))
         assert np.all(op.gamma > 0.0)
         assert np.all(np.diff(op.rows * op.n + op.cols) > 0)  # sorted, one entry per pair
+        if spec.abstract_subsystems is not None:  # the abstract view reads the same wiring
+            view = build_gain_operator_from_network(spec.abstract_view(), g)
+            for field in ("rows", "cols", "gamma"):
+                np.testing.assert_array_equal(getattr(view, field), getattr(op, field))
+
+    def test_ids_out_of_order_with_zero_width_block(self):
+        """Node ids that are neither positions nor sorted, and zero-width
+        in-blocks that wire nothing: entries land at the nodes' positions."""
+        from simnet import Mode, NetworkSpec, SwitchedLinearSubsystem
+
+        def node(node_id, out_blocks, reads):
+            width = max((hi for _, hi in out_blocks.values()), default=0)
+            return SwitchedLinearSubsystem(node_id, [
+                Mode(A=[[0.5]], B=[[1.0]], C=np.ones((width, 1)),
+                     D=np.ones((1, max((hi for _, hi in r.values()), default=0))),
+                     out_blocks=out_blocks, in_blocks=r)
+                for r in reads
+            ])
+
+        spec = NetworkSpec([
+            node(30, {30: (0, 1)}, [{10: (0, 1), 20: (1, 1)}, {20: (0, 1), 10: (1, 1)}]),
+            node(10, {10: (0, 1), 30: (1, 2)}, [{20: (0, 1), 30: (1, 1)}]),
+            node(20, {20: (0, 1), 30: (1, 2), 10: (2, 3)}, [{}]),
+        ])
+        g = {i: gains(rho_int=0.001 * i, alpha=0.01 * i) for i in (10, 20, 30)}
+        op = build_gain_operator_from_network(spec, g)
+        assert op.node_ids == (30, 10, 20)
+        expected = reference_gamma(spec, g)
+        np.testing.assert_array_equal(dense_gamma(op), expected)
+        assert (op.rows.tolist(), op.cols.tolist()) == ([0, 0, 1], [1, 2, 2])
+        assert expected[0, 1] == g[30].rho_int / g[10].alpha
 
     def test_decoupled_network_zero_matrix(self):
-        graph = InterconnectionGraph((0, 1), {0: (), 1: ()}, {0: (), 1: ()})
+        graph = InterconnectionGraph((0, 1), {0: (), 1: ()})
         op = build_gain_operator([gains(), gains()], graph)
         assert np.all(dense_gamma(op) == 0.0)
         assert op.gamma_colsum_sup == 0.0
@@ -181,7 +212,7 @@ class TestBuildGainOperator:
 
 class TestCheckSmallGain:
     def test_zero_gamma_radius_zero(self):
-        graph = InterconnectionGraph((0,), {0: ()}, {0: ()})
+        graph = InterconnectionGraph((0,), {0: ()})
         op = build_gain_operator([gains()], graph)
         res = check_small_gain(op)
         assert res.satisfied and res.radius_or_bound == 0.0
@@ -236,7 +267,7 @@ class TestCheckSmallGain:
 
 class TestConstructMu:
     def test_single_node_full_rate(self):
-        graph = InterconnectionGraph((0,), {0: ()}, {0: ()})
+        graph = InterconnectionGraph((0,), {0: ()})
         op = build_gain_operator([gains(lam=0.2)], graph)
         core = construct_mu(op)
         np.testing.assert_allclose(core.mu, [1.0])
@@ -299,8 +330,7 @@ class TestConstructMu:
         for i in nodes:
             others = [j for j in nodes if j != i]
             in_n[i] = tuple(j for j in others if rng.random() < 0.5)
-        out_n = {j: tuple(i for i in nodes if j in in_n[i]) for j in nodes}
-        graph = InterconnectionGraph(nodes, in_n, out_n)
+        graph = InterconnectionGraph(nodes, in_n)
         lams = rng.uniform(0.2, 0.8, n)
         g = [
             gains(lam=float(lams[i]), rho_int=float(rng.uniform(0.0, 0.02)))
@@ -365,6 +395,41 @@ class TestComposeCertificate:
                                    [0, 0]) == pytest.approx(
             direct, rel=1e-12
         )
+
+
+def relabelled(cert, node_id):
+    """The certificate with another node id."""
+    return LocalCertificate(M=cert.M, K=cert.K, P=cert.P, Q=cert.Q, R=cert.R, T=cert.T,
+                            kappa=cert.kappa, node_id=node_id)
+
+
+class TestComposeCertificateIds:
+    """Gains are read by node id, not by position in the certificate list."""
+
+    def test_failed_node_is_named_by_id(self, swing_params):
+        _, core, g, certs = compose_ring(swing_params)
+        verified = NetworkVerification(
+            node_ids=(10, 20),
+            passed=np.array([[True] * 3, [True, False, True]]),
+            lam=np.array([g.lam, np.nan]), rho_int=np.array([g.rho_int, np.nan]),
+            rho_ext=np.array([g.rho_ext, np.nan]), failures={20: ("decay",)},
+        )
+        pair = [relabelled(certs[0], 10), relabelled(certs[0], 20)]
+        for local in (pair, [certs[0]] * 2):  # named by the verification, not the certificates
+            with pytest.raises(CompositionError, match=r"missing gains for nodes \[20\]"):
+                compose_certificate(core, verified, local)
+        with pytest.raises(DimensionMismatchError, match="need gains for 3 nodes, got 2"):
+            compose_certificate(core, verified, pair + [certs[0]])
+
+    def test_dict_is_read_by_certificate_ids(self, swing_params):
+        _, core, g, certs = compose_ring(swing_params)
+        pair = [relabelled(certs[0], 10), relabelled(certs[0], 20)]
+        by_id = compose_certificate(core, {20: g, 10: g}, pair)
+        by_position = compose_certificate(core, [g, g], pair)
+        assert (by_id.alpha_total, by_id.rho_ext_coeff) == (
+            by_position.alpha_total, by_position.rho_ext_coeff)
+        with pytest.raises(CompositionError, match=r"missing gains for nodes \[20\]"):
+            compose_certificate(core, {10: g, 30: g}, pair)
 
 
 class TestComposedDissipation:
@@ -493,15 +558,9 @@ class TestRadiusCrossCheck:
 
 def graph_of(in_neighbors):
     """InterconnectionGraph on nodes 0..n-1 from per-node in-neighbor lists."""
-    n = len(in_neighbors)
-    out = {j: [] for j in range(n)}
-    for i, js in enumerate(in_neighbors):
-        for j in js:
-            out[j].append(i)
     return InterconnectionGraph(
-        tuple(range(n)),
+        tuple(range(len(in_neighbors))),
         {i: tuple(js) for i, js in enumerate(in_neighbors)},
-        {j: tuple(v) for j, v in out.items()},
     )
 
 

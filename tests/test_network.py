@@ -6,6 +6,7 @@ import pytest
 from simnet import (
     BlockPartitionError,
     DimensionMismatchError,
+    InterconnectionGraph,
     Mode,
     NetworkSpec,
     SchemaError,
@@ -23,6 +24,7 @@ from simnet.composition import ComposedCertificate, Lockstep
 from simnet.simulate import _synchronized
 from vehicles import (
     heterogeneous_network,
+    live_peers,
     per_node,
     random_network,
     stacked_step_oracle,
@@ -112,8 +114,8 @@ class TestLoadNetwork:
     def test_ring_spec_valid_and_single_in_neighbor_per_topology(self):
         spec = generate_ring_network(SwingParams(n_nodes=3))
         for sub in spec.subsystems:
-            for s in (0, 1):
-                assert len(sub.in_neighbors(s)) == 1
+            for mode in sub.modes:
+                assert len(live_peers(mode.in_blocks)) == 1
         # union graph has both ring directions
         assert spec.graph.in_neighbors[0] == (1, 2)
 
@@ -218,7 +220,7 @@ class TestLoadNetwork:
                 )
             ],
         )
-        assert sub.out_neighbors(0) == ()
+        assert live_peers(sub.modes[0].out_blocks, 0) == ()
         spec = NetworkSpec([sub])
         assert spec.graph.edges == ()
         next_states = engine_step(spec, [np.array([2.0])], [np.zeros(1)], [0])[0]
@@ -234,6 +236,16 @@ class TestLoadNetwork:
         path2 = tmp_path / "net2.json"
         save_network(loaded, path2)
         assert path.read_text() == path2.read_text()
+
+
+class TestInterconnectionGraph:
+    def test_unknown_in_neighbor_is_a_wiring_error(self):
+        with pytest.raises(WiringError, match="node 1 references unknown peer 7"):
+            InterconnectionGraph((0, 1), {0: (1,), 1: (0, 7)})
+
+    def test_self_loop_is_a_wiring_error(self):
+        with pytest.raises(WiringError, match="node 1 may not neighbor itself"):
+            InterconnectionGraph((0, 1), {0: (), 1: (1,)})
 
 
 class TestAssembleInternalInput:

@@ -25,7 +25,7 @@ from simnet.swing import (
     templated_ring_operator,
     topology_graph,
 )
-from vehicles import per_node
+from vehicles import live_peers, per_node
 
 
 class TestGenerateRingNetwork:
@@ -42,10 +42,11 @@ class TestGenerateRingNetwork:
     def test_ring_structure_per_mode(self):
         spec = generate_ring_network(SwingParams(n_nodes=5))
         for i, sub in enumerate(spec.subsystems):
-            assert sub.in_neighbors(0) == ((i - 1) % 5,)
-            assert sub.in_neighbors(1) == ((i + 1) % 5,)
-            assert sub.out_neighbors(0) == ((i + 1) % 5,)
-            assert sub.out_neighbors(1) == ((i - 1) % 5,)
+            first, second = sub.modes
+            assert live_peers(first.in_blocks) == ((i - 1) % 5,)
+            assert live_peers(second.in_blocks) == ((i + 1) % 5,)
+            assert live_peers(first.out_blocks, i) == ((i + 1) % 5,)
+            assert live_peers(second.out_blocks, i) == ((i - 1) % 5,)
 
     def test_rotation_symmetry(self):
         # rotating node indices maps the ring onto itself
@@ -54,8 +55,8 @@ class TestGenerateRingNetwork:
             for i, sub in enumerate(spec.subsystems):
                 rotated = spec.subsystems[(i + 1) % 4]
                 np.testing.assert_array_equal(sub.modes[s].A, rotated.modes[s].A)
-                shifted_in = tuple((j + 1) % 4 for j in sub.in_neighbors(s))
-                assert shifted_in == rotated.in_neighbors(s)
+                shifted_in = tuple((j + 1) % 4 for j in live_peers(sub.modes[s].in_blocks))
+                assert shifted_in == live_peers(rotated.modes[s].in_blocks)
 
     def test_save_load_round_trip_validates(self, tmp_path):
         spec = generate_ring_network(SwingParams(n_nodes=3))

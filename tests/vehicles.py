@@ -8,6 +8,8 @@
 - interface_input / evaluate_V: one node's refined input and tracking
   energy, the references for the compiled certificates.
 - per_node: a flat vector cut into per-node parts by a layout's offsets.
+- live_peers: the peers a block map wires with nonzero width, read from
+  the map itself, the reference for the block table's fan-ins.
 - export_run_reference: the run CSV written one float at a time, the
   reference for the row-at-a-time export_run.
 - random_network / certified_network: seeded generators; the certified
@@ -70,6 +72,13 @@ def stacked_step_oracle(spec: NetworkSpec, states, inputs, modes):
         bu_full[sl] = mode.B @ np.asarray(inputs[pos], dtype=float)
     x_next = a_full @ x_full + bu_full
     return [x_next[offs[p]:offs[p + 1]] for p in range(len(sizes))]
+
+
+def live_peers(blocks, own=None) -> tuple[int, ...]:
+    """The peers of a block map (a mode's in_blocks or out_blocks) whose
+    block has nonzero width, in map order, leaving out ``own`` (the key of
+    the node's external out-block)."""
+    return tuple(j for j, (lo, hi) in blocks.items() if hi > lo and j != own)
 
 
 def blockwise_internal_input(spec: NetworkSpec, states, modes):
