@@ -18,11 +18,11 @@ for that inequality.
 Certificate files are ingested column by column: ``load_certificates``
 walks the decoded entries once (an integral id, mode keys that are
 integers, every field present), converts each matrix family (M, K, P, Q,
-R, T) with one ``np.array`` call per shape and checks all certificates
-together, in this order per certificate: the matrices numeric and M
-square; kappa a number and transitions mode pairs; kappa in (0, 1); P's
-rows; per mode M's dimension, M positive semidefinite (one stacked
-``eigvalsh`` per M dimension, lambda_min >= -1e-8 (1 + max
+R, T) with one stack (one per shape when its shapes differ) and checks
+all certificates together, in this order per certificate: the matrices
+numeric and M square; kappa a number and transitions mode pairs; kappa in
+(0, 1); P's rows; per mode M's dimension, M positive semidefinite (one
+stacked ``eigvalsh`` per M dimension, lambda_min >= -1e-8 (1 + max
 |eigenvalue|)), the shapes of K, Q, R and T; the transitions within the
 modes; every entry finite (NaN and infinities are rejected, naming the
 node, mode and matrix).  The columns only flag: the first certificate
@@ -50,6 +50,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 import numpy as np
 
@@ -81,6 +82,7 @@ from .network import (
     _paused_gc,
     _placed,
     _read_json,
+    _runs,
     _view,
     _write_json,
 )
@@ -150,29 +152,25 @@ def _where(node, mode=None) -> str:
 _PSD_SLACK = 1e-8  # M's eigenvalues may reach -1e-8 (1 + max |eigenvalue|)
 
 
-def _certificates(raws) -> list[LocalCertificate]:
-    """Checked LocalCertificates from raw ``(node, M, K, P, Q, R, T, kappa,
-    transitions)`` tuples, with at least one mode and every per-mode family
-    as long as M; matrices as arrays or decoded lists.
+def _certificates(columns) -> list[LocalCertificate]:
+    """Checked LocalCertificates from columns ``(nodes, mode counts,
+    families, kappas, transitions)``: ``families`` holds M, K, P, Q, R and
+    T, P one matrix per certificate and the others one per (certificate,
+    mode) row, as arrays or decoded lists; every certificate has at least
+    one mode.
 
-    Each family is converted with one ``np.array`` call per shape (see
-    ``_Matrices``), and the checks of ``_checked`` run column by column
-    over all certificates and (certificate, mode) rows; the M of each
-    dimension are symmetrized and decided positive semidefinite with one
-    stacked ``eigvalsh``.  ``_checked`` then raises the first defect of the
-    first certificate flagged.  The certificates hold views into the
-    stacks.
+    Each family is converted with one stack (see ``_Matrices``), and the
+    checks of ``_checked`` run column by column over all certificates and
+    rows; the M of each dimension are symmetrized and decided positive
+    semidefinite with one stacked ``eigvalsh``.  ``_checked`` then raises
+    the first defect of the first certificate flagged.  The certificates
+    hold views into the stacks.
     """
-    n_certs = len(raws)
-    r = [len(raw[1]) for raw in raws]
+    nodes, r, families, raw_kappas, raw_transitions = columns
     bounds = [0, *itertools.accumulate(r)]
     heads = np.array(bounds[:-1], dtype=np.intp)
-    row_cert = np.repeat(np.arange(n_certs), r)
-    mats = _Matrices(
-        [[m for raw in raws for m in raw[f]] if f != 3 else [raw[3] for raw in raws]
-         for f in range(1, 7)],
-        _as_matrix,
-    )
+    row_cert = np.repeat(np.arange(len(nodes)), r)
+    mats = _Matrices(families, _as_matrix)
     dims, plain = mats.dims, mats.plain
     side = dims[0][:, 0]
     square = plain[0] & (side == dims[0][:, 1]) & (side >= 1)
@@ -191,52 +189,60 @@ def _certificates(raws) -> list[LocalCertificate]:
         | misshaped(5, m_r, dims[5][heads, 1][row_cert])
         | ~np.logical_and.reduce([mats.finite[f] for f in (0, 1, 3, 4, 5)])
     )
-    kappas, transitions, malformed = _scalars(raws)
-    rates = np.array(kappas, dtype=float)
+    rates, kappas, malformed = _kappas(raw_kappas)
+    transitions, unknown = _transitions(raw_transitions, r)
     flagged = (  # per certificate: kappa and transitions, then P
-        malformed
+        malformed | unknown
         | ~((0.0 < rates) & (rates < 1.0))
-        | np.array([pairs is not None and any(not (0 <= s < k and 0 <= s2 < k) for s, s2 in pairs)
-                    for pairs, k in zip(transitions, r)], dtype=bool)
         | mats.bad[2] | (dims[2][:, 0] != n) | ~mats.finite[2]
     )
     flagged[row_cert[per_row]] = True
     if flagged.any():
-        _checked(raws[int(np.argmax(flagged))])  # raises the certificate's first defect
+        c = int(np.argmax(flagged))
+        lo, hi = bounds[c], bounds[c + 1]
+        _checked((nodes[c], *(f[c] if i == 2 else f[lo:hi] for i, f in enumerate(families)),
+                  raw_kappas[c], raw_transitions[c]))  # raises the certificate's first defect
         raise AssertionError("a flagged certificate passed its checks")
-
-    def per_cert(items):
-        return [tuple(items[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
 
     arrays = mats.arrays
     return [
         _view(LocalCertificate, M=ms, K=ks, P=p, Q=qs, R=rs, T=ts, kappa=kappa,
-              node_id=raw[0], transitions=pairs)
-        for raw, ms, ks, p, qs, rs, ts, kappa, pairs in zip(
-            raws, per_cert(sym), per_cert(arrays[1]), arrays[2], per_cert(arrays[3]),
-            per_cert(arrays[4]), per_cert(arrays[5]), kappas, transitions,
+              node_id=node, transitions=pairs)
+        for node, ms, ks, p, qs, rs, ts, kappa, pairs in zip(
+            nodes, _runs(sym, r), _runs(arrays[1], r), arrays[2], _runs(arrays[3], r),
+            _runs(arrays[4], r), _runs(arrays[5], r), kappas, transitions,
         )
     ]
 
 
-def _scalars(raws):
-    """Per certificate its kappa as a float (NaN if it is not a number),
-    its transitions as int pairs (None when absent or malformed), and
-    whether either does not convert."""
-    kappas, transitions = [], []
-    malformed = np.zeros(len(raws), dtype=bool)
-    for c, raw in enumerate(raws):
+def _kappas(values):
+    """The rates as an array (NaN where one is not a number), as floats,
+    and where one does not convert."""
+    kappas, malformed = [], np.zeros(len(values), dtype=bool)
+    for c, value in enumerate(values):
         try:
-            kappas.append(float(raw[7]))
+            kappas.append(float(value))
         except (TypeError, ValueError):
             kappas.append(np.nan)
             malformed[c] = True
+    return np.array(kappas, dtype=float), kappas, malformed
+
+
+def _transitions(values, r):
+    """The transitions as int pairs (None when absent or malformed), and
+    per certificate whether they are malformed or name an unknown mode."""
+    if values.count(None) == len(values):
+        return values, np.zeros(len(values), dtype=bool)
+    transitions, bad = [], np.zeros(len(values), dtype=bool)
+    for c, (value, k) in enumerate(zip(values, r)):
         try:
-            transitions.append(tuple((int(a), int(b)) for a, b in raw[8]) if raw[8] else None)
+            pairs = tuple((int(a), int(b)) for a, b in value) if value else None
         except (TypeError, ValueError):
-            transitions.append(None)
-            malformed[c] = True
-    return kappas, transitions, malformed
+            pairs, bad[c] = None, True
+        bad[c] |= pairs is not None and any(
+            not (0 <= s < k and 0 <= s2 < k) for s, s2 in pairs)
+        transitions.append(pairs)
+    return transitions, bad
 
 
 def _semidefinite(ms, side: np.ndarray, finite: np.ndarray):
@@ -1059,16 +1065,65 @@ def _parse_certificates(data) -> dict[int, LocalCertificate]:
     entries = data.get("certificates", [])
     if not isinstance(entries, list):
         raise SchemaError("certificate file must declare a 'certificates' array")
-    raws, malformed = [], None
-    try:
-        for pos, entry in enumerate(entries):
-            raws.append(_certificate_entry(pos, entry))
-    except SchemaError as exc:
-        malformed = exc
-    certs = {cert.node_id: cert for cert in _certificates(raws)}
+    columns, malformed = _certificate_columns(entries), None
+    if columns is None:
+        raws = []
+        try:
+            for pos, entry in enumerate(entries):
+                raws.append(_certificate_entry(pos, entry))
+        except SchemaError as exc:
+            malformed = exc
+        columns = _columns(raws)
+    certs = {cert.node_id: cert for cert in _certificates(columns)}
     if malformed is not None:
         raise malformed
     return certs
+
+
+_PER_MODE = ("M", "K", "Q", "R", "T")
+
+
+def _certificate_columns(entries: list):
+    """The columns of ``_certificates`` for every entry, read by C-level
+    passes over whole columns: each per-mode family read in the integer
+    order of M's mode keys, sorted once per distinct key tuple.  None when
+    an entry is malformed, for ``_certificate_entry`` to name the defect."""
+    try:
+        if not entries or set(map(type, entries)) - {dict}:
+            return None
+        nodes, *per_mode, ps, kappas = map(
+            list, zip(*map(itemgetter("id", *_PER_MODE, "P", "kappa"), entries)))
+        if set(map(type, nodes)) != {int}:
+            nodes = list(map(_integral, nodes))
+        if any(set(map(type, family)) - {dict} for family in per_mode):
+            return None
+        keys = list(map(tuple, per_mode[0]))
+        orders = {k: tuple(sorted(k, key=int)) for k in set(keys)}
+        if () in orders:
+            return None
+        order = list(map(orders.__getitem__, keys))
+        columns = [
+            [mats[key] for mats, keys in zip(family, order) for key in keys]
+            for family in per_mode
+        ]
+        columns.insert(2, ps)
+    except (KeyError, TypeError, ValueError):
+        return None
+    return nodes, list(map(len, order)), columns, kappas, list(
+        map(dict.get, entries, itertools.repeat("transitions")))
+
+
+def _columns(raws: list) -> tuple:
+    """The columns of ``_certificates`` from raw ``(node, M, K, P, Q, R, T,
+    kappa, transitions)`` tuples."""
+    return (
+        [raw[0] for raw in raws],
+        [len(raw[1]) for raw in raws],
+        [[raw[3] for raw in raws] if f == 3 else [m for raw in raws for m in raw[f]]
+         for f in range(1, 7)],
+        [raw[7] for raw in raws],
+        [raw[8] for raw in raws],
+    )
 
 
 def _certificate_entry(pos: int, entry) -> tuple:

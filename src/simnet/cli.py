@@ -10,6 +10,7 @@ report says which), 2 input or usage errors.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import os
 import sys
@@ -371,8 +372,9 @@ def _cmd_swing_gen(args) -> int:
     params = _swing_params(args, kappa=args.kappa)
     spec = generate_ring_network(params)
     cert = closed_form_certificate(params, args.tol)
-    save_network(spec, args.out)
-    save_certificates({i: cert for i in range(params.n_nodes)}, certs_path)
+    certs = {i: cert for i in range(params.n_nodes)}
+    _write_pair(((lambda path: save_network(spec, path), args.out),
+                 (lambda path: save_certificates(certs, path), certs_path)))
     print(f"wrote {args.out} and {certs_path}", file=sys.stderr)
     _emit(
         {
@@ -383,6 +385,33 @@ def _cmd_swing_gen(args) -> int:
         }
     )
     return 0
+
+
+def _write_pair(writes) -> None:
+    """Run each ``(save, path)`` on a temporary file next to the file its
+    path names (links followed; the temporary named from that file and the
+    process id), then move both into place.  A path naming a directory is
+    refused before anything is written, so when either write fails, neither
+    file nor a temporary is left behind."""
+    for _, path in writes:
+        if os.path.isdir(path):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
+    targets = [os.path.realpath(path) for _, path in writes]
+    temps = [f"{target}.{os.getpid()}.tmp" for target in targets]
+    try:
+        for (save, path), temp in zip(writes, temps):
+            try:
+                save(temp)
+            except OSError as exc:  # reported for the path asked for, as before
+                raise type(exc)(exc.errno, exc.strerror, path) from exc
+        for target, temp in zip(targets, temps):
+            os.replace(temp, target)
+    finally:
+        for temp in temps:
+            try:
+                os.remove(temp)
+            except FileNotFoundError:
+                pass
 
 
 def _cmd_swing_run(args) -> int:

@@ -16,12 +16,15 @@ all modes.  The interconnection graph exposed on the spec is the union over
 modes.
 
 Ingest is columnar.  ``parse_network`` walks the decoded JSON once per
-layer (concrete, then abstract): every matrix is converted in one
-``np.array`` call per shape, into read-only stacks that the ``Mode``
-objects view without copying, and every block of every block map becomes
-a row of one integer table (row = (node, mode), kind, peer, lo, hi).
-Validation then runs once per check over whole columns, never per matrix
-or per mode, in this order:
+layer (concrete, then abstract) with C-level passes over whole columns:
+each matrix family is converted by one ``np.fromiter`` when its matrices
+share a shape, and grouped by shape only when they do not, into read-only
+stacks that the ``Mode`` objects view without copying; every block of
+every block map becomes a row of one integer table (row = (node, mode),
+kind, peer, lo, hi).  Abstract block maps equal to the concrete ones share
+the concrete table, and the declared edges are compared with the wiring
+by one sort.  Validation then runs once per check over whole columns,
+never per matrix or per mode, in this order:
 
   1. per layer, node by node in file order: the file's structure (each
      entry an object with an integral id and nonempty modes, matrices as
@@ -63,7 +66,8 @@ import operator
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
+from itertools import chain, repeat
+from operator import attrgetter, itemgetter
 
 import numpy as np
 
@@ -171,6 +175,39 @@ def _int64(values: list) -> np.ndarray:
     return arr.astype(np.int64, copy=False)
 
 
+def _block_table(maps: list, bounds: list) -> tuple:
+    """The block table of the block maps ``[out_0, in_0, out_1, ...]`` of
+    a layer's rows and their bounds: (row, kind, peer, lo, hi) per block,
+    in file order, then per map whether its ranges leave a gap or overlap
+    and the index they reach (see ``_Layer.node_defect``), and the order
+    that sorts the blocks by (row, kind, lo, hi), all from one stable sort."""
+    seg = np.repeat(np.arange(len(maps)), list(map(len, maps)))
+    lo, hi = _int64(bounds).reshape(-1, 2).T
+    order = np.lexsort((hi, lo, seg))
+    group, start, stop = seg[order], lo[order], hi[order]
+    new = np.ones(group.size, dtype=bool)
+    new[1:] = group[1:] != group[:-1]
+    cursor = np.where(new, 0, np.concatenate(([0], stop[:-1])))
+    gap = np.zeros(len(maps), dtype=bool)
+    gap[group[(start != cursor) | (stop < start)]] = True
+    reach = np.zeros(len(maps), dtype=np.int64)
+    last = np.ones(group.size, dtype=bool)
+    last[:-1] = new[1:]
+    reach[group[last]] = stop[last]
+    peer = _int64(list(chain.from_iterable(maps)))
+    return seg >> 1, seg & 1, peer, lo, hi, gap, reach, order
+
+
+def _positions(ids: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """The position in ``ids`` (distinct) of each of ``values``, -1 where
+    absent, by binary search."""
+    if not ids.size:
+        return np.full(values.size, -1, dtype=np.intp)
+    order = np.argsort(ids, kind="stable")
+    rank = np.minimum(np.searchsorted(ids[order], values), ids.size - 1)
+    return np.where(ids[order][rank] == values, order[rank], -1)
+
+
 def _key(obj):
     """Shape key of a matrix: an array's shape; for a decoded list of
     rows its (rows, columns) judged by the first row, columns -1 if that
@@ -186,14 +223,48 @@ def _extents(shape: tuple) -> tuple:
     return (tuple(shape) + (-1, -1))[:2]
 
 
+def _shape(fam):
+    """The one shape of a family's matrices: every matrix a list of row
+    lists of one height and width, or every matrix an array of one shape;
+    else None.  Read by C-level passes over the matrices and their rows."""
+    kinds = set(map(type, fam))
+    if kinds == {np.ndarray}:
+        shapes = set(map(attrgetter("shape"), fam))
+        return shapes.pop() if len(shapes) == 1 else None
+    heights = set(map(len, fam)) if kinds == {list} else ()
+    if len(heights) != 1:
+        return None
+    rows = list(chain.from_iterable(fam))
+    widths = set(map(len, rows)) if set(map(type, rows)) == {list} else ()
+    return (heights.pop(), widths.pop()) if len(widths) == 1 else None
+
+
+def _whole(fam, shape: tuple):
+    """The read-only stack of a family whose matrices all have ``shape``
+    (see ``_shape``): the entries of row lists read by one ``np.fromiter``,
+    arrays stacked by one ``np.array``; None if an entry is not a number."""
+    try:
+        if type(fam[0]) is list:
+            count = len(fam) * shape[0] * shape[1]
+            entries = chain.from_iterable(chain.from_iterable(fam))
+            stack = np.fromiter(entries, float, count).reshape(len(fam), *shape)
+        else:
+            stack = np.array(fam, dtype=float)
+    except (TypeError, ValueError):
+        return None
+    return _frozen(stack)
+
+
 class _Matrices:
-    """Matrix families converted to read-only float arrays with one
-    ``np.array`` call per (family, shape): ``arrays[f][i]`` is a view into
-    the stack of its shape.  Per matrix i of family f: ``dims[f][i]`` (see
-    ``_extents``), ``plain[f][i]`` (2-d), ``finite[f][i]`` and
-    ``bad[f][i]`` (``convert`` rejects it with a SchemaError).  Matrices
-    that do not stack with their shape go through ``convert`` one at a
-    time.
+    """Matrix families converted to read-only float arrays: ``arrays[f][i]``
+    is a view into a stack.  A family whose matrices share one shape (see
+    ``_shape``) is one stack, its views handed out by one pass over it;
+    only a family that does not stack whole (mixed shapes, a malformed
+    matrix) is grouped by shape (see ``_key``), one ``np.array`` call per
+    shape.  Per matrix i of family f: ``dims[f][i]`` (see ``_extents``),
+    ``plain[f][i]`` (2-d), ``finite[f][i]`` and ``bad[f][i]`` (``convert``
+    rejects it with a SchemaError).  Matrices that do not stack with their
+    shape go through ``convert`` one at a time.
     """
 
     def __init__(self, families, convert):
@@ -203,6 +274,15 @@ class _Matrices:
 
     def _add(self, fam, convert):
         k = len(fam)
+        shape = _shape(fam)
+        whole = None if shape is None else _whole(fam, shape)
+        if whole is not None:
+            self.arrays.append(list(whole))
+            self.dims.append(np.tile(np.array(_extents(shape), dtype=np.int64), (k, 1)))
+            self.plain.append(np.full(k, len(shape) == 2))
+            self.finite.append(np.isfinite(whole).reshape(k, -1).all(axis=1))
+            self.bad.append(np.zeros(k, dtype=bool))
+            return
         dims = np.full((k, 2), -1, dtype=np.int64)
         plain = np.zeros(k, dtype=bool)
         finite = np.ones(k, dtype=bool)
@@ -266,17 +346,9 @@ class _Layer:
     layer, so a spec built from them reuses it (see ``of``).
     """
 
-    def __init__(self, subsystems, mats: _Matrices | None = None):
-        self.subsystems = subsystems
+    def __init__(self, subsystems, modes, mats: _Matrices, table: tuple):
+        self.subsystems, self.modes = subsystems, modes
         self.checked = False
-        modes = [mode for sub in subsystems for mode in sub.modes]
-        maps = [m for mode in modes for m in (mode.out_blocks, mode.in_blocks)]
-        peers = list(chain.from_iterable(maps))
-        ranges = list(chain.from_iterable(m.values() for m in maps))
-        if mats is None:  # built from objects; parsed block maps hold integer keys and pairs
-            mats = _Matrices([[getattr(mode, f) for mode in modes] for f in _FAMILIES], np.asarray)
-            if not _integer_blocks(peers, ranges):  # raise the first node defect, if any
-                _check_subsystems(subsystems)
         counts = [len(sub.modes) for sub in subsystems]
         self.ids = np.array([sub.id for sub in subsystems], dtype=np.int64)
         self.first = _starts(counts)
@@ -285,13 +357,9 @@ class _Layer:
         self.dims = np.stack([dims[:n_rows] for dims in mats.dims], axis=1)
         self.plain = np.stack([plain[:n_rows] for plain in mats.plain], axis=1)
         self.finite = np.stack([finite[:n_rows] for finite in mats.finite], axis=1)
-        seg = np.repeat(np.arange(2 * len(modes)), [len(m) for m in maps])
-        self.row, self.kind = seg >> 1, seg & 1
-        self.peer = _int64(peers)
-        bounds = _int64(list(chain.from_iterable(ranges)))
-        self.lo, self.hi = bounds.reshape(-1, 2).T
+        self.row, self.kind, self.peer, self.lo, self.hi = table[:5]
+        self._gap, self._reach, self._order = table[5:]
         self.owner = self.node[self.row]
-        self.modes = modes
 
     @staticmethod
     def of(subsystems) -> "_Layer":
@@ -304,7 +372,14 @@ class _Layer:
             and all(map(operator.is_, layer.subsystems, subsystems))
         ):
             return layer
-        return _Layer(subsystems)
+        modes = [mode for sub in subsystems for mode in sub.modes]
+        maps = [m for mode in modes for m in (mode.out_blocks, mode.in_blocks)]
+        ranges = list(chain.from_iterable(m.values() for m in maps))
+        if not _integer_blocks(list(chain.from_iterable(maps)), ranges):
+            _check_subsystems(subsystems)  # raise the first node defect, if any
+        mats = _Matrices([[getattr(mode, f) for mode in modes] for f in _FAMILIES], np.asarray)
+        table = _block_table(maps, list(chain.from_iterable(ranges)))
+        return _Layer(subsystems, modes, mats, table)
 
     def check_nodes(self) -> None:
         """Raise the first node defect, else mark the subsystems checked:
@@ -342,10 +417,12 @@ class _Layer:
         ext_width[self.row[ext]] = (self.hi - self.lo)[ext]
         feeds_self = np.zeros(n_rows, dtype=bool)
         feeds_self[self.row[mine & (self.kind == _IN)]] = True
+        # each row's out- and in-block ranges partition 0..q and 0..nw
+        partitioned = ~self._gap & (self._reach == np.stack([q, nw], axis=1).ravel())
         fails = (
             ~(self.plain & (d == want).all(axis=2)).all(axis=1)
             | ~self.finite.all(axis=1)
-            | self._partition_bad(np.stack([q, nw], axis=1)).any(axis=1)
+            | ~partitioned.reshape(-1, 2).all(axis=1)
             | (ext_width <= 0)
             | feeds_self
             | (ext_width != ext_width[f])
@@ -358,41 +435,22 @@ class _Layer:
             raise AssertionError("a flagged subsystem passed its checks")
         return defect
 
-    def _partition_bad(self, widths: np.ndarray) -> np.ndarray:
-        """(rows, 2): whether each row's out-/in-block ranges fail to
-        partition 0..width (one lexsort over the block table)."""
-        order = np.lexsort((self.hi, self.lo, self.kind, self.row))
-        group = (self.row * 2 + self.kind)[order]
-        lo, hi = self.lo[order], self.hi[order]
-        new = np.ones(group.size, dtype=bool)
-        new[1:] = group[1:] != group[:-1]
-        cursor = np.where(new, 0, np.concatenate(([0], hi[:-1])))
-        bad = np.zeros(widths.size, dtype=bool)
-        bad[group[(lo != cursor) | (hi < lo)]] = True
-        covered = np.zeros(widths.size, dtype=np.int64)
-        last = np.ones(group.size, dtype=bool)
-        last[:-1] = new[1:]
-        covered[group[last]] = hi[last]
-        return (bad | (covered != widths.ravel())).reshape(-1, 2)
-
     # -- spec checks -------------------------------------------------------
 
     def wire(self) -> "InterconnectionGraph":
         """Check the layer as a network, in NetworkSpec's order (unique ids,
         unknown peers, dangling edges and wiring widths, inverse wiring
         entries) and return its union graph; the join of in- and out-blocks
-        is kept for ``links`` and ``fan_in``."""
+        is kept for ``links`` and ``fan_in``, the edges for ``declares``."""
         ids, n_nodes = self.ids, len(self.ids)
-        order = np.argsort(ids, kind="stable")
-        sorted_ids = ids[order]
+        sorted_ids = np.sort(ids)
         if (sorted_ids[1:] == sorted_ids[:-1]).any():
             raise SchemaError("subsystem ids must be unique", ids=ids.tolist())
         width = self.hi - self.lo
         live_in = (self.kind == _IN) & (width > 0)
         live_out = (self.kind == _OUT) & (width > 0) & (self.peer != ids[self.owner])
-        rank = np.minimum(np.searchsorted(sorted_ids, self.peer), max(n_nodes - 1, 0))
-        known = sorted_ids[rank] == self.peer if n_nodes else np.zeros(self.peer.size, bool)
-        unknown = np.flatnonzero((live_in | live_out) & ~known)
+        peer_pos = _positions(ids, self.peer)
+        unknown = np.flatnonzero((live_in | live_out) & (peer_pos < 0))
         if unknown.size:
             b = unknown[np.lexsort((self.peer[unknown], self.kind[unknown] == _OUT,
                                     self.owner[unknown]))[0]]
@@ -400,7 +458,6 @@ class _Layer:
             raise WiringError(
                 f"subsystem {node} references unknown peer {peer}", node=node, peer=peer
             )
-        peer_pos = order[rank]
         ins, outs = np.flatnonzero(live_in), np.flatnonzero(live_out)
         # (source, reader) position pairs: an in-block's peer is its source,
         # an out-block's owner is
@@ -424,7 +481,9 @@ class _Layer:
         bad = np.flatnonzero(~fine)
         if bad.size:
             raise self._wiring_defect(int(ins[bad[0]]), bool(found[bad[0]]))
-        lonely = pairs[~np.isin(pairs, in_key)]
+        read = np.zeros(pairs.size, dtype=bool)
+        read[at[found]] = True
+        lonely = pairs[~read]
         if lonely.size:
             src, dst = lonely // n_nodes, lonely % n_nodes
             b = np.lexsort((ids[dst], src))[0]
@@ -437,6 +496,7 @@ class _Layer:
         # outs[o][begin:end] of its source toward its reader, one per source
         # mode that outputs to the reader
         self._join = ins, peer_pos[ins], outs[o], start[at], np.append(start[1:], o.size)[at]
+        self._edges = pairs
         # each node's sources by id, for the union graph
         dst, src_id = pairs % n_nodes, ids[pairs // n_nodes]
         sources = src_id[np.lexsort((src_id, dst))].tolist()
@@ -444,6 +504,23 @@ class _Layer:
         nodes = ids.tolist()
         fan = {i: tuple(sources[bounds[p]:bounds[p + 1]]) for p, i in enumerate(nodes)}
         return _view(InterconnectionGraph, nodes=tuple(nodes), in_neighbors=fan)
+
+    def declares(self, edges) -> bool:
+        """Whether ``edges``, pairs of ``int`` ids, name exactly the edges of
+        this wired layer, in any order and with repeats: their position
+        codes sorted once and compared with ``wire``'s.  False also when
+        they are not all ``int`` pairs, for ``parse_network`` to read one by
+        one."""
+        try:
+            if set(map(len, edges)) != {2} or set(map(type, chain.from_iterable(edges))) != {int}:
+                return False
+            ends = np.fromiter(chain.from_iterable(edges), np.int64, 2 * len(edges))
+        except (TypeError, ValueError, OverflowError):
+            return False
+        pos = _positions(self.ids, ends).reshape(-1, 2)
+        if (pos < 0).any():
+            return False
+        return np.array_equal(np.unique(pos[:, 0] * len(self.ids) + pos[:, 1]), self._edges)
 
     @property
     def fan_in(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -522,10 +599,7 @@ class _Layer:
         The layers are compared as whole columns; only a mismatch is then
         located node by node, to raise what the first node gets wrong."""
         if len(abstract.ids) != len(self.ids):
-            raise SchemaError(
-                "abstract subsystem list must align with the concrete list",
-                concrete=len(self.ids), abstract=len(abstract.ids),
-            )
+            raise _misaligned(len(self.ids), len(abstract.ids))
         if (
             np.array_equal(self.ids, abstract.ids)
             and np.array_equal(self.first, abstract.first)
@@ -561,10 +635,19 @@ class _Layer:
                     )
 
     def _blocks(self) -> np.ndarray:
-        """The block table sorted by (row, kind, peer): equal for two layers
-        iff every row has equal block maps (ids are unique per map)."""
+        """The block table in the order ``_block_table`` sorted it: equal
+        for two layers if every row has equal block maps, unless a map
+        holds several blocks with one range in another key order (the
+        node-by-node comparison then finds no difference), and only then."""
         table = np.stack([self.row, self.kind, self.peer, self.lo, self.hi], axis=1)
-        return table[np.lexsort((self.peer, self.kind, self.row))]
+        return table[self._order]
+
+
+def _misaligned(concrete: int, abstract: int) -> SchemaError:
+    return SchemaError(
+        "abstract subsystem list must align with the concrete list",
+        concrete=concrete, abstract=abstract,
+    )
 
 
 def _subsystem_defect(sub: SwitchedLinearSubsystem) -> SimnetError | None:
@@ -863,6 +946,12 @@ def _ranges(lengths: np.ndarray):
     return seg, np.arange(seg.size) - _starts(lengths)[seg]
 
 
+def _runs(items: list, sizes: list):
+    """``items`` as consecutive tuples of the given sizes."""
+    bounds = _starts(sizes).tolist()
+    return (tuple(items[lo:hi]) for lo, hi in zip(bounds, bounds[1:]))
+
+
 def _starts(sizes: np.ndarray) -> np.ndarray:
     """Offsets of consecutive parts of the given sizes, then the total."""
     return np.concatenate(([0], np.cumsum(sizes, dtype=np.intp)))
@@ -948,11 +1037,12 @@ def _paused_gc():
 
 
 def _read_json(path):
-    """The decoded JSON file, a SchemaError if it is not valid JSON."""
+    """The decoded JSON file, a SchemaError if it is not valid JSON (or not
+    UTF-8)."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             return json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise SchemaError(f"not valid JSON: {exc}", path=str(path)) from exc
 
 
@@ -968,13 +1058,20 @@ def parse_network(data) -> NetworkSpec:
         )
     if "subsystems" not in data or not isinstance(data["subsystems"], list):
         raise SchemaError("network file must declare a 'subsystems' array")
-    subs = _parse_layer(data["subsystems"])
-    abstract = None
-    if data.get("abstract_subsystems") is not None:
-        abstract = _parse_layer(data["abstract_subsystems"])
+    subs, maps = _parse_layer(data["subsystems"])
+    abstract = data.get("abstract_subsystems")
+    if abstract is not None:
+        if not isinstance(abstract, list):
+            raise SchemaError("'abstract_subsystems' must be an array")
+        abstract = _parse_layer(abstract, maps)[0]
     spec = NetworkSpec(subs, abstract)
+    if abstract == () and subs:  # the spec reads an empty list as no abstraction
+        raise _misaligned(len(subs), 0)
+    edges = data.get("edges", [])
+    if spec._layer.declares(edges):
+        return spec
     try:
-        declared = {tuple(map(_integral, e)) for e in data.get("edges", [])}
+        declared = {tuple(map(_integral, e)) for e in edges}
     except (TypeError, ValueError) as exc:
         raise SchemaError("'edges' must be an array of [source, destination] id pairs") from exc
     derived = set(spec.graph.edges)
@@ -1008,23 +1105,98 @@ def _file_id(value) -> int:
 _KINDS = ("out_blocks", "in_blocks")
 
 
-def _parse_layer(entries) -> tuple[SwitchedLinearSubsystem, ...]:
+def _parse_layer(entries: list, like: tuple | None = None) -> tuple:
     """The subsystems of one layer's decoded entries, as views into the
-    layer's matrix stacks, node-checked in one pass.
+    layer's matrix stacks, node-checked in one pass, and what a layer
+    parsed later may share: the block maps as decoded and as read, and
+    their block table.
 
-    The walk reads each entry's id and per-mode structure and stops at the
-    first entry it cannot read; the matrices are then converted and the
-    block bounds type-checked all at once.  An entry is malformed if the
-    walk stopped at it or one of its matrices or bounds is; the nodes
-    before the first malformed entry are checked first, then
-    ``_entry_defect`` names what is wrong with it.  So the first defect in
-    file order is raised.
+    The walk (``_walk``, else ``_walk_entries``) reads every entry's id and
+    per-mode structure up to the first entry it cannot read; the matrices
+    are then converted and the block bounds type-checked all at once.  An
+    entry is malformed if the walk stopped at it or one of its matrices or
+    bounds is; the nodes before the first malformed entry are checked
+    first, then ``_entry_defect`` names what is wrong with it.  So the
+    first defect in file order is raised.  Block maps the walk read as
+    copies of ``like``'s come with its checked block table.
     """
+    ids, counts, families, raw, maps, table = _walk(entries, like) or _walk_entries(entries)
+    mats = _Matrices(families, _parse_matrix)
+    flagged = np.logical_or.reduce(mats.bad)  # per row
+    if table is None:
+        bounds = _bounds(maps)
+        if set(map(type, bounds)) - {int}:  # booleans and floats unpack like ints
+            bad = next(p for p, v in enumerate(bounds) if type(v) is not int) // 2  # its block
+            flagged[np.searchsorted(np.cumsum(list(map(len, maps))), bad, side="right") // 2] = True
+    rows = np.flatnonzero(flagged)
+    keep = int(np.repeat(np.arange(len(ids)), counts)[rows[0]]) if rows.size else len(ids)
+    if keep < len(ids):
+        maps = maps[:2 * sum(counts[:keep])]
+        table = _block_table(maps, _bounds(maps))
+    elif table is None:
+        table = _block_table(maps, bounds)
+    modes = [
+        _view(Mode, A=a, B=b, C=c, D=d, out_blocks=o, in_blocks=i)
+        for a, b, c, d, o, i in zip(*mats.arrays, maps[0::2], maps[1::2])
+    ]
+    subs = tuple(
+        _view(SwitchedLinearSubsystem, id=node, modes=group)
+        for node, group in zip(ids, _runs(modes, counts[:keep]))
+    )
+    _Layer(subs, modes, mats, table).check_nodes()
+    if keep < len(entries):
+        raise _entry_defect(keep, entries[keep])
+    return subs, (raw, maps, table)
+
+
+def _bounds(maps: list) -> list:
+    """The bounds of every block of the block maps, in order."""
+    return list(chain.from_iterable(chain.from_iterable(map(dict.values, maps))))
+
+
+def _walk(entries: list, like: tuple | None):
+    """(ids, mode counts, the A, B, C, D families, the block maps as
+    decoded and as read, each ``[out_0, in_0, out_1, ...]`` by row, and
+    their block table if it is known) of every entry, read by C-level
+    passes over whole columns; None when an entry is malformed, for
+    ``_walk_entries`` to read up to it.  Block maps equal to those ``like``
+    holds, as decoded (with ``==``, so ``1.0`` and ``True`` equal ``1``)
+    and with integer bounds, are read as copies of ``like``'s, with its
+    block table."""
     try:
-        entries = list(entries)
-    except TypeError as exc:
-        raise SchemaError("'abstract_subsystems' must be an array") from exc
-    ids, counts, raw, blocks = [], [], [], []
+        if set(map(type, entries)) - {dict}:
+            return None
+        ids = list(map(itemgetter("id"), entries))
+        if set(map(type, ids)) != {int} or min(ids) < -(2**63) or max(ids) >= 2**63:
+            ids = list(map(_file_id, ids))
+        modes = list(map(itemgetter("modes"), entries))
+        if set(map(type, modes)) - {list} or not all(modes):
+            return None
+        counts = list(map(len, modes))
+        flat = list(chain.from_iterable(modes))
+        if not flat or set(map(type, flat)) - {dict}:
+            return None
+        families = list(map(list, zip(*map(itemgetter(*_FAMILIES), flat))))
+        outs, ins = (  # each mode's block maps, else its entry's
+            list(map(dict.get, flat, repeat(kind), chain.from_iterable(
+                map(repeat, map(dict.get, entries, repeat(kind)), counts))))
+            for kind in _KINDS
+        )
+        raw = list(chain.from_iterable(zip(outs, ins)))
+        if set(map(type, raw)) - {dict}:
+            return None
+        if like is not None and like[0] == raw and not set(map(type, _bounds(raw))) - {int}:
+            return ids, counts, families, raw, list(map(dict.copy, like[1])), like[2]
+        maps = [{int(key): (lo, hi) for key, (lo, hi) in m.items()} for m in raw]
+    except (KeyError, TypeError, ValueError):
+        return None
+    return ids, counts, families, raw, maps, None
+
+
+def _walk_entries(entries: list):
+    """What ``_walk`` reads, entry by entry, up to the first entry that
+    cannot be read."""
+    ids, counts, raw, maps = [], [], [], []
     for pos, entry in enumerate(entries):
         try:
             node = _node_id(pos, entry)
@@ -1036,30 +1208,9 @@ def _parse_layer(entries) -> tuple[SwitchedLinearSubsystem, ...]:
         counts.append(len(modes))
         for mats, out_map, in_map in modes:
             raw.append(mats)
-            blocks += (out_map, in_map)
+            maps += (out_map, in_map)
     families = [list(f) for f in zip(*raw)] or [[] for _ in _FAMILIES]
-    mats = _Matrices(families, _parse_matrix)
-    flagged = np.logical_or.reduce(mats.bad)  # per row
-    if _bound_types(blocks) - {int}:  # booleans and floats unpack like ints
-        flagged[next(b for b, m in enumerate(blocks) if _bound_types([m]) - {int}) // 2] = True
-    rows = np.flatnonzero(flagged)
-    keep = int(np.repeat(np.arange(len(ids)), counts)[rows[0]]) if rows.size else len(ids)
-    row = sum(counts[:keep])
-    arrays = [iter(f) for f in mats.arrays]
-    outs, ins = blocks[0:2 * row:2], blocks[1:2 * row:2]
-    modes = [
-        _view(Mode, A=a, B=b, C=c, D=d, out_blocks=o, in_blocks=i)
-        for a, b, c, d, o, i in zip(*arrays, outs, ins)
-    ]
-    subs, start = [], 0
-    for node, count in zip(ids[:keep], counts):
-        subs.append(_view(SwitchedLinearSubsystem, id=node, modes=tuple(modes[start:start + count])))
-        start += count
-    subs = tuple(subs)
-    _Layer(subs, mats).check_nodes()
-    if keep < len(entries):
-        raise _entry_defect(keep, entries[keep])
-    return subs
+    return ids, counts, families, None, maps, None
 
 
 def _node_id(pos: int, entry) -> int:
@@ -1119,10 +1270,6 @@ def _entry_defect(pos: int, entry) -> SchemaError:
     except SchemaError as exc:
         return exc
     raise AssertionError(f"subsystem at position {pos} is not malformed")
-
-
-def _bound_types(blocks) -> set:
-    return set(map(type, chain.from_iterable(chain.from_iterable(m.values() for m in blocks))))
 
 
 def _parse_matrix(obj, node=None, mode=None, name=None) -> np.ndarray:

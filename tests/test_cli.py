@@ -9,6 +9,13 @@ from pathlib import Path
 import pytest
 
 import simnet
+from simnet import (
+    SwingParams,
+    closed_form_certificate,
+    generate_ring_network,
+    save_certificates,
+    save_network,
+)
 from simnet.cli import main
 
 SRC = str(Path(simnet.__file__).resolve().parent.parent)
@@ -215,6 +222,52 @@ class TestErrorPaths:
         assert code == 2
         assert report["error"] == "SchemaError"
 
+    @pytest.mark.parametrize("bad_file", ["network", "certificates"])
+    def test_non_utf8_file_exit_two(self, capsys, ring_files, tmp_path, bad_file):
+        # used to exit 1 with a UnicodeDecodeError traceback
+        net, certs = ring_files
+        capsys.readouterr()
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b"\xff\xfe{}")
+        argv = ["validate", str(bad)] if bad_file == "network" else ["verify", str(net), str(bad)]
+        code, report, err = run_cli(capsys, argv)
+        assert code == 2 and err.startswith("error: not valid JSON")
+        assert report["error"] == "SchemaError" and report["details"] == {"path": str(bad)}
+        assert report["message"].startswith("not valid JSON: 'utf-8' codec can't decode byte 0xff")
+
+    def test_swing_gen_failure_leaves_no_file(self, capsys, tmp_path):
+        # the network used to be written before the certificates failed
+        out = tmp_path / "x"
+        out.mkdir()
+        argv = ["swing-gen", "--nodes", "3", "-o", str(out / "net.json"),
+                "--certs-out", str(tmp_path / "nodir" / "certs.json")]
+        code, report, _ = run_cli(capsys, argv)
+        assert code == 2 and report["error"] == "FileNotFoundError"
+        assert str(tmp_path / "nodir" / "certs.json") in report["message"]
+        assert list(out.iterdir()) == []
+
+    def test_swing_gen_directory_target_leaves_no_file(self, capsys, tmp_path):
+        # refused before the network is written, and named as given
+        out = tmp_path / "x"
+        out.mkdir()
+        (tmp_path / "certs").mkdir()
+        argv = ["swing-gen", "--nodes", "3", "-o", str(out / "net.json"),
+                "--certs-out", str(tmp_path / "certs")]
+        code, report, _ = run_cli(capsys, argv)
+        assert code == 2 and report["error"] == "IsADirectoryError"
+        assert report["message"] == f"[Errno 21] Is a directory: '{tmp_path / 'certs'}'"
+        assert list(out.iterdir()) == [] and list((tmp_path / "certs").iterdir()) == []
+
+    def test_swing_gen_writes_through_a_link(self, capsys, tmp_path):
+        real = tmp_path / "real.json"
+        real.write_text("old")
+        link = tmp_path / "net.json"
+        link.symlink_to(real)
+        code, _, _ = run_cli(capsys, ["swing-gen", "--nodes", "3", "-o", str(link)])
+        assert code == 0 and link.is_symlink()
+        assert json.loads(real.read_text())["schema"] == "simnet-v1"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["certs.json", "net.json", "real.json"]
+
     def test_missing_certificates_exit_two(self, capsys, ring_files, tmp_path):
         net, certs = ring_files
         partial = json.loads(certs.read_text())
@@ -385,3 +438,12 @@ class TestDeterminism:
             main(["swing-gen", "--nodes", "4", "-o", str(net), "--certs-out", str(certs)])
             paths.append((net.read_bytes(), certs.read_bytes()))
         assert paths[0] == paths[1]
+        # the files saved directly, and nothing else in the directory
+        params = SwingParams(n_nodes=4)
+        save_network(generate_ring_network(params), tmp_path / "net.json")
+        cert = closed_form_certificate(params)
+        save_certificates({i: cert for i in range(4)}, tmp_path / "certs.json")
+        direct = ((tmp_path / "net.json").read_bytes(), (tmp_path / "certs.json").read_bytes())
+        assert paths[0] == direct
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "a-certs.json", "a.json", "b-certs.json", "b.json", "certs.json", "net.json"]

@@ -3,6 +3,7 @@ loaders raise (class, message and details, pinned), the first of several
 defects, byte-identical round trips, read-only views, counted numpy calls
 and the cases that crashed or were accepted before."""
 
+import dataclasses
 import json
 import re
 from types import SimpleNamespace
@@ -72,8 +73,19 @@ def abstract_wide(data, node):
         m["out_blocks"] = {str(node): [0, 2], key: [2, 3]}
 
 
+def widen_state(data, node):
+    # node's concrete state gets a third entry in both modes, wired as before
+    for s in (0, 1):
+        m = mode(data, node, s)
+        m["A"] = [row + [0.0] for row in m["A"]] + [[0.0, 0.0, 0.5]]
+        m["B"] = m["B"] + [[0.0]]
+        m["C"] = [row + [0.0] for row in m["C"]]
+        m["D"] = m["D"] + [[0.0]]
+
+
 NETWORK_CASES = {
     "not-object": lambda d: [],
+    "not-utf8": lambda d: b"\xff\xfe{}",
     "schema-missing": lambda d: d.pop("schema"),
     "subsystems-missing": lambda d: d.pop("subsystems"),
     "entry-not-object": lambda d: d["subsystems"].__setitem__(1, 5),
@@ -117,12 +129,22 @@ NETWORK_CASES = {
     "abstract-block-maps": lambda d: mode(d, 1, 1, "abstract_subsystems").__setitem__(
         "in_blocks", {"0": [0, 1]}),
     "declared-edges": lambda d: d["edges"].pop(),
+    # the bulk shortcuts, on the side that falls back to the per-item checks
+    "last-node-non-numeric": lambda d: mode(d, 3, 1)["D"][1].__setitem__(0, "x"),
+    "abstract-bound-float": lambda d: mode(d, 1, 1, "abstract_subsystems")["out_blocks"].__setitem__(
+        "1", [0, 1.0]),
+    "abstract-bound-boolean": lambda d: mode(d, 1, 1, "abstract_subsystems")["in_blocks"].__setitem__(
+        "0", [False, True]),
+    "edges-unknown-id": lambda d: d["edges"].append([1, 9]),
     # inputs that crashed or were accepted before
     "id-not-integer": lambda d: d["subsystems"][1].__setitem__("id", "x"),
     "id-fractional": lambda d: d["subsystems"][1].__setitem__("id", 1.5),
     "block-range-boolean": lambda d: mode(d, 1, 1)["out_blocks"].__setitem__("1", [False, True]),
     "edges-not-pairs": lambda d: d.__setitem__("edges", 5),
     "edges-boolean-id": lambda d: next(e for e in d["edges"] if e[0] == 1).__setitem__(0, True),
+    "abstract-not-array": lambda d: d.__setitem__("abstract_subsystems", "x"),
+    "abstract-object": lambda d: d.__setitem__("abstract_subsystems", {"id": 0}),
+    "abstract-empty": lambda d: d.__setitem__("abstract_subsystems", []),
     # two defects: the earlier node's is reported
     "two-defects-validation-first": lambda d: (
         mode(d, 1, 1)["A"][1].__setitem__(0, NAN), d["subsystems"][2]["modes"].__setitem__(0, 3)),
@@ -138,6 +160,7 @@ NETWORK_CASES = {
 }
 
 CERTIFICATE_CASES = {
+    "not-utf8": lambda d: b"\xff\xfe{}",
     "schema-missing": lambda d: d.pop("schema"),
     "entry-without-id": lambda d: d["certificates"][1].pop("id"),
     "field-missing": lambda d: d["certificates"][1].pop("Q"),
@@ -154,6 +177,9 @@ CERTIFICATE_CASES = {
     "R-width": lambda d: d["certificates"][1]["R"].__setitem__("1", [[1.0, 2.0]]),
     "T-width": lambda d: d["certificates"][1]["T"].__setitem__("1", [[1.0, 2.0]]),
     "transition-unknown-mode": lambda d: d["certificates"][1].__setitem__("transitions", [[0, 2]]),
+    # the bulk shortcuts, on the side that falls back to the per-item checks
+    "last-M-non-numeric": lambda d: d["certificates"][3]["M"]["1"][0].__setitem__(0, "x"),
+    "kappa-null": lambda d: d["certificates"][3].__setitem__("kappa", None),
     # inputs that crashed or were accepted before
     "id-not-integer": lambda d: d["certificates"][1].__setitem__("id", "x"),
     "id-fractional": lambda d: d["certificates"][1].__setitem__("id", 1.5),
@@ -222,17 +248,26 @@ EXPECTED = {
     'load_network/abstract-mode-count': ('DimensionMismatchError', 'subsystem 1: abstract mode count 1 differs from concrete 2', {'node': 1}),
     'load_network/abstract-output-width': ('DimensionMismatchError', 'subsystem 1: abstract output width 3 differs from concrete 2 (identical output spaces required)', {'node': 1, 'q': 2, 'q_abstract': 3}),
     'load_network/abstract-block-maps': ('WiringError', 'subsystem 1 mode 1: abstract block maps must match the concrete wiring', {'node': 1, 'mode': 1}),
+    'load_network/last-node-non-numeric': ('SchemaError', 'subsystem 3 mode 1: matrix D has non-numeric entries', {'node': 3, 'mode': 1, 'matrix': 'D'}),
+    'load_network/abstract-bound-float': ('SchemaError', 'subsystem 1: out_blocks[1] must be an integer pair [start, stop]', {'node': 1, 'kind': 'out_blocks', 'key': '1'}),
+    'load_network/abstract-bound-boolean': ('SchemaError', 'subsystem 1: in_blocks[0] must be an integer pair [start, stop]', {'node': 1, 'kind': 'in_blocks', 'key': '0'}),
+    'load_network/edges-unknown-id': ('WiringError', 'wiring inconsistency: declared edges disagree with block wiring (dangling declared: [(1, 9)], undeclared: [])', {'dangling': [[1, 9]], 'undeclared': []}),
     'load_network/declared-edges': ('WiringError', 'wiring inconsistency: declared edges disagree with block wiring (dangling declared: [], undeclared: [(3, 2)])', {'dangling': [], 'undeclared': [[3, 2]]}),
     'load_network/id-not-integer': ('SchemaError', "subsystem at position 1: id 'x' is not an integer", {'position': 1, 'id': 'x'}),
     'load_network/id-fractional': ('SchemaError', 'subsystem at position 1: id 1.5 is not an integer', {'position': 1, 'id': 1.5}),
     'load_network/block-range-boolean': ('SchemaError', 'subsystem 1: out_blocks[1] must be an integer pair [start, stop]', {'node': 1, 'kind': 'out_blocks', 'key': '1'}),
     'load_network/edges-not-pairs': ('SchemaError', "'edges' must be an array of [source, destination] id pairs", {}),
     'load_network/edges-boolean-id': ('SchemaError', "'edges' must be an array of [source, destination] id pairs", {}),
+    'load_network/not-utf8': ('SchemaError', "not valid JSON: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte", {'path': 'file.json'}),
+    'load_network/abstract-not-array': ('SchemaError', "'abstract_subsystems' must be an array", {}),
+    'load_network/abstract-object': ('SchemaError', "'abstract_subsystems' must be an array", {}),
+    'load_network/abstract-empty': ('SchemaError', 'abstract subsystem list must align with the concrete list', {'concrete': 4, 'abstract': 0}),
     'load_network/two-defects-validation-first': ('SchemaError', 'subsystem 1 mode 1: matrix A has non-finite entries', {'node': 1, 'mode': 1, 'matrix': 'A'}),
     'load_network/two-defects-structure-first': ('SchemaError', "subsystem 1 mode 1 lacks matrices ['B']", {'node': 1, 'mode': 1, 'missing': ['B']}),
     'load_network/two-defects-matrix-then-entry': ('SchemaError', 'subsystem 1 mode 1: matrix A has non-numeric entries', {'node': 1, 'mode': 1, 'matrix': 'A'}),
     'load_network/two-defects-bounds-then-entry': ('SchemaError', 'subsystem 1: in_blocks[0] must be an integer pair [start, stop]', {'node': 1, 'kind': 'in_blocks', 'key': '0'}),
     'load_network/two-defects-same-node': ('SchemaError', 'subsystem 1 mode 1: matrix A must be an array of row arrays', {'node': 1, 'mode': 1, 'matrix': 'A'}),
+    'load_certificates/not-utf8': ('SchemaError', "not valid JSON: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte", {'path': 'file.json'}),
     'load_certificates/schema-missing': ('SchemaError', "missing or unsupported schema tag (expected 'simnet-certs-v1')", {'schema': None}),
     'load_certificates/entry-without-id': ('SchemaError', "certificate entries must carry an 'id'", {}),
     'load_certificates/field-missing': ('SchemaError', "certificate for node 1 lacks field 'Q'", {'node': 1}),
@@ -248,6 +283,8 @@ EXPECTED = {
     'load_certificates/R-width': ('DimensionMismatchError', 'R[1] must have 1 rows and as many columns as R[0]', {'mode': 1}),
     'load_certificates/T-width': ('DimensionMismatchError', 'T[1] must have 1 rows and as many columns as T[0]', {'mode': 1}),
     'load_certificates/transition-unknown-mode': ('CertificateError', 'transition pair (0, 2) references an unknown mode', {'pair': [0, 2]}),
+    'load_certificates/last-M-non-numeric': ('SchemaError', 'certificate for node 3 mode 1: matrix M has non-numeric entries', {'node': 3, 'mode': 1, 'matrix': 'M'}),
+    'load_certificates/kappa-null': ('SchemaError', 'certificate for node 3: kappa None is not a number', {'node': 3}),
     'load_certificates/id-not-integer': ('SchemaError', "certificate at position 1: id 'x' is not an integer", {'position': 1, 'id': 'x'}),
     'load_certificates/id-fractional': ('SchemaError', 'certificate at position 1: id 1.5 is not an integer', {'position': 1, 'id': 1.5}),
     'load_certificates/entry-not-object': ('SchemaError', "certificate entries must carry an 'id'", {}),
@@ -271,12 +308,20 @@ def ring_files_json():
             certificates_to_json({i: cert for i in range(4)}))
 
 
+REPLACING = ("not-object", "not-utf8")  # cases whose result replaces the file
+
+
 def raised(load, data, tmp_path):
     path = tmp_path / "file.json"
-    path.write_text(json.dumps(data))
+    if isinstance(data, bytes):
+        path.write_bytes(data)
+    else:
+        path.write_text(json.dumps(data))
     with pytest.raises(simnet.SimnetError) as err:
         load(path)
     details = json.loads(json.dumps(err.value.details))
+    if details.get("path") == str(path):
+        details["path"] = path.name
     return type(err.value).__name__, str(err.value), details
 
 
@@ -284,7 +329,7 @@ def raised(load, data, tmp_path):
 def test_network_error(case, ring_files_json, tmp_path):
     data = json.loads(json.dumps(ring_files_json[0]))
     replaced = NETWORK_CASES[case](data)
-    if case == "not-object":
+    if case in REPLACING:
         data = replaced
     assert raised(load_network, data, tmp_path) == EXPECTED[f"load_network/{case}"]
 
@@ -292,8 +337,117 @@ def test_network_error(case, ring_files_json, tmp_path):
 @pytest.mark.parametrize("case", sorted(CERTIFICATE_CASES))
 def test_certificate_error(case, ring_files_json, tmp_path):
     data = json.loads(json.dumps(ring_files_json[1]))
-    CERTIFICATE_CASES[case](data)
+    replaced = CERTIFICATE_CASES[case](data)
+    if case in REPLACING:
+        data = replaced
     assert raised(load_certificates, data, tmp_path) == EXPECTED[f"load_certificates/{case}"]
+
+
+def canonical(data) -> bytes:
+    """The bytes ``save_network``/``save_certificates`` write for ``data``."""
+    return (json.dumps(data, sort_keys=True, separators=(",", ":")) + "\n").encode()
+
+
+# inputs each bulk shortcut of the loaders hands to its per-item fallback
+# (or reads on its own), which load as they did before the shortcut
+ACCEPTED_NETWORKS = {
+    "last-node-wider": lambda d: widen_state(d, 3),  # A, B, C, D grouped by shape
+    "edges-reordered": lambda d: d.__setitem__("edges", d["edges"][::-1] + d["edges"][:2]),
+    "edges-float-string": lambda d: d.__setitem__(
+        "edges", [[float(a), str(b)] for a, b in d["edges"]]),
+    "abstract-key-order": lambda d: mode(d, 1, 1, "abstract_subsystems").__setitem__(
+        "out_blocks", dict(reversed(mode(d, 1, 1, "abstract_subsystems")["out_blocks"].items()))),
+    "entry-level-block-maps": lambda d: d["subsystems"][1].__setitem__(
+        "in_blocks", mode(d, 1, 0).pop("in_blocks")),
+    "ids-float": lambda d: [entry.__setitem__("id", float(entry["id"]))
+                            for layer in ("subsystems", "abstract_subsystems") for entry in d[layer]],
+}
+
+ACCEPTED_CERTIFICATES = {
+    "last-R-wider": lambda d: [d["certificates"][3]["R"].__setitem__(s, [[1.0, 2.0]])
+                               for s in ("0", "1")],
+    "mode-keys-reordered": lambda d: d["certificates"][3].__setitem__(
+        "K", dict(reversed(d["certificates"][3]["K"].items()))),
+    "kappa-string": lambda d: d["certificates"][3].__setitem__("kappa", "0.2"),
+    "ids-string": lambda d: [entry.__setitem__("id", str(entry["id"])) for entry in d["certificates"]],
+}
+
+
+@pytest.mark.parametrize("case", sorted(ACCEPTED_NETWORKS))
+def test_network_shortcut_fallback_loads(case, ring_files_json, tmp_path):
+    original = ring_files_json[0]
+    data = json.loads(json.dumps(original))
+    ACCEPTED_NETWORKS[case](data)
+    path, again = tmp_path / "file.json", tmp_path / "again.json"
+    path.write_text(json.dumps(data))
+    spec = load_network(path)
+    save_network(spec, again)
+    if case == "last-node-wider":  # a file as written: read back byte for byte
+        assert again.read_bytes() == canonical(data)
+        assert spec.subsystems[3].n == 3 and spec.subsystems[2].n == 2
+    else:  # the file it stands for
+        assert again.read_bytes() == canonical(original)
+
+
+@pytest.mark.parametrize("case", sorted(ACCEPTED_CERTIFICATES))
+def test_certificate_shortcut_fallback_loads(case, ring_files_json, tmp_path):
+    original = ring_files_json[1]
+    data = json.loads(json.dumps(original))
+    ACCEPTED_CERTIFICATES[case](data)
+    path, again = tmp_path / "file.json", tmp_path / "again.json"
+    path.write_text(json.dumps(data))
+    save_certificates(load_certificates(path), again)
+    assert again.read_bytes() == canonical(data if case == "last-R-wider" else original)
+
+
+def test_certificate_modes_read_in_integer_order(ring_files_json, tmp_path):
+    # eleven modes as written: sorted keys put "10" before "2"
+    data = json.loads(json.dumps(ring_files_json[1]))
+    for entry in data["certificates"]:
+        for name in ("M", "K", "Q", "R", "T"):
+            first = entry[name]["0"]  # M scaled by 1 + s in mode s, to tell the modes apart
+            entry[name] = {str(s): [[v * (1.0 + s if name == "M" else 1.0) for v in row]
+                                    for row in first] for s in range(11)}
+        entry.pop("transitions", None)
+    path, again = tmp_path / "file.json", tmp_path / "again.json"
+    path.write_text(canonical(data).decode())
+    assert list(json.loads(path.read_text())["certificates"][0]["M"])[:3] == ["0", "1", "10"]
+    assert simnet.certificates._certificate_columns(data["certificates"]) is not None
+    certs = load_certificates(path)
+    m0 = np.array(data["certificates"][0]["M"]["0"])
+    for s in range(11):
+        np.testing.assert_array_equal(certs[0].M[s].entries, m0 * (1.0 + s))
+    save_certificates(certs, again)
+    assert again.read_bytes() == path.read_bytes()
+
+
+def test_abstract_empty_blocks_in_another_key_order(ring_files_json, tmp_path):
+    # two empty out-blocks at one place sort in key order: the block tables
+    # differ, and the node-by-node comparison finds the maps equal
+    data = json.loads(json.dumps(ring_files_json[0]))
+    for layer in ("subsystems", "abstract_subsystems"):
+        mode(data, 1, 1, layer)["out_blocks"].update({"2": [2, 2], "3": [2, 2]})
+    path = tmp_path / "file.json"
+    path.write_text(json.dumps(data))
+    spec = load_network(path)
+    abstract = [
+        SwitchedLinearSubsystem(sub.id, tuple(
+            dataclasses.replace(m, out_blocks=dict(reversed(m.out_blocks.items())))
+            for m in sub.modes))
+        for sub in spec.abstract_subsystems
+    ]
+    assert list(abstract[1].modes[1].out_blocks) != list(spec.subsystems[1].modes[1].out_blocks)
+    NetworkSpec(spec.subsystems, abstract)
+
+
+def test_abstract_block_maps_are_their_own(ring_files_json, tmp_path):
+    path = tmp_path / "file.json"
+    path.write_text(json.dumps(ring_files_json[0]))
+    spec = load_network(path)
+    for conc, abst in zip(spec.subsystems, spec.abstract_subsystems):
+        for mode_c, mode_a in zip(conc.modes, abst.modes):
+            assert mode_a.out_blocks == mode_c.out_blocks and mode_a.out_blocks is not mode_c.out_blocks
+            assert mode_a.in_blocks == mode_c.in_blocks and mode_a.in_blocks is not mode_c.in_blocks
 
 
 def test_object_built_spec_checked_like_a_file(ring_files_json, tmp_path):
