@@ -140,7 +140,7 @@ _CERT_FAMILIES = ("M", "K", "P", "Q", "R", "T")
 def _as_matrix(obj) -> np.ndarray:
     try:
         return np.array(obj, dtype=float)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise SchemaError("matrix has non-numeric entries") from exc
 
 
@@ -222,7 +222,7 @@ def _kappas(values):
     for c, value in enumerate(values):
         try:
             kappas.append(float(value))
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             kappas.append(np.nan)
             malformed[c] = True
     return np.array(kappas, dtype=float), kappas, malformed
@@ -237,7 +237,7 @@ def _transitions(values, r):
     for c, (value, k) in enumerate(zip(values, r)):
         try:
             pairs = tuple((int(a), int(b)) for a, b in value) if value else None
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             pairs, bad[c] = None, True
         bad[c] |= pairs is not None and any(
             not (0 <= s < k and 0 <= s2 < k) for s, s2 in pairs)
@@ -298,11 +298,11 @@ def _checked(raw) -> tuple:
         families.append(tuple(family))
     try:
         kappa = float(raw[7])
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise SchemaError(f"{_where(node)}: kappa {raw[7]!r} is not a number", node=node) from None
     try:
         pairs = tuple((int(a), int(b)) for a, b in raw[8]) if raw[8] else None
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise SchemaError(
             f"{_where(node)}: transitions must be [current, next] mode pairs", node=node
         ) from None
@@ -1038,14 +1038,16 @@ def certificates_to_json(certs: dict[int, LocalCertificate]) -> dict:
             data["transitions"] = [list(p) for p in cert.transitions]
         return data
 
-    return {
-        "schema": SCHEMA_CERTS,
-        "certificates": [cert_json(i, c) for i, c in sorted(certs.items())],
-    }
+    with _paused_gc():  # as network_to_json
+        return {
+            "schema": SCHEMA_CERTS,
+            "certificates": [cert_json(i, c) for i, c in sorted(certs.items())],
+        }
 
 
 def save_certificates(certs: dict[int, LocalCertificate], path) -> None:
-    _write_json(certificates_to_json(certs), path)
+    with _paused_gc():  # as save_network
+        _write_json(certificates_to_json(certs), path)
 
 
 def load_certificates(path) -> dict[int, LocalCertificate]:

@@ -14,8 +14,8 @@ for O(10) certificate matrices.
 Perron-deflated Neumann iteration; its dense solve is only a fallback.
 
 Each semidefinite decision, square root and operator norm has one kernel,
-``*_batch``: it takes a (k, n, n) stack and makes one stacked numpy call per
-operand, whatever k.  numpy runs the same LAPACK routine on every matrix of
+``*_batch``: it takes a (k, n, n) stack and makes one stacked numpy call,
+whatever k.  numpy runs the same LAPACK routine on every matrix of
 a stack, so a stack of one gives the single-matrix result bit for bit.
 """
 
@@ -100,11 +100,14 @@ def psd_margin_batch(a, b) -> tuple[np.ndarray, np.ndarray]:
 
     Returns lambda_min(b_i - a_i) and the scale 1 + max(||a_i||, ||b_i||),
     with ||.|| the largest-magnitude eigenvalue; a_i <= b_i in the Loewner
-    order is decided as ``lam_min[i] >= -tol.psd_tol * scale[i]``.  Three
-    stacked eigvalsh calls.
+    order is decided as ``lam_min[i] >= -tol.psd_tol * scale[i]``.  One
+    stacked eigvalsh over a, b and b - a; a stack of one is broadcast
+    against a stack of k.
     """
-    scale = 1.0 + np.maximum(*(np.abs(np.linalg.eigvalsh(m)).max(axis=-1) for m in (a, b)))
-    return np.linalg.eigvalsh(b - a).min(axis=-1), scale
+    d = b - a
+    a, b = (m if m.shape == d.shape else np.broadcast_to(m, d.shape) for m in (a, b))
+    eigs = np.linalg.eigvalsh(np.concatenate((a, b, d))).reshape(3, *d.shape[:-1])
+    return eigs[2].min(axis=-1), 1.0 + np.abs(eigs[:2]).max(axis=(0, -1))
 
 
 def principal_sqrt_batch(a, tol: ToleranceProfile = DEFAULT_TOL) -> np.ndarray:

@@ -250,7 +250,7 @@ def _whole(fam, shape: tuple):
             stack = np.fromiter(entries, float, count).reshape(len(fam), *shape)
         else:
             stack = np.array(fam, dtype=float)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         return None
     return _frozen(stack)
 
@@ -323,7 +323,7 @@ def _stack(group, shape):
     convert together to matrices of ``shape``."""
     try:
         stack = np.array(group, dtype=float)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         return None
     return _frozen(stack) if stack.shape[1:] == shape else None
 
@@ -1020,12 +1020,14 @@ def load_network(path) -> NetworkSpec:
 
 @contextmanager
 def _paused_gc():
-    """Hold the cyclic garbage collector for the duration of an ingest.
+    """Hold the cyclic garbage collector while a large tree of objects is
+    built: an ingest, a JSON form to write, a generated network.
 
-    Decoding and parsing allocate hundreds of thousands of objects and no
-    reference cycles; every collection in between would traverse the whole
-    decoded tree again (a third of ``json.load``'s time on a 2 MB file).
-    Collection resumes afterwards if it was enabled before.
+    These allocate hundreds of thousands of objects and no reference
+    cycles; every collection in between would traverse the whole tree
+    again (a third of ``json.load``'s time on a 2 MB file, most of
+    ``network_to_json``'s on the 10 000-node ring).  Collection resumes
+    afterwards if it was enabled before.
     """
     enabled = gc.isenabled()
     gc.disable()
@@ -1286,7 +1288,7 @@ def _parse_matrix(obj, node=None, mode=None, name=None) -> np.ndarray:
         )
     try:
         a = np.array(obj, dtype=float)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise SchemaError(
             f"subsystem {node} mode {mode}: matrix {name} has non-numeric entries",
             node=node, mode=mode, matrix=name,
@@ -1326,7 +1328,8 @@ def _check_block_map(obj, node, kind) -> None:
 
 
 def network_to_json(spec: NetworkSpec) -> dict:
-    """Canonical JSON form: per-mode block maps, edges sorted."""
+    """Canonical JSON form: per-mode block maps, edges sorted.  Built with
+    the collector paused (see ``_paused_gc``), like the loaders' trees."""
     def sub_json(sub: SwitchedLinearSubsystem) -> dict:
         return {
             "id": sub.id,
@@ -1347,18 +1350,20 @@ def network_to_json(spec: NetworkSpec) -> dict:
             ],
         }
 
-    data = {
-        "schema": SCHEMA_NETWORK,
-        "subsystems": [sub_json(s) for s in spec.subsystems],
-        "edges": [list(e) for e in sorted(spec.graph.edges)],
-    }
-    if spec.abstract_subsystems is not None:
-        data["abstract_subsystems"] = [sub_json(s) for s in spec.abstract_subsystems]
+    with _paused_gc():
+        data = {
+            "schema": SCHEMA_NETWORK,
+            "subsystems": [sub_json(s) for s in spec.subsystems],
+            "edges": [list(e) for e in sorted(spec.graph.edges)],
+        }
+        if spec.abstract_subsystems is not None:
+            data["abstract_subsystems"] = [sub_json(s) for s in spec.abstract_subsystems]
     return data
 
 
 def save_network(spec: NetworkSpec, path) -> None:
-    _write_json(network_to_json(spec), path)
+    with _paused_gc():  # until the tree is freed, so that no collection walks it
+        _write_json(network_to_json(spec), path)
 
 
 def _write_json(data, path) -> None:

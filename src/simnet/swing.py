@@ -31,7 +31,7 @@ from .composition import (
 )
 from .errors import CertificateError, SchemaError
 from .linalg import DEFAULT_TOL, ToleranceProfile
-from .network import InterconnectionGraph, Mode, NetworkSpec, SwitchedLinearSubsystem
+from .network import InterconnectionGraph, Mode, NetworkSpec, SwitchedLinearSubsystem, _paused_gc
 from .simulate import SimulationRun, _synchronized, simulate_lockstep
 
 # Certificate matrix for the swing family (verified against the conditions
@@ -120,15 +120,16 @@ def generate_ring_network(params: SwingParams) -> NetworkSpec:
     in-neighbor per topology.
     """
     n = params.n_nodes
-    subs = [
-        SwitchedLinearSubsystem(i, [_concrete_mode(params, i, s, n) for s in (0, 1)])
-        for i in range(n)
-    ]
-    abst = [
-        SwitchedLinearSubsystem(i, [_abstract_mode(params, i, s, n) for s in (0, 1)])
-        for i in range(n)
-    ]
-    return NetworkSpec(subs, abst)
+    with _paused_gc():  # a large tree, built as the loaders build theirs
+        subs = [
+            SwitchedLinearSubsystem(i, [_concrete_mode(params, i, s, n) for s in (0, 1)])
+            for i in range(n)
+        ]
+        abst = [
+            SwitchedLinearSubsystem(i, [_abstract_mode(params, i, s, n) for s in (0, 1)])
+            for i in range(n)
+        ]
+        return NetworkSpec(subs, abst)
 
 
 def template_pair(params: SwingParams):

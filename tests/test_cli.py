@@ -278,6 +278,16 @@ class TestErrorPaths:
         assert code == 2
         assert report["error"] == "SchemaError"
 
+    def test_integer_beyond_float_range_exit_two(self, capsys, ring_files, tmp_path):
+        # a matrix entry of 1e400 written as an integer exited 1 with OverflowError
+        net, _ = ring_files
+        data = json.loads(net.read_text())
+        data["subsystems"][0]["modes"][0]["A"][0][0] = 10**400
+        huge = tmp_path / "huge.json"
+        huge.write_text(json.dumps(data))
+        code, report, _ = run_cli(capsys, ["validate", str(huge)])
+        assert code == 2 and report["error"] == "SchemaError"
+
     def test_network_without_abstraction_exit_two(self, capsys, ring_files, tmp_path):
         net, certs = ring_files
         data = json.loads(net.read_text())

@@ -4,6 +4,7 @@ defects, byte-identical round trips, read-only views, counted numpy calls
 and the cases that crashed or were accepted before."""
 
 import dataclasses
+import gc
 import json
 import re
 from types import SimpleNamespace
@@ -43,6 +44,7 @@ from simnet.swing import compose_ring
 from vehicles import heterogeneous_network
 
 NAN = float("nan")
+HUGE = 10**400  # an integer beyond float range
 
 
 def mode(data, node, s, layer="subsystems"):
@@ -145,6 +147,7 @@ NETWORK_CASES = {
     "abstract-not-array": lambda d: d.__setitem__("abstract_subsystems", "x"),
     "abstract-object": lambda d: d.__setitem__("abstract_subsystems", {"id": 0}),
     "abstract-empty": lambda d: d.__setitem__("abstract_subsystems", []),
+    "matrix-huge-integer": lambda d: mode(d, 0, 0)["A"][0].__setitem__(0, HUGE),
     # two defects: the earlier node's is reported
     "two-defects-validation-first": lambda d: (
         mode(d, 1, 1)["A"][1].__setitem__(0, NAN), d["subsystems"][2]["modes"].__setitem__(0, 3)),
@@ -191,6 +194,10 @@ CERTIFICATE_CASES = {
     "Q-non-finite": lambda d: d["certificates"][1]["Q"]["0"][0].__setitem__(0, NAN),
     "P-non-finite": lambda d: d["certificates"][1]["P"][1].__setitem__(0, NAN),
     "transitions-not-pairs": lambda d: d["certificates"][1].__setitem__("transitions", [[0]]),
+    "kappa-huge-integer": lambda d: d["certificates"][1].__setitem__("kappa", HUGE),
+    "M-huge-integer": lambda d: d["certificates"][1]["M"]["0"][0].__setitem__(0, HUGE),
+    "transitions-infinite": lambda d: d["certificates"][1].__setitem__(
+        "transitions", [[0, float("inf")]]),
     # two defects: the earlier certificate's is reported
     "two-defects-validation-first": lambda d: (
         d["certificates"][1]["K"].__setitem__("1", [[1.0]]),
@@ -262,6 +269,7 @@ EXPECTED = {
     'load_network/abstract-not-array': ('SchemaError', "'abstract_subsystems' must be an array", {}),
     'load_network/abstract-object': ('SchemaError', "'abstract_subsystems' must be an array", {}),
     'load_network/abstract-empty': ('SchemaError', 'abstract subsystem list must align with the concrete list', {'concrete': 4, 'abstract': 0}),
+    'load_network/matrix-huge-integer': ('SchemaError', 'subsystem 0 mode 0: matrix A has non-numeric entries', {'node': 0, 'mode': 0, 'matrix': 'A'}),
     'load_network/two-defects-validation-first': ('SchemaError', 'subsystem 1 mode 1: matrix A has non-finite entries', {'node': 1, 'mode': 1, 'matrix': 'A'}),
     'load_network/two-defects-structure-first': ('SchemaError', "subsystem 1 mode 1 lacks matrices ['B']", {'node': 1, 'mode': 1, 'missing': ['B']}),
     'load_network/two-defects-matrix-then-entry': ('SchemaError', 'subsystem 1 mode 1: matrix A has non-numeric entries', {'node': 1, 'mode': 1, 'matrix': 'A'}),
@@ -294,6 +302,9 @@ EXPECTED = {
     'load_certificates/Q-non-finite': ('SchemaError', 'certificate for node 1 mode 0: matrix Q has non-finite entries', {'node': 1, 'mode': 0, 'matrix': 'Q'}),
     'load_certificates/P-non-finite': ('SchemaError', 'certificate for node 1: matrix P has non-finite entries', {'node': 1, 'mode': None, 'matrix': 'P'}),
     'load_certificates/transitions-not-pairs': ('SchemaError', 'certificate for node 1: transitions must be [current, next] mode pairs', {'node': 1}),
+    'load_certificates/kappa-huge-integer': ('SchemaError', f'certificate for node 1: kappa {HUGE} is not a number', {'node': 1}),
+    'load_certificates/M-huge-integer': ('SchemaError', 'certificate for node 1 mode 0: matrix M has non-numeric entries', {'node': 1, 'mode': 0, 'matrix': 'M'}),
+    'load_certificates/transitions-infinite': ('SchemaError', 'certificate for node 1: transitions must be [current, next] mode pairs', {'node': 1}),
     'load_certificates/two-defects-validation-first': ('DimensionMismatchError', 'K[1] must be 1x2', {'mode': 1}),
     'load_certificates/two-defects-structure-first': ('SchemaError', "certificate for node 1 lacks field 'T'", {'node': 1}),
     'load_certificates/two-defects-non-finite-last': ('DimensionMismatchError', 'Q[1] must be 1x1', {'mode': 1}),
@@ -608,6 +619,8 @@ class TestScalarFieldsThroughTheCli:
         ("certificates", "M-non-numeric"),
         ("certificates", "entry-not-object"),
         ("certificates", "id-not-integer"),
+        ("network", "matrix-huge-integer"),
+        ("certificates", "kappa-huge-integer"),
     ])
     def test_exit_two(self, layer, case, ring_files_json, tmp_path, capsys):
         net, certs = (json.loads(json.dumps(d)) for d in ring_files_json)
@@ -775,3 +788,73 @@ class TestSwitchingSignalModes:
     def test_ring_experiment_rejects_fractional_period(self):
         with pytest.raises(SchemaError, match=r"an integer >= 1, got 1\.5"):
             simnet.run_ring_experiment(SwingParams(n_nodes=3, switch_period=1.5), 10)
+
+
+class TestCollectorState:
+    """The writers and the ring generator build their trees with the cyclic
+    collector paused, as the loaders do, and leave it as they found it."""
+
+    N = 1000
+
+    @pytest.fixture(scope="class")
+    def ring(self):
+        params = SwingParams(n_nodes=self.N)
+        cert = closed_form_certificate(params)
+        return generate_ring_network(params), {i: cert for i in range(self.N)}
+
+    @pytest.fixture
+    def restore_gc(self):
+        enabled = gc.isenabled()
+        yield
+        (gc.enable if enabled else gc.disable)()
+
+    @staticmethod
+    def writers(ring, directory):
+        spec, certs = ring
+        return {
+            "save_network": lambda: save_network(spec, directory / "net.json"),
+            "save_certificates": lambda: save_certificates(certs, directory / "certs.json"),
+            "network_to_json": lambda: network_to_json(spec),
+            "certificates_to_json": lambda: certificates_to_json(certs),
+            "generate_ring_network": lambda: generate_ring_network(SwingParams(n_nodes=len(certs))),
+        }
+
+    # each writer as it fails inside the paused build or the write after it
+    FAILING = {
+        "save_network": lambda ring, missing: save_network(ring[0], missing / "net.json"),
+        "save_certificates": lambda ring, missing: save_certificates(ring[1], missing / "c.json"),
+        "network_to_json": lambda ring, missing: network_to_json(
+            SimpleNamespace(subsystems=[None])),
+        "certificates_to_json": lambda ring, missing: certificates_to_json({0: None}),
+        "generate_ring_network": lambda ring, missing: generate_ring_network(
+            SimpleNamespace(n_nodes=3)),
+    }
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    @pytest.mark.parametrize("name", sorted(FAILING))
+    def test_state_left_as_found(self, name, enabled, ring, tmp_path, restore_gc):
+        (gc.enable if enabled else gc.disable)()
+        self.writers(ring, tmp_path)[name]()
+        assert gc.isenabled() is enabled
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    @pytest.mark.parametrize("name", sorted(FAILING))
+    def test_state_left_as_found_when_raising(self, name, enabled, ring, tmp_path, restore_gc):
+        (gc.enable if enabled else gc.disable)()
+        with pytest.raises((OSError, AttributeError)):
+            self.FAILING[name](ring, tmp_path / "missing")
+        assert gc.isenabled() is enabled
+
+    @pytest.mark.parametrize("name", sorted(FAILING))
+    def test_no_collection_while_building(self, name, ring, tmp_path, restore_gc):
+        # the 1000-node trees would set off dozens of collections unpaused;
+        # the one allowed may run as the collector resumes
+        gc.enable()
+        starts = []
+        callback = lambda phase, info: phase == "start" and starts.append(info["generation"])
+        gc.callbacks.append(callback)
+        try:
+            self.writers(ring, tmp_path)[name]()
+        finally:
+            gc.callbacks.remove(callback)
+        assert len(starts) <= 1

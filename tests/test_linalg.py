@@ -79,6 +79,39 @@ class TestPsdOrder:
         assert loewner_le(a, c, doubled)
 
 
+def three_call_margins(a, b):
+    """psd_margin_batch as one eigvalsh per operand, the reference the
+    single stacked call must equal bit for bit."""
+    scale = 1.0 + np.maximum(*(np.abs(np.linalg.eigvalsh(m)).max(axis=-1) for m in (a, b)))
+    return np.linalg.eigvalsh(b - a).min(axis=-1), scale
+
+
+def symmetric_stack(rng, k, n):
+    x = rng.standard_normal((k, n, n))
+    return x + np.swapaxes(x, -1, -2)
+
+
+class TestPsdMarginBatch:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("k", [0, 1, 7])
+    def test_one_call_equals_three_calls(self, n, k):
+        rng = np.random.default_rng(10 * n + k)
+        a, b = symmetric_stack(rng, k, n), symmetric_stack(rng, k, n)
+        got, want = psd_margin_batch(a, b), three_call_margins(a, b)
+        for x, y in zip(got, want):
+            assert x.shape == y.shape == (k,) and x.tobytes() == y.tobytes()
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_stack_of_one_against_a_stack(self, n):
+        # synthesis checks one matrix against every mode's
+        rng = np.random.default_rng(n)
+        one, many = symmetric_stack(rng, 1, n), symmetric_stack(rng, 5, n)
+        for a, b in ((many, one), (one, many)):
+            got, want = psd_margin_batch(a, b), three_call_margins(a, b)
+            for x, y in zip(got, want):
+                assert x.shape == y.shape == (5,) and x.tobytes() == y.tobytes()
+
+
 class TestPrincipalSqrt:
     def test_identity(self):
         np.testing.assert_allclose(sqrt_of(np.eye(3)), np.eye(3))
