@@ -76,6 +76,7 @@ from .network import (
     NetworkSpec,
     SwitchedLinearSubsystem,
     _check_subsystems,
+    _distinct,
     _extents,
     _integral,
     _Matrices,
@@ -252,7 +253,7 @@ def _semidefinite(ms, side: np.ndarray, finite: np.ndarray):
     Non-finite M are decided on zeros."""
     sym = [None] * len(ms)
     lam_min, scale = np.zeros(len(ms)), np.ones(len(ms))
-    for dim in np.unique(side[side > 0]).tolist():
+    for dim in _distinct(side[side > 0]).tolist():
         idx = np.flatnonzero(side == dim)
         stack = np.array([ms[i] for i in idx.tolist()], dtype=float).reshape(-1, dim, dim)
         stack = np.where(finite[idx, None, None], stack, 0.0)
@@ -546,7 +547,7 @@ def _verify_group(items, r: int, widths: np.ndarray, tol: ToleranceProfile):
     # output dominance; C and Chat stack per output width
     gram, match = np.empty_like(ms), np.zeros(len(ms))
     row_width = widths[row_item]
-    for width in np.unique(widths).tolist():
+    for width in _distinct(widths).tolist():
         rows = np.flatnonzero(row_width == width)
         c = np.array([modes[i].C for i in rows.tolist()])
         c_hat = np.array([abstract[i].C for i in rows.tolist()])

@@ -4,13 +4,15 @@ swing-ring benchmark.
 Reports are JSON on stdout (byte-identical across reruns with the same
 inputs and seed); the human-readable summary goes to stderr.  Exit codes:
 0 success/certified, 1 a verification or small-gain check failed (the JSON
-report says which), 2 input or usage errors.
+report says which), 2 input or usage errors, or a report that could not be
+written to stdout.
 """
 
 from __future__ import annotations
 
 import argparse
 import errno
+import gc
 import json
 import os
 import sys
@@ -22,6 +24,25 @@ def entry_point() -> None:
 
 def main(argv) -> int:
     _apply_thread_cap()
+    # A command builds many objects and no reference cycles: from the numpy
+    # import to the report, every collection would only walk them again.
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _run(argv)
+    except _StdoutFailed as exc:
+        # Python's EPIPE recipe: what stdout still buffers goes to the null device at exit
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print(f"error: cannot write to stdout: {exc.__cause__}", file=sys.stderr)
+        return 2
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _run(argv) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
@@ -139,8 +160,15 @@ def _tolerances(args):
     return ToleranceProfile(psd_tol=psd, eig_tol=eig, iter_max=DEFAULT_TOL.iter_max)
 
 
+class _StdoutFailed(Exception):
+    """A report could not be written to stdout (the OSError is the cause)."""
+
+
 def _emit(report: dict) -> None:
-    print(json.dumps(report, sort_keys=True))
+    try:
+        print(json.dumps(report, sort_keys=True), flush=True)
+    except OSError as exc:
+        raise _StdoutFailed from exc
 
 
 def _plain(obj):
@@ -290,7 +318,16 @@ def _composed_from_files(args, tol):
     return spec, certs, composed
 
 
+def _check_seed(seed: int) -> None:
+    """Refuse a negative seed before any work: numpy's generators take none."""
+    if seed < 0:
+        from .errors import SimnetError
+
+        raise SimnetError(f"seed must be nonnegative, got {seed}", seed=seed)
+
+
 def _cmd_simulate(args) -> int:
+    _check_seed(args.seed)
     import numpy as np
 
     from .errors import SchemaError
@@ -415,6 +452,7 @@ def _write_pair(writes) -> None:
 
 
 def _cmd_swing_run(args) -> int:
+    _check_seed(args.seed)
     from .simulate import check_trajectory_bound, check_V_decrease, export_run
     from .swing import benchmark_report, run_ring_experiment
 

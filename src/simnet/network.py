@@ -208,6 +208,12 @@ def _positions(ids: np.ndarray, values: np.ndarray) -> np.ndarray:
     return np.where(ids[order][rank] == values, order[rank], -1)
 
 
+def _distinct(values: np.ndarray) -> np.ndarray:
+    """``np.unique(values)``: the sorted distinct values."""
+    # asked for counts, np.unique skips numpy 2.4's np.ma.is_masked probe (it imports numpy.ma)
+    return np.unique(values, return_counts=True)[0]
+
+
 def _key(obj):
     """Shape key of a matrix: an array's shape; for a decoded list of
     rows its (rows, columns) judged by the first row, columns -1 if that
@@ -520,7 +526,7 @@ class _Layer:
         pos = _positions(self.ids, ends).reshape(-1, 2)
         if (pos < 0).any():
             return False
-        return np.array_equal(np.unique(pos[:, 0] * len(self.ids) + pos[:, 1]), self._edges)
+        return np.array_equal(_distinct(pos[:, 0] * len(self.ids) + pos[:, 1]), self._edges)
 
     @property
     def fan_in(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -1027,7 +1033,9 @@ def _paused_gc():
     cycles; every collection in between would traverse the whole tree
     again (a third of ``json.load``'s time on a 2 MB file, most of
     ``network_to_json``'s on the 10 000-node ring).  Collection resumes
-    afterwards if it was enabled before.
+    afterwards if it was enabled before.  A ``simnet`` command runs with the
+    collector paused from start to finish (``cli.main``), so there this
+    nests inside that pause and changes nothing.
     """
     enabled = gc.isenabled()
     gc.disable()

@@ -1,5 +1,6 @@
 """CLI tests: exit codes, JSON reports, determinism, end-to-end pipelines."""
 
+import gc
 import json
 import os
 import subprocess
@@ -49,6 +50,23 @@ raise SystemExit(main(["simulate", net, certs, "--horizon", "20", "--seed", "1",
 """
 
 
+# Runs each command of ``simnet.cli.main`` in turn and prints, as its last
+# stdout line, whether numpy and numpy.ma were loaded after each.
+NUMPY_MA_PROBE = """
+import json, sys
+from simnet.cli import main
+net, certs, out = sys.argv[1:]
+seen = {}
+for argv in (["validate", net], ["verify", net, certs], ["compose", net, certs],
+             ["simulate", net, certs, "--horizon", "3"],
+             ["swing-gen", "--nodes", "3", "-o", out + "/net.json"],
+             ["swing-run", "--nodes", "3", "--horizon", "3"]):
+    assert main(argv) == 0, argv
+    seen[argv[0]] = ["numpy" in sys.modules, "numpy.ma" in sys.modules]
+print(json.dumps(seen))
+"""
+
+
 def run_python(code, *args, **env_vars):
     """Run ``python -c code args`` on this checkout's sources with no BLAS
     thread variables set except ``env_vars``; return its stdout lines."""
@@ -60,6 +78,18 @@ def run_python(code, *args, **env_vars):
         env=env, capture_output=True, text=True, timeout=120, check=True,
     )
     return proc.stdout.strip().splitlines()
+
+
+def run_simnet(argv, stdout, unbuffered):
+    """Run ``python -m simnet argv`` with stdout on the given file or
+    descriptor, Python's stdout buffered or not; return (exit code, stderr)."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    proc = subprocess.run([sys.executable, "-m", "simnet", *map(str, argv)], env=env,
+                          stdout=stdout, stderr=subprocess.PIPE, text=True, timeout=120)
+    return proc.returncode, proc.stderr
 
 
 def run_cli(capsys, argv):
@@ -339,6 +369,19 @@ class TestErrorPaths:
         assert code == 2 and report["error"] == "DimensionMismatchError"
         assert report["message"] == "horizon must be nonnegative, got -2"
 
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "NET", "CERTS", "--seed", "-1"],
+        ["swing-run", "--nodes", "3", "--horizon", "2", "--seed", "-1"],
+    ], ids=["simulate", "swing-run"])
+    def test_negative_seed_exit_two(self, capsys, tmp_path, argv):
+        # numpy refused it with a traceback once the pipeline had run; it is
+        # now refused before any file is read (these name none that exist)
+        paths = {"NET": str(tmp_path / "net.json"), "CERTS": str(tmp_path / "certs.json")}
+        code, report, err = run_cli(capsys, [paths.get(a, a) for a in argv])
+        assert code == 2 and report == {"error": "SimnetError", "details": {"seed": -1},
+                                        "message": "seed must be nonnegative, got -1"}
+        assert err == "error: seed must be nonnegative, got -1\n"
+
     @pytest.mark.parametrize("option", ["--tol-psd", "--tol-eig"])
     @pytest.mark.parametrize("value", ["0.5", "-1e-9", "nan"])
     def test_out_of_range_tolerance_is_usage_error(self, capsys, ring_files, option, value):
@@ -367,6 +410,100 @@ class TestErrorPaths:
         with pytest.raises(SystemExit) as exc:
             main(["no-such-command"])
         assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+class TestStdoutFailure:
+    """A report that cannot be written to stdout exits 2 with one error line
+    on stderr: no traceback, none at interpreter shutdown either."""
+
+    @staticmethod
+    def assert_one_error_line(code, err, reason):
+        assert code == 2
+        assert [line for line in err.splitlines() if line.startswith("error:")] == [
+            f"error: cannot write to stdout: {reason}"]
+        assert "Traceback" not in err and "Exception ignored" not in err
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    def test_full_device(self, ring_files, unbuffered):
+        with open("/dev/full", "w") as full:
+            code, err = run_simnet(["validate", ring_files[0]], full, unbuffered)
+        self.assert_one_error_line(code, err, "[Errno 28] No space left on device")
+
+    def test_closed_pipe(self, ring_files, unbuffered):
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            code, err = run_simnet(["verify", *ring_files], write, unbuffered)
+        finally:
+            os.close(write)
+        self.assert_one_error_line(code, err, "[Errno 32] Broken pipe")
+
+
+class TestCollectorPause:
+    """main runs with the cyclic collector paused from start to finish and
+    leaves it as it found it, on every exit path."""
+
+    @pytest.fixture
+    def restore_gc(self):
+        enabled = gc.isenabled()
+        yield
+        (gc.enable if enabled else gc.disable)()
+
+    @pytest.fixture
+    def paths(self, ring_files, tmp_path):
+        net, certs = ring_files
+        data = json.loads(certs.read_text())
+        for entry in data["certificates"]:
+            entry["M"] = {k: [[0.5, 0.0], [0.0, 0.5]] for k in entry["M"]}
+        broken = tmp_path / "broken.json"
+        broken.write_text(json.dumps(data))
+        return {"NET": str(net), "CERTS": str(certs), "BROKEN": str(broken),
+                "MISSING": str(tmp_path / "missing.json")}
+
+    # argv -> exit code, or SystemExit for argparse's exits
+    EXITS = {
+        "ok": (["compose", "NET", "CERTS"], 0),
+        "check-failed": (["verify", "NET", "BROKEN"], 1),
+        "os-error": (["validate", "MISSING"], 2),
+        "simnet-error": (["simulate", "NET", "CERTS", "--seed", "-1"], 2),
+        "usage": (["no-such-command"], SystemExit),
+        "help": (["--help"], SystemExit),
+    }
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    @pytest.mark.parametrize("case", sorted(EXITS))
+    def test_state_left_as_found(self, capsys, paths, restore_gc, case, enabled):
+        argv, expected = self.EXITS[case]
+        argv = [paths.get(a, a) for a in argv]
+        (gc.enable if enabled else gc.disable)()
+        if expected is SystemExit:
+            with pytest.raises(SystemExit):
+                main(argv)
+        else:
+            assert main(argv) == expected
+        assert gc.isenabled() is enabled
+
+    @pytest.mark.parametrize("argv", [
+        ["validate", "NET"],
+        ["verify", "NET", "CERTS"],
+        ["compose", "NET", "CERTS"],
+        ["simulate", "NET", "CERTS", "--horizon", "20"],
+        ["swing-gen", "--nodes", "50", "-o", "OUT"],
+    ], ids=lambda argv: argv[0])
+    def test_no_collection_during_a_command(self, capsys, tmp_path, restore_gc, argv):
+        net, certs = tmp_path / "ring.json", tmp_path / "ring-certs.json"
+        assert main(["swing-gen", "--nodes", "50", "-o", str(net), "--certs-out", str(certs)]) == 0
+        paths = {"NET": str(net), "CERTS": str(certs), "OUT": str(tmp_path / "gen.json")}
+        gc.enable()
+        starts = []
+        callback = lambda phase, info: phase == "start" and starts.append(info["generation"])
+        gc.callbacks.append(callback)
+        try:
+            assert main([paths.get(a, a) for a in argv]) == 0
+        finally:
+            gc.callbacks.remove(callback)
+        assert starts == []
 
 
 class TestDeterminism:
@@ -399,6 +536,12 @@ class TestDeterminism:
         code = "import sys, simnet; print('numpy' in sys.modules); simnet.Mode; " \
             "print('numpy' in sys.modules)"
         assert run_python(code) == ["False", "True"]
+
+    def test_numpy_ma_never_imported(self, ring_files, tmp_path):
+        # in a fresh interpreter: pytest's own process may hold numpy.ma
+        seen = json.loads(run_python(NUMPY_MA_PROBE, *ring_files, tmp_path)[-1])
+        assert seen == {command: [True, False] for command in (
+            "validate", "verify", "compose", "simulate", "swing-gen", "swing-run")}
 
     def test_thread_cap_set_before_numpy_loads(self, ring_files):
         # (preset OPENBLAS_NUM_THREADS, SIMNET_THREADS, value at numpy import):

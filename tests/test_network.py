@@ -21,6 +21,7 @@ from simnet import (
     simulate_lockstep,
 )
 from simnet.composition import ComposedCertificate, Lockstep
+from simnet.network import _distinct
 from simnet.simulate import _synchronized
 from vehicles import (
     heterogeneous_network,
@@ -236,6 +237,19 @@ class TestLoadNetwork:
         path2 = tmp_path / "net2.json"
         save_network(loaded, path2)
         assert path.read_text() == path2.read_text()
+
+
+@pytest.mark.parametrize("values", [
+    [], [7], [-3], [3, 1, 3, -2, 1], list(range(50, 0, -3)) * 2,
+    np.random.default_rng(0).integers(-40, 40, 500).tolist(),
+], ids=["empty", "one", "one-negative", "repeats", "descending-twice", "random"])
+@pytest.mark.parametrize("dtype", [np.int64, np.intp, np.int32])
+def test_distinct_equals_unique(values, dtype):
+    # the parsers' and the verifier's replacement for plain np.unique
+    values = np.array(values, dtype=dtype)
+    got, want = _distinct(values), np.unique(values)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.array_equal(got, want)
 
 
 class TestInterconnectionGraph:
